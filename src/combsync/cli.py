@@ -67,7 +67,7 @@ def _run_noise(config: ExperimentConfig, outdir: Path) -> list[Path]:
         _write_comments(fh, {**_file_header(config), "kind": spec.kind.value,
                              "amplitude": repr(spec.amplitude), "tau0_s": repr(series.tau0)})
         fh.write("k,y\n")
-        for k, y in enumerate(series.samples):
+        for k, y in enumerate(series.samples.tolist()):
             fh.write(f"{k},{y!r}\n")
     return [path]
 
@@ -95,7 +95,7 @@ def _run_sync(config: ExperimentConfig, outdir: Path) -> list[Path]:
     with open(data_path, "w", encoding="utf-8", newline="") as fh:
         _write_comments(fh, header)
         fh.write("trial,estimate_s,truth_s,residual_s\n")
-        for k, (est, res) in enumerate(zip(result.estimates, result.residuals)):
+        for k, (est, res) in enumerate(zip(result.estimates.tolist(), result.residuals.tolist())):
             fh.write(f"{k},{est!r},{result.truth!r},{res!r}\n")
 
     summary_path = outdir / "campaign_summary.txt"

@@ -217,10 +217,11 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
 
     The effective deviation reduction under loss is
     sqrt(eta*exp(-2r) + (1 - eta)); the vacuum admixture floors it at
-    sqrt(1 - eta), so targets below that floor return None (unattainable).
+    sqrt(1 - eta), so targets below that floor return None (unattainable),
+    as does every target at eta = 0, where the floor is 1.
     """
-    if not (0.0 < eta_total <= 1.0):
-        raise InvalidArgument(f"eta_total must lie in (0, 1], got {eta_total}")
+    if not (0.0 <= eta_total <= 1.0):
+        raise InvalidArgument(f"eta_total must lie in [0, 1], got {eta_total}")
     if not math.isfinite(advantage_factor) or advantage_factor <= 1.0:
         raise InvalidArgument(f"advantage_factor must exceed 1, got {advantage_factor}")
     target_variance = 1.0 / advantage_factor**2

@@ -9,6 +9,10 @@ exactly; asymmetry delta between the directions biases it by delta/2.
 A campaign repeats exchanges on a fixed schedule, feeds the residuals
 to the stability estimators, and reports sigma_dt as the configured
 excess bias plus the sample deviation of the residuals.
+
+One kernel computes the quartet and one formula the offset, on Python
+floats (one exchange) or arrays (a campaign).  A clock without an active
+noise source draws no random stream, so its sub-seed is never derived.
 """
 
 from __future__ import annotations
@@ -115,9 +119,27 @@ def default_leo_geometry(wavelength: float = 1.56e-6, aperture_radius: float = 0
     )
 
 
-def _clock_error(clock: ClockModel, tau0: float, seed: int) -> float:
-    """Phase deviation accumulated by the clock over one tau0 window."""
-    return float(sample_clock(clock, 2, tau0, seed).samples[1])
+def _clock_path(clock: ClockModel, count: int, tau0: float, seed: int, stream: int) -> np.ndarray:
+    """Phase path of the clock; only an active noise source needs its sub-seed derived."""
+    if any(spec.amplitude != 0.0 for spec in clock.noise):
+        seed = derive_seed(seed, stream)
+    return sample_clock(clock, count, tau0, seed).samples
+
+
+def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, turnaround, true_offset, start_time):
+    """Quartet (t1, t2, t3, t4) from clock errors xa, xb and timestamp deviations e1..e4."""
+    time_b_rx = start_time + d_ab
+    time_b_tx = time_b_rx + turnaround
+    return (
+        start_time + xa + e1,
+        time_b_rx + true_offset + xb + e2,
+        time_b_tx + true_offset + xb + e3,
+        time_b_tx + d_ba + xa + e4,
+    )
+
+
+def _two_way(t1, t2, t3, t4):
+    return ((t2 - t1) - (t4 - t3)) / 2.0
 
 
 def simulate_exchange(
@@ -143,21 +165,14 @@ def simulate_exchange(
         raise InvalidArgument("true_offset must be finite")
     if turnaround < 0.0:
         raise InvalidArgument(f"turnaround must be >= 0, got {turnaround}")
-    d_ab, d_ba = link.effective_delays()
-    xa = _clock_error(clock_a, tau0, derive_seed(seed, 1))
-    xb = _clock_error(clock_b, tau0, derive_seed(seed, 2))
+    xa = float(_clock_path(clock_a, 2, tau0, seed, 1)[1])
+    xb = float(_clock_path(clock_b, 2, tau0, seed, 2)[1])
     if measurement_sigma > 0.0:
-        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, measurement_sigma, 4)
+        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, measurement_sigma, 4).tolist()
     else:
-        eps = np.zeros(4)
-    time_b_rx = start_time + d_ab
-    time_b_tx = time_b_rx + turnaround
-    return ExchangeRecord(
-        t1=start_time + xa + eps[0],
-        t2=time_b_rx + true_offset + xb + eps[1],
-        t3=time_b_tx + true_offset + xb + eps[2],
-        t4=time_b_tx + d_ba + xa + eps[3],
-    )
+        eps = [0.0] * 4
+    return ExchangeRecord(*_timestamps(xa, xb, *eps, *link.effective_delays(),
+                                       turnaround, true_offset, start_time))
 
 
 def two_way_offset(record: ExchangeRecord) -> float:
@@ -166,7 +181,7 @@ def two_way_offset(record: ExchangeRecord) -> float:
     Exact for reciprocal delays; a directional asymmetry delta biases the
     estimate by delta/2 regardless of the common delay.
     """
-    return ((record.t2 - record.t1) - (record.t4 - record.t3)) / 2.0
+    return _two_way(record.t1, record.t2, record.t3, record.t4)
 
 
 def one_way_offset(record: ExchangeRecord, assumed_delay: float) -> float:
@@ -246,22 +261,18 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
     """
     if trials < 100:
         raise InvalidArgument(f"trials must be >= 100, got {trials}")
-    xa = sample_clock(config.clock_a, trials, config.interval, derive_seed(seed, 1)).samples
-    xb = sample_clock(config.clock_b, trials, config.interval, derive_seed(seed, 2)).samples
+    xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
+    xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
     sigma_m = model_sigma(config.estimator) if config.estimator is not None else 0.0
     if sigma_m > 0.0:
-        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma_m, (trials, 4))
+        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma_m, (trials, 4)).T
     else:
-        eps = np.zeros((trials, 4))
-    d_ab, d_ba = config.link.effective_delays()
+        eps = [0.0] * 4
     # Timestamps are taken relative to each exchange's start; the common
     # epoch cancels in both estimators and would otherwise quantize away
     # sub-femtosecond noise against coordinates of order 1e3 s.
-    t1 = xa + eps[:, 0]
-    t2 = d_ab + config.true_offset + xb + eps[:, 1]
-    t3 = d_ab + config.turnaround + config.true_offset + xb + eps[:, 2]
-    t4 = d_ab + config.turnaround + d_ba + xa + eps[:, 3]
-    estimates = ((t2 - t1) - (t4 - t3)) / 2.0
+    estimates = _two_way(*_timestamps(xa, xb, *eps, *config.link.effective_delays(),
+                                      config.turnaround, config.true_offset, 0.0))
     residuals = estimates - config.true_offset
     residual_series = TimeSeriesX(config.interval, residuals)
     curve = stability_curve(
@@ -304,15 +315,7 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     sqrt(eta*exp(-2r) + 1 - eta).
     """
     if link.geometric is not None:
-        zero_pointing = LinkModel(
-            distance_km=link.distance_km,
-            delay_ab=link.delay_ab,
-            delay_ba=link.delay_ba,
-            troposphere_enabled=link.troposphere_enabled,
-            geometric=link.geometric,
-            pointing_sigma=0.0,
-            eta_detector=1.0,
-        )
+        zero_pointing = replace(link, pointing_sigma=0.0, eta_detector=1.0)
         eta_total = link_efficiency(zero_pointing) * link.eta_detector
     else:
         eta_total = link.eta_detector

@@ -1,9 +1,13 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from combsync.cli import emit_sigma_tau, main
+from combsync.config import load_config
 from combsync.errors import InvalidArgument
+from combsync.noisegen import generate_noise
+from combsync.seeding import derive_seed
 from combsync.stability import (
     StabilityCurve,
     StabilityPoint,
@@ -11,6 +15,7 @@ from combsync.stability import (
     curve_from_csv,
     fit_slope,
 )
+from combsync.synclink import run_sync_campaign
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -168,3 +173,46 @@ def test_advantage_fixture_reports_flag(tmp_path):
     text = (tmp_path / "advantage.txt").read_text()
     assert "advantage_ratio = " in text
     assert "required_db_for_2x = " in text
+
+
+def _cells(path):
+    """Data rows of a CSV artifact, every cell parsed with float()."""
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return [[float(cell) for cell in row.split(",")] for row in rows]
+
+
+def test_noise_cells_parse_to_the_generated_floats(tmp_path):
+    config = CONFIGS / "noise_flicker_fm.yaml"
+    assert run_cli("noise", config, tmp_path) == 0
+    source = load_config(config, command="noise").payload
+    spec = replace(source.spec, seed=derive_seed(17, source.spec.seed))
+    samples = generate_noise(spec, source.count, source.tau0).samples
+    rows = _cells(tmp_path / "noise.csv")
+    assert [k for k, _ in rows] == list(range(len(samples)))
+    assert [y for _, y in rows] == samples.tolist()
+
+
+def test_campaign_cells_parse_to_the_campaign_floats(tmp_path):
+    config = CONFIGS / "sync_white_pm.yaml"
+    assert run_cli("sync", config, tmp_path) == 0
+    run = load_config(config, command="sync").payload
+    result = run_sync_campaign(run.campaign, run.trials, 9)
+    rows = _cells(tmp_path / "campaign.csv")
+    assert [row[0] for row in rows] == list(range(run.trials))
+    assert [row[1] for row in rows] == result.estimates.tolist()
+    assert {row[2] for row in rows} == {result.truth}
+    assert [row[3] for row in rows] == result.residuals.tolist()
+
+
+def test_advantage_with_dead_detector_is_unattainable(tmp_path):
+    config = tmp_path / "dead.yaml"
+    config.write_text(
+        "command: advantage\nadvantage:\n"
+        "  link: {distance_km: 100.0, delay_ab: 3.0e-4, delay_ba: 3.0e-4, eta_detector: 0}\n"
+        "  estimator: {method: temporal_mode, n: 1000.0, nu0: 1.92e14, t0: 1.0e-14, r: 1.0}\n"
+    )
+    assert run_cli("advantage", config, tmp_path) == 0
+    text = (tmp_path / "advantage.txt").read_text()
+    assert "eta_total = 0.0\n" in text
+    assert "advantage_ratio = 1.0\n" in text
+    assert "required_db_for_2x = unattainable\n" in text

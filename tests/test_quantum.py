@@ -203,9 +203,14 @@ class TestRequiredSqueezing:
         reduction = math.sqrt(0.9 * math.exp(-2.0 * r) + 0.1)
         assert reduction == pytest.approx(1.0 / 1.5, rel=1e-12)
 
+    def test_total_loss_is_unattainable(self):
+        assert required_squeezing(0.0, 2.0) is None
+        assert required_squeezing(0.0, 1.001) is None
+
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidArgument):
-            required_squeezing(0.0, 2.0)
+        for eta in (-0.1, -1e-300, 1.0001, math.nan):
+            with pytest.raises(InvalidArgument):
+                required_squeezing(eta, 2.0)
         with pytest.raises(InvalidArgument):
             required_squeezing(0.5, 1.0)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -253,3 +254,79 @@ class TestAdvantageReport:
         bare = LinkModel(distance_km=100.0, delay_ab=1e-3, delay_ba=1e-3, geometric=geometry)
         assert report.eta_total == pytest.approx(0.9 * link_efficiency(bare), rel=1e-12)
         assert isinstance(report, AdvantageReport)
+
+
+# Exchange and campaign outputs pinned bit for bit (float.hex of t1, t2, t3,
+# t4 and the two-way offset; sha256 over the campaign arrays and TDEV points).
+RAMP = ClockModel(nu0=1.94e14, frac_freq_offset=3e-13, drift=2e-17)
+NOISY = ClockModel(nu0=1.94e14, noise=(NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=3),
+                                       NoiseSpec(NoiseKind.FLICKER_PM, 1e-26, seed=4)))
+DRY = LinkModel(distance_km=300.0, delay_ab=1.0006e-3, delay_ba=1.0002e-3)
+WET = LinkModel(distance_km=300.0, delay_ab=1.0006e-3, delay_ba=1.0002e-3, troposphere_enabled=True)
+
+PINNED_EXCHANGES = [
+    ((quiet_clock(), quiet_clock(), DRY, 4.2e-6, 11), {},
+     ("0x0.0p+0", "0x1.0766fc8e5b77fp-10", "0x1.06c5ecdebb0bep-9", "0x1.895223b942ac4p-9",
+      "0x1.27476ca61b980p-18")),
+    ((RAMP, quiet_clock(), DRY, -2.5e-7, 12), {"tau0": 0.5},
+     ("0x1.51c68dd2c5f28p-43", "0x1.063c5a236204dp-10", "0x1.06309ba93e525p-9", "0x1.895223b9971dep-9",
+      "-0x1.ad7f7e1d64000p-25")),
+    ((NOISY, quiet_clock(), DRY, 4.2e-6, 13), {},
+     ("-0x1.8c8ba577c324bp-41", "0x1.0766fc8e5b77fp-10", "0x1.06c5ecdebb0bep-9", "0x1.895223b7b620ap-9",
+      "0x1.27476fbf32e00p-18")),
+    ((NOISY, NOISY, DRY, 1e-6, 14), {"measurement_sigma": 2e-12},
+     ("-0x1.bedf6ea9b2bb0p-42", "0x1.06903cfb4edd7p-10", "0x1.065a8d11d9c94p-9", "0x1.895223c1b84ebp-9",
+      "0x1.421f3aa164000p-20")),
+    ((NOISY, RAMP, DRY, 3e-6, 15), {"start_time": 1234.5, "turnaround": 2e-3},
+     ("0x1.349fffffffffdp+10", "0x1.34a01071674b8p+10", "0x1.34a0313602f16p+10", "0x1.34a0418c9249ep+10",
+      "0x1.ad7f330000000p-19")),
+    ((quiet_clock(), NOISY, WET, -1e-6, 16), {"measurement_sigma": 1e-13, "start_time": 60.0},
+     ("0x1.e000000000006p+5", "0x1.e0020c3c4e5f0p+5", "0x1.e004188608bcfp+5", "0x1.e006259916bcfp+5",
+      "-0x1.ad7f42c000000p-21")),
+]
+
+PINNED_CAMPAIGNS = [
+    (SyncCampaign(NOISY, NOISY, WET, interval=2.0, true_offset=3e-6, estimator=tm_estimator()),
+     "af8d7e97e44b6937a5c2d0998e9ae3c36c11e75aa3d3a98baedc1d4d1253e1c1",
+     "0x1.ad80234025612p-19", "0x1.91ba888d0d578p-37"),
+    (SyncCampaign(RAMP, NOISY, DRY, true_offset=-1e-6),
+     "296506c370b26a5e20b0cde7bead1d0283ea857645435184e59e2fe7dd7f85d2",
+     "-0x1.ad92dc5bffc0ep-21", "0x1.831e45a0ff77ap-34"),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("args,kwargs,expected", PINNED_EXCHANGES,
+                             ids=["noiseless", "ramp", "noisy", "measured", "late", "troposphere"])
+    def test_exchange_quartet_and_offset(self, args, kwargs, expected):
+        rec = simulate_exchange(*args, **kwargs)
+        values = (rec.t1, rec.t2, rec.t3, rec.t4, two_way_offset(rec))
+        assert [v.hex() for v in values] == list(expected)
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("campaign,digest,mean_offset,sigma_delta_t", PINNED_CAMPAIGNS,
+                             ids=["noisy", "ramp"])
+    def test_campaign(self, campaign, digest, mean_offset, sigma_delta_t):
+        result = run_sync_campaign(campaign, 2**10, seed=21)
+        h = hashlib.sha256(result.estimates.tobytes() + result.residuals.tobytes())
+        for p in result.tdev_curve.points:
+            h.update(f"{p.m} {float(p.tau).hex()} {float(p.value).hex()}".encode())
+        assert h.hexdigest() == digest
+        assert result.mean_offset.hex() == mean_offset
+        assert result.sigma_delta_t.hex() == sigma_delta_t
+
+
+SILENT = ClockModel(nu0=1.94e14, drift=1e-17, noise=(NoiseSpec(NoiseKind.WHITE_FM, 0.0, seed=1),
+                                                     NoiseSpec(NoiseKind.FLICKER_FM, 0.0, seed=2)))
+
+
+class TestNoiselessClockSeed:
+    @pytest.mark.parametrize("clock", [RAMP, SILENT], ids=["no-noise", "zero-amplitude"])
+    def test_record_ignores_seed(self, clock):
+        records = {simulate_exchange(clock, clock, DRY, 1e-6, seed=s, start_time=7.0)
+                   for s in (0, 1, 2**32 + 5, 2**63)}
+        assert len(records) == 1
+
+    def test_noisy_record_follows_seed(self):
+        records = {simulate_exchange(NOISY, quiet_clock(), DRY, 1e-6, seed=s) for s in (0, 1, 2, 3)}
+        assert len(records) == 4
