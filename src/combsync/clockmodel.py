@@ -2,10 +2,11 @@
 
 A ``ClockModel`` turns a nominal oscillator (frequency offset, linear
 drift, power-law noise) into sampled phase-deviation series for the
-stability estimators.  ``CombParams`` carries the frequency-domain comb
-descriptor (repetition rate, carrier-envelope offset) and derives its
-time-domain partners; the carrier waveform itself is never synthesized
-because every consumer works on x/y data.
+stability estimators; its offset + drift ramp is written once, in
+``ramp_phase``, for a float or an array of times.  ``CombParams`` carries
+the frequency-domain comb descriptor (repetition rate, carrier-envelope
+offset) and derives its time-domain partners; the carrier waveform itself
+is never synthesized because every consumer works on x/y data.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .noisegen import NoiseSpec, generate_noise
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX, _validate_tau0
 
 #: Photodetector-friendly repetition-rate band for comb sampling schemes.
@@ -83,6 +84,11 @@ class CombParams:
             )
 
 
+def ramp_phase(clock: ClockModel, t):
+    """Phase of the offset + drift ramp at time t (a float or an array of times)."""
+    return clock.frac_freq_offset * t + 0.5 * clock.drift * t * t
+
+
 def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> TimeSeriesX:
     """Sample the clock's phase deviation at count points spaced tau0 apart.
 
@@ -92,9 +98,9 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
     """
     if count < 2:
         raise InvalidArgument(f"count must be >= 2, got {count}")
+    seed = check_seed(seed)
     tau0 = _validate_tau0(tau0)
-    t = np.arange(count) * tau0
-    x = clock.frac_freq_offset * t + 0.5 * clock.drift * t * t
+    x = ramp_phase(clock, np.arange(count) * tau0)
     for i, spec in enumerate(clock.noise):
         if spec.amplitude == 0.0:
             continue

@@ -29,10 +29,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientData, InvalidArgument
+from .seeding import check_seed
 from .series import TimeSeriesY, _validate_tau0
 
 _TWO_PI = 2.0 * math.pi
-_MAX_SEED = 2**64
 
 
 class NoiseKind(Enum):
@@ -82,9 +82,7 @@ class NoiseSpec:
         if not math.isfinite(amp) or amp < 0.0:
             raise InvalidArgument(f"amplitude must be finite and >= 0, got {self.amplitude}")
         object.__setattr__(self, "amplitude", amp)
-        if not (0 <= int(self.seed) < _MAX_SEED):
-            raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def fractional_filter_coeffs(beta_exponent: float, count: int) -> np.ndarray:

@@ -10,8 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 
 def derive_seed(*parts: int) -> int:
     """Fold non-negative integer parts into one 64-bit stream seed."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def check_seed(seed: int) -> int:
+    """The seed as an int; anything outside [0, 2**64) raises InvalidArgument."""
+    if not 0 <= int(seed) < 2**64:
+        raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)

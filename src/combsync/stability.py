@@ -129,7 +129,7 @@ def _window_sums(a: np.ndarray, m: int) -> np.ndarray:
     cs = np.cumsum(a)
     out = np.empty(a.size - m + 1)
     out[0] = cs[m - 1]
-    out[1:] = cs[m:] - cs[:-m]
+    np.subtract(cs[m:], cs[:-m], out=out[1:])
     return out
 
 

@@ -12,7 +12,8 @@ excess bias plus the sample deviation of the residuals.
 
 One kernel computes the quartet and one formula the offset, on Python
 floats (one exchange) or arrays (a campaign).  A clock without an active
-noise source draws no random stream, so its sub-seed is never derived.
+noise source draws no random stream, so its sub-seed is never derived,
+and one exchange reads its phase off ``ramp_phase`` with no sample path.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .clockmodel import ClockModel, sample_clock
+from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument
 from .quantum import EstimatorModel, model_sigma, required_squeezing
-from .seeding import derive_seed
-from .series import TimeSeriesX
+from .seeding import check_seed, derive_seed
+from .series import TimeSeriesX, _validate_tau0
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
 
 #: Near-surface troposphere lengthens the effective path by 1 ns per km.
@@ -119,11 +120,22 @@ def default_leo_geometry(wavelength: float = 1.56e-6, aperture_radius: float = 0
     )
 
 
+def _is_noisy(clock: ClockModel) -> bool:
+    return any(spec.amplitude != 0.0 for spec in clock.noise)
+
+
 def _clock_path(clock: ClockModel, count: int, tau0: float, seed: int, stream: int) -> np.ndarray:
     """Phase path of the clock; only an active noise source needs its sub-seed derived."""
-    if any(spec.amplitude != 0.0 for spec in clock.noise):
+    if _is_noisy(clock):
         seed = derive_seed(seed, stream)
     return sample_clock(clock, count, tau0, seed).samples
+
+
+def _clock_phase(clock: ClockModel, tau0: float, seed: int, stream: int) -> float:
+    """Phase error at t = tau0; a noiseless clock's is its ramp there, with no path sampled."""
+    if _is_noisy(clock):
+        return float(sample_clock(clock, 2, tau0, derive_seed(seed, stream)).samples[1])
+    return float(ramp_phase(clock, tau0))
 
 
 def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, turnaround, true_offset, start_time):
@@ -165,8 +177,10 @@ def simulate_exchange(
         raise InvalidArgument("true_offset must be finite")
     if turnaround < 0.0:
         raise InvalidArgument(f"turnaround must be >= 0, got {turnaround}")
-    xa = float(_clock_path(clock_a, 2, tau0, seed, 1)[1])
-    xb = float(_clock_path(clock_b, 2, tau0, seed, 2)[1])
+    seed = check_seed(seed)
+    tau0 = _validate_tau0(tau0)
+    xa = _clock_phase(clock_a, tau0, seed, 1)
+    xb = _clock_phase(clock_b, tau0, seed, 2)
     if measurement_sigma > 0.0:
         eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, measurement_sigma, 4).tolist()
     else:
@@ -261,6 +275,7 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
     """
     if trials < 100:
         raise InvalidArgument(f"trials must be >= 100, got {trials}")
+    seed = check_seed(seed)
     xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
     xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
     sigma_m = model_sigma(config.estimator) if config.estimator is not None else 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from combsync.clockmodel import (
     ClockModel,
@@ -9,6 +10,7 @@ from combsync.clockmodel import (
     comb_mode_freq,
     comb_time_params,
     pulse_train_times,
+    ramp_phase,
     sample_clock,
 )
 from combsync.errors import InvalidArgument
@@ -70,6 +72,23 @@ class TestSampleClock:
         x = sample_clock(quiet_clock(drift=1e-12), 2**12, 1.0)
         curve = stability_curve(y_from_x(x), [2**k for k in range(9)], Variant.FFI0)
         assert fit_slope(curve) == pytest.approx(1.0, abs=0.1)
+
+
+# Ramp coefficients: signed zeros, subnormals and values near 1e-9, besides
+# Hypothesis draws from [-1e-8, 1e-8].
+RAMP_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-9, -1e-9, 1.0000000000000002e-9]),
+    st.floats(min_value=-1e-8, max_value=1e-8),
+)
+
+
+class TestRampPhase:
+    @given(offset=RAMP_COEFFS, drift=RAMP_COEFFS, tau0=st.floats(min_value=1e-3, max_value=1e3))
+    def test_float_matches_sampled_path(self, offset, drift, tau0):
+        clock = quiet_clock(frac_freq_offset=offset, drift=drift)
+        x = ramp_phase(clock, tau0)
+        assert type(x) is float
+        assert x.hex() == float(sample_clock(clock, 2, tau0).samples[1]).hex()
 
 
 class TestClockModelValidation:

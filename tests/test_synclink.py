@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from combsync.clockmodel import ClockModel
+from combsync import synclink
+from combsync.clockmodel import ClockModel, sample_clock
 from combsync.errors import InvalidArgument
 from combsync.noisegen import NoiseKind, NoiseSpec
 from combsync.quantum import EstimatorMethod, EstimatorModel, r_from_db
@@ -330,3 +331,38 @@ class TestNoiselessClockSeed:
     def test_noisy_record_follows_seed(self):
         records = {simulate_exchange(NOISY, quiet_clock(), DRY, 1e-6, seed=s) for s in (0, 1, 2, 3)}
         assert len(records) == 4
+
+
+ENTRY_POINTS = {
+    "exchange": lambda clock, seed: simulate_exchange(clock, clock, DRY, 1e-6, seed=seed),
+    "campaign": lambda clock, seed: run_sync_campaign(SyncCampaign(clock, clock, DRY), 128, seed=seed),
+    "sample_clock": lambda clock, seed: sample_clock(clock, 4, 1.0, seed=seed),
+}
+
+
+class TestExchangeArguments:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("clock", [RAMP, NOISY], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, entry, clock, seed):
+        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
+            ENTRY_POINTS[entry](clock, seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("clock", [RAMP, NOISY], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_edge_seeds_accepted(self, entry, clock, seed):
+        ENTRY_POINTS[entry](clock, seed)
+
+    @pytest.mark.parametrize("tau0", [0.0, -1.0, math.nan, math.inf])
+    def test_noiseless_exchange_rejects_bad_tau0(self, tau0):
+        with pytest.raises(InvalidArgument, match="tau0"):
+            simulate_exchange(RAMP, SILENT, DRY, 1e-6, tau0=tau0)
+
+    def test_noiseless_exchange_samples_no_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a noiseless exchange must not sample a clock path")
+
+        monkeypatch.setattr(synclink, "sample_clock", forbidden)
+        rec = simulate_exchange(RAMP, SILENT, DRY, 1e-6, tau0=0.5, start_time=3.0)
+        assert all(type(v) is float for v in (rec.t1, rec.t2, rec.t3, rec.t4))
