@@ -6,7 +6,8 @@ with commands noise, stability, sync, quantum-scaling, advantage.
 Every emitted file starts with ``#`` comment lines carrying the SHA-256
 of the config file and the resolved seed, and the same (config, seed)
 pair always reproduces byte-identical artifacts.  Exit codes: 0 success,
-2 config error, 3 estimator/runtime error, 4 output I/O error.
+2 config error, 3 estimator/runtime error (a result outside the float
+range or a size too large to allocate included), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ def _run_scaling(config: ExperimentConfig, outdir: Path) -> list[Path]:
         model = EstimatorModel(method=run.method, n=n, nu0=run.nu0, t0=run.t0, r=r)
         mean, std = monte_carlo_sigma(model, run.trials, derive_seed(config.seed, i))
         rows.append((n, r, model_sigma(model), mean, std))
-    exponent = float(np.polyfit(np.log10([row[0] for row in rows]),
-                                np.log10([row[4] for row in rows]), 1)[0]) if len(rows) >= 2 else float("nan")
+    log_n, log_std = np.log10([row[0] for row in rows]), np.log10([row[4] for row in rows])
+    # The slope needs two distinct n, and a deviation that underflows to 0 has no logarithm.
+    fit = np.ptp(log_n) > 0 and np.isfinite(log_n).all() and np.isfinite(log_std).all()
+    exponent = float(np.polyfit(log_n, log_std, 1)[0]) if fit else float("nan")
     path = outdir / "scaling.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_comments(fh, {**_file_header(config), "mode": run.mode,
@@ -205,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"combsync: config error: {exc}", file=sys.stderr)
         return 2
-    except CombsyncError as exc:
+    except (CombsyncError, ArithmeticError, MemoryError) as exc:  # float range or memory exceeded
         print(f"combsync: error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

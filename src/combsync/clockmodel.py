@@ -31,21 +31,18 @@ class ClockModel:
     """An oscillator: nominal frequency plus deterministic and noise terms.
 
     frac_freq_offset is a constant fractional-frequency bias; drift is
-    its linear rate of change per second.  s0 is the carrier peak
-    amplitude, carried for documentation only.
+    its linear rate of change per second.
     """
 
     nu0: float
-    phi0: float = 0.0
     frac_freq_offset: float = 0.0
     drift: float = 0.0
     noise: tuple[NoiseSpec, ...] = ()
-    s0: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.nu0) or self.nu0 <= 0.0:
             raise InvalidArgument(f"nu0 must be finite and positive, got {self.nu0}")
-        for name in ("phi0", "frac_freq_offset", "drift"):
+        for name in ("frac_freq_offset", "drift"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be finite")
         object.__setattr__(self, "noise", tuple(self.noise))
@@ -132,6 +129,7 @@ def pulse_train_times(comb: CombParams, count: int, jitter: NoiseSpec | None = N
     """
     if count < 1:
         raise InvalidArgument(f"count must be >= 1, got {count}")
+    seed = check_seed(seed)
     t_r = 1.0 / comb.f_r
     times = np.arange(count) * t_r
     if jitter is not None and jitter.amplitude > 0.0 and count > 1:

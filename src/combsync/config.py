@@ -1,26 +1,34 @@
 """Strict YAML experiment configuration.
 
 One config file drives one run: a top-level ``command``/``seed`` pair
-plus a single parameter block named after the command.  Parsing is
-strict — unknown keys anywhere are rejected with the offending dotted
-field name so typos in physics parameters cannot pass silently.
+plus a single parameter block named after the command.  Every key of a
+block is a field of the dataclass it builds, with that field's type and
+default; two are named differently: a link's ``troposphere_enabled`` is
+written ``troposphere`` and a stability run's ``source`` is ``noise``.
+Parsing is strict — unknown, missing, mistyped and repeated keys are
+rejected with the offending dotted key name so typos in physics
+parameters cannot pass silently.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import re
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from enum import Enum
+from typing import Any, Container, Optional, Union
 
 import yaml
 
-from .clockmodel import ClockModel, CombParams
+from .clockmodel import CombParams
 from .errors import CombsyncError
-from .noisegen import NoiseKind, NoiseSpec
+from .noisegen import NoiseSpec
 from .quantum import EstimatorMethod, EstimatorModel
 from .stability import Variant
-from .synclink import GeometricParams, LinkModel, SyncCampaign
+from .synclink import LinkModel, SyncCampaign
 
 COMMANDS = ("noise", "stability", "sync", "quantum-scaling", "advantage")
 #: Commands that draw random numbers and therefore require a seed.
@@ -32,11 +40,21 @@ class ConfigError(CombsyncError):
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also treats '1e14'-style scalars as floats.
+    """SafeLoader that treats '1e14'-style scalars as floats and rejects repeated keys.
 
     YAML 1.1 only resolves exponents written with a sign and a dot;
-    physics configs are full of bare scientific notation.
+    physics configs are full of bare scientific notation.  A repeated key
+    would otherwise silently keep its last value.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise ConfigError(f"duplicate key '{key.value}' on line {key.start_mark.line + 1}")
+                seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep)
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -53,76 +71,8 @@ _ConfigLoader.add_implicit_resolver(
 )
 
 
-def _require_mapping(node: Any, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"'{path}' must be a mapping, got {type(node).__name__}")
-    return node
-
-
-def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
-    for key in node:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
-
-
-def _get_number(node: dict, key: str, path: str, default=None, required=False) -> Optional[float]:
-    if key not in node:
-        if required:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}.{key}' must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ConfigError(f"'{path}.{key}' must be finite, got {value!r}")
-    return float(value)
-
-
-def _get_int(node: dict, key: str, path: str, default=None, required=False) -> Optional[int]:
-    if key not in node:
-        if required:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}.{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _get_bool(node: dict, key: str, path: str, default=False) -> bool:
-    value = node.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{path}.{key}' must be a boolean, got {value!r}")
-    return value
-
-
-def _get_enum(node: dict, key: str, path: str, enum_cls, required=True, default=None):
-    if key not in node:
-        if required:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    value = node[key]
-    try:
-        return enum_cls(value)
-    except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"'{path}.{key}' must be one of: {choices}; got {value!r}") from None
-
-
 # ---------------------------------------------------------------------------
-# Block parsers
-
-
-def _parse_noise_spec(node: Any, path: str) -> NoiseSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"kind", "amplitude", "seed"}, path)
-    kind = _get_enum(node, "kind", path, NoiseKind)
-    amplitude = _get_number(node, "amplitude", path, required=True)
-    seed = _get_int(node, "seed", path, default=0)
-    try:
-        return NoiseSpec(kind=kind, amplitude=amplitude, seed=seed)
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
+# Command payloads
 
 
 @dataclass(frozen=True)
@@ -131,137 +81,32 @@ class SeriesSource:
 
     spec: NoiseSpec
     count: int
-    tau0: float
-
-
-def _parse_series_source(node: Any, path: str) -> SeriesSource:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"kind", "amplitude", "seed", "count", "tau0"}, path)
-    count = _get_int(node, "count", path, required=True)
-    tau0 = _get_number(node, "tau0", path, default=1.0)
-    spec = _parse_noise_spec({k: node[k] for k in ("kind", "amplitude", "seed") if k in node}, path)
-    return SeriesSource(spec=spec, count=count, tau0=tau0)
-
-
-def _parse_clock(node: Any, path: str) -> ClockModel:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"nu0", "phi0", "frac_freq_offset", "drift", "noise", "s0"}, path)
-    noise_nodes = node.get("noise", [])
-    if not isinstance(noise_nodes, list):
-        raise ConfigError(f"'{path}.noise' must be a list of noise specs")
-    specs = tuple(_parse_noise_spec(n, f"{path}.noise[{i}]") for i, n in enumerate(noise_nodes))
-    try:
-        return ClockModel(
-            nu0=_get_number(node, "nu0", path, required=True),
-            phi0=_get_number(node, "phi0", path, default=0.0),
-            frac_freq_offset=_get_number(node, "frac_freq_offset", path, default=0.0),
-            drift=_get_number(node, "drift", path, default=0.0),
-            noise=specs,
-            s0=_get_number(node, "s0", path, default=1.0),
-        )
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
-
-
-def _parse_geometric(node: Any, path: str) -> GeometricParams:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"wavelength", "waist", "aperture_radius"}, path)
-    try:
-        return GeometricParams(
-            wavelength=_get_number(node, "wavelength", path, required=True),
-            waist=_get_number(node, "waist", path, required=True),
-            aperture_radius=_get_number(node, "aperture_radius", path, required=True),
-        )
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
-
-
-def _parse_link(node: Any, path: str) -> LinkModel:
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {"distance_km", "delay_ab", "delay_ba", "troposphere", "geometric",
-         "pointing_sigma", "eta_detector", "sigma_excess"},
-        path,
-    )
-    geometric = None
-    if "geometric" in node:
-        geometric = _parse_geometric(node["geometric"], f"{path}.geometric")
-    try:
-        return LinkModel(
-            distance_km=_get_number(node, "distance_km", path, required=True),
-            delay_ab=_get_number(node, "delay_ab", path, required=True),
-            delay_ba=_get_number(node, "delay_ba", path, required=True),
-            troposphere_enabled=_get_bool(node, "troposphere", path),
-            geometric=geometric,
-            pointing_sigma=_get_number(node, "pointing_sigma", path, default=0.0),
-            eta_detector=_get_number(node, "eta_detector", path, default=1.0),
-            sigma_excess=_get_number(node, "sigma_excess", path, default=0.0),
-        )
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
-
-
-def _parse_estimator(node: Any, path: str) -> EstimatorModel:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"method", "n", "nu0", "t0", "r"}, path)
-    try:
-        return EstimatorModel(
-            method=_get_enum(node, "method", path, EstimatorMethod),
-            n=_get_number(node, "n", path, required=True),
-            nu0=_get_number(node, "nu0", path, required=True),
-            t0=_get_number(node, "t0", path, required=True),
-            r=_get_number(node, "r", path, default=0.0),
-        )
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
-
-
-def _parse_comb(node: Any, path: str) -> CombParams:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"f_r", "f_0", "t_0", "n_range"}, path)
-    n_range = node.get("n_range")
-    if (not isinstance(n_range, list) or len(n_range) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in n_range)):
-        raise ConfigError(f"'{path}.n_range' must be a two-integer list [lo, hi]")
-    try:
-        return CombParams(
-            f_r=_get_number(node, "f_r", path, required=True),
-            f_0=_get_number(node, "f_0", path, default=0.0),
-            t_0=_get_number(node, "t_0", path, required=True),
-            n_range=(n_range[0], n_range[1]),
-        )
-    except CombsyncError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# Command payloads
+    tau0: float = 1.0
 
 
 @dataclass(frozen=True)
 class StabilityRun:
     source: SeriesSource
     variant: Variant
-    m_values: Optional[tuple[int, ...]]
+    m_values: Optional[tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
 class SyncRun:
     campaign: SyncCampaign
     trials: int
-    comb: Optional[CombParams]
+    comb: Optional[CombParams] = None
 
 
 @dataclass(frozen=True)
 class ScalingRun:
     mode: str  # "sql" | "hl"
     trials: int
-    method: EstimatorMethod
     nu0: float
     t0: float
-    n_values: tuple[float, ...]
-    r_values: tuple[float, ...]
+    method: EstimatorMethod = EstimatorMethod.TEMPORAL_MODE
+    n_values: tuple[float, ...] = ()
+    r_values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -270,104 +115,136 @@ class AdvantageRun:
     estimator: EstimatorModel
 
 
-def _parse_stability(node: Any, path: str) -> StabilityRun:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"noise", "variant", "m_values"}, path)
-    if "noise" not in node:
-        raise ConfigError(f"missing required key '{path}.noise'")
-    source = _parse_series_source(node["noise"], f"{path}.noise")
-    variant = _get_enum(node, "variant", path, Variant)
-    m_values = None
-    if "m_values" in node:
-        raw = node["m_values"]
-        if (not isinstance(raw, list) or not raw
-                or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw)):
-            raise ConfigError(f"'{path}.m_values' must be a non-empty list of positive integers")
-        m_values = tuple(raw)
-    return StabilityRun(source=source, variant=variant, m_values=m_values)
+# ---------------------------------------------------------------------------
+# The schema: dataclass fields plus the few facts the dataclasses do not hold
+
+#: YAML keys named differently from their fields.
+_KEYS = {(LinkModel, "troposphere_enabled"): "troposphere", (StabilityRun, "source"): "noise"}
+#: Fields whose keys sit in the enclosing block instead of under a key of their own.
+_INLINE = {(SeriesSource, "spec"), (SyncRun, "campaign")}
+#: Defaults a dataclass cannot declare itself: t_0 and n_range follow CombParams.f_0,
+#: and callers build CombParams positionally.
+_DEFAULTS = {(CombParams, "f_0"): 0.0}
+
+#: Scalar types whose YAML value must have exactly that type.
+_SCALARS = {int: "an integer", bool: "a boolean", str: "a string"}
+#: Lists of plain values: what the list must be, and the test each item passes.
+_LISTS = {
+    tuple[int, int]: ("a two-integer list [lo, hi]", lambda v: type(v) is int),
+    tuple[int, ...]: ("a non-empty list of positive integers", lambda v: type(v) is int and v >= 1),
+    tuple[float, ...]: ("a non-empty list of numbers", lambda v: type(v) in (int, float)),
+}
 
 
-def _parse_sync(node: Any, path: str) -> SyncRun:
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {"trials", "interval", "true_offset", "turnaround", "clock_a", "clock_b",
-         "link", "estimator", "comb"},
-        path,
-    )
-    for key in ("clock_a", "clock_b", "link"):
-        if key not in node:
+@functools.cache
+def _schema(cls) -> tuple[tuple, frozenset]:
+    """The (field name, YAML key or None if inline, type hint, default) rows of cls, and its keys."""
+    hints = typing.get_type_hints(cls)
+    rows, keys = [], set()
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if (cls, f.name) in _INLINE:
+            rows.append((f.name, None, hint, None))
+            keys |= _schema(hint)[1]
+        else:
+            key = _KEYS.get((cls, f.name), f.name)
+            rows.append((f.name, key, hint, _DEFAULTS.get((cls, f.name), f.default)))
+            keys.add(key)
+    return tuple(rows), frozenset(keys)
+
+
+def _mapping(node: Any, keys: Container[str], path: str) -> dict:
+    """node as a mapping that holds only the given keys."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{path}' must be a mapping, got {type(node).__name__}")
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
+    return node
+
+
+def _build(cls, node: Any, path: str):
+    """An instance of the dataclass cls from the YAML mapping at the dotted key path."""
+    node = _mapping(node, _schema(cls)[1], path)
+    kwargs = {}
+    for name, key, hint, default in _schema(cls)[0]:
+        if key is None:
+            kwargs[name] = _build(hint, {k: v for k, v in node.items() if k in _schema(hint)[1]}, path)
+        elif key in node:
+            kwargs[name] = _convert(hint, node[key], f"{path}.{key}")
+        elif default is dataclasses.MISSING:
             raise ConfigError(f"missing required key '{path}.{key}'")
-    estimator = _parse_estimator(node["estimator"], f"{path}.estimator") if "estimator" in node else None
-    comb = _parse_comb(node["comb"], f"{path}.comb") if "comb" in node else None
+        else:
+            kwargs[name] = default
     try:
-        campaign = SyncCampaign(
-            clock_a=_parse_clock(node["clock_a"], f"{path}.clock_a"),
-            clock_b=_parse_clock(node["clock_b"], f"{path}.clock_b"),
-            link=_parse_link(node["link"], f"{path}.link"),
-            interval=_get_number(node, "interval", path, default=1.0),
-            true_offset=_get_number(node, "true_offset", path, default=0.0),
-            estimator=estimator,
-            turnaround=_get_number(node, "turnaround", path, default=1e-3),
-        )
+        return cls(**kwargs)
     except CombsyncError as exc:
         raise ConfigError(f"invalid '{path}': {exc}") from None
-    return SyncRun(campaign=campaign, trials=_get_int(node, "trials", path, required=True), comb=comb)
+
+
+def _float(value) -> float:
+    """float(value), with an integer beyond the float range taken as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _convert(hint, value: Any, path: str):
+    """value checked against, and converted to, the type hint of its field."""
+    if typing.get_origin(hint) is Union:  # Optional[X]: only an absent key takes the None default
+        hint = typing.get_args(hint)[0]
+    if hint is float:
+        if type(value) not in (int, float):
+            raise ConfigError(f"'{path}' must be a number, got {value!r}")
+        number = _float(value)
+        if not math.isfinite(number):
+            raise ConfigError(f"'{path}' must be finite, got {value!r}")
+        return number
+    if hint in _SCALARS:
+        if type(value) is not hint:
+            raise ConfigError(f"'{path}' must be {_SCALARS[hint]}, got {value!r}")
+        return value
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            choices = ", ".join(e.value for e in hint)
+            raise ConfigError(f"'{path}' must be one of: {choices}; got {value!r}") from None
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    args = typing.get_args(hint)  # a tuple: (item, ...) or one entry per item
+    if dataclasses.is_dataclass(args[0]):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{path}' must be a list of noise specs")
+        return tuple(_build(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    what, ok = _LISTS[hint]
+    if (not isinstance(value, list) or not value or not all(map(ok, value))
+            or (Ellipsis not in args and len(value) != len(args))):
+        raise ConfigError(f"'{path}' must be {what}")
+    return tuple(map(_float, value)) if args[0] is float else tuple(value)
 
 
 def _parse_scaling(node: Any, path: str) -> ScalingRun:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"mode", "trials", "method", "nu0", "t0", "n_values", "r_values"}, path)
+    """The mode decides which one of n_values and r_values the block holds."""
+    node = _mapping(node, _schema(ScalingRun)[1], path)
     mode = node.get("mode")
     if mode not in ("sql", "hl"):
         raise ConfigError(f"'{path}.mode' must be 'sql' or 'hl', got {mode!r}")
-    method = _get_enum(node, "method", path, EstimatorMethod, required=False,
-                       default=EstimatorMethod.TEMPORAL_MODE)
-
-    def _number_list(key: str) -> tuple[float, ...]:
-        raw = node.get(key)
-        if (not isinstance(raw, list) or not raw
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-            raise ConfigError(f"'{path}.{key}' must be a non-empty list of numbers")
-        return tuple(float(v) for v in raw)
-
-    if mode == "sql":
-        if "r_values" in node:
-            raise ConfigError(f"'{path}.r_values' is only valid in hl mode")
-        n_values, r_values = _number_list("n_values"), ()
-    else:
-        if "n_values" in node:
-            raise ConfigError(f"'{path}.n_values' is only valid in sql mode")
-        n_values, r_values = (), _number_list("r_values")
-    return ScalingRun(
-        mode=mode,
-        trials=_get_int(node, "trials", path, required=True),
-        method=method,
-        nu0=_get_number(node, "nu0", path, required=True),
-        t0=_get_number(node, "t0", path, required=True),
-        n_values=n_values,
-        r_values=r_values,
-    )
-
-
-def _parse_advantage(node: Any, path: str) -> AdvantageRun:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"link", "estimator"}, path)
-    for key in ("link", "estimator"):
-        if key not in node:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-    return AdvantageRun(
-        link=_parse_link(node["link"], f"{path}.link"),
-        estimator=_parse_estimator(node["estimator"], f"{path}.estimator"),
-    )
+    values, other, other_mode = (("n_values", "r_values", "hl") if mode == "sql"
+                                 else ("r_values", "n_values", "sql"))
+    if other in node:
+        raise ConfigError(f"'{path}.{other}' is only valid in {other_mode} mode")
+    # An absent list is reported like any other value that is not a non-empty list.
+    return _build(ScalingRun, {values: None, **node}, path)
 
 
 _BLOCK_PARSERS = {
-    "noise": lambda node, path: _parse_series_source(node, path),
-    "stability": _parse_stability,
-    "sync": _parse_sync,
+    "noise": functools.partial(_build, SeriesSource),
+    "stability": functools.partial(_build, StabilityRun),
+    "sync": functools.partial(_build, SyncRun),
     "quantum-scaling": _parse_scaling,
-    "advantage": _parse_advantage,
+    "advantage": functools.partial(_build, AdvantageRun),
 }
 
 
@@ -402,10 +279,10 @@ def load_config(
         raw = fh.read()
     try:
         root = yaml.load(raw, Loader=_ConfigLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
         raise ConfigError(f"cannot parse config: {exc}") from None
-    root = _require_mapping(root if root is not None else {}, "")
-    _reject_unknown(root, {"command", "seed", "output"} | {_block_key(c) for c in COMMANDS}, "")
+    keys = ("command", "seed", "output", *map(_block_key, COMMANDS))
+    root = _mapping(root if root is not None else {}, keys, "")
 
     file_command = root.get("command")
     if file_command is not None and file_command not in COMMANDS:
@@ -424,7 +301,9 @@ def load_config(
         if extra:
             raise ConfigError(f"unexpected parameter block '{_block_key(extra[0])}' for command '{resolved_command}'")
 
-    seed = seed_override if seed_override is not None else _get_int(root, "seed", "", default=None)
+    seed = seed_override
+    if seed is None and "seed" in root:
+        seed = _convert(int, root["seed"], "seed")
     if seed is not None and not (0 <= seed < 2**64):
         raise ConfigError(f"'seed' must be a 64-bit unsigned integer, got {seed}")
     if seed is None and resolved_command in STOCHASTIC_COMMANDS:

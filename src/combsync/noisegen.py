@@ -124,8 +124,8 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     Deterministic for a fixed (spec, count, tau0); zero amplitude yields
     an identically-zero series.
     """
-    if count < 2:
-        raise InvalidArgument(f"count must be >= 2, got {count}")
+    if not 2 <= count < 2**53:
+        raise InvalidArgument(f"count must be >= 2 and < 2**53, got {count}")
     tau0 = _validate_tau0(tau0)
     if spec.amplitude == 0.0:
         return TimeSeriesY(tau0, np.zeros(count))

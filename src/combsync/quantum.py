@@ -267,8 +267,8 @@ def monte_carlo_sigma(
     Each trial draws one Gaussian estimate around true_offset with the
     closed-form deviation of the model.
     """
-    if trials < 100:
-        raise InvalidArgument(f"trials must be >= 100, got {trials}")
+    if not 100 <= trials < 2**53:
+        raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
     sigma = model_sigma(model)
     rng = np.random.default_rng(seed)
     draws = rng.normal(true_offset, sigma, trials)

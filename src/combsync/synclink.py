@@ -217,6 +217,7 @@ def link_efficiency(link: LinkModel, seed: int = 0) -> float:
     beam by a Gaussian angle and attenuates by exp(-2 theta^2/theta_div^2).
     Deterministic when pointing_sigma is zero.
     """
+    seed = check_seed(seed)
     g = link.geometric
     if g is None:
         raise InvalidArgument("link_efficiency requires the link's geometric parameters")
@@ -273,8 +274,8 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
     error at that epoch.  sigma_delta_t is the link's sigma_excess plus
     the sample deviation of (estimate - true_offset).
     """
-    if trials < 100:
-        raise InvalidArgument(f"trials must be >= 100, got {trials}")
+    if not 100 <= trials < 2**53:
+        raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
     seed = check_seed(seed)
     xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
     xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)

@@ -179,3 +179,14 @@ class TestPulseTrainTimes:
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidArgument):
             pulse_train_times(comb_100mhz(), 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        jitter = NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1)
+        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
+            pulse_train_times(comb_100mhz(), 8, jitter=jitter, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_edge_seeds_accepted(self, seed):
+        jitter = NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1)
+        assert pulse_train_times(comb_100mhz(), 8, jitter=jitter, seed=seed).shape == (8,)

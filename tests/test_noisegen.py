@@ -74,6 +74,12 @@ class TestGenerateNoise:
         with pytest.raises(InvalidArgument):
             generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), 1, 1.0)
 
+    @pytest.mark.parametrize("count", [2**53, 10**20])
+    def test_rejects_count_past_exact_float_counting(self, count):
+        # np.arange(count) * tau0 stops being exact at 2**53 samples.
+        with pytest.raises(InvalidArgument, match="count must be >= 2 and < 2\\*\\*53"):
+            generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), count, 1.0)
+
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_deterministic_per_seed(self, kind):
         spec = NoiseSpec(kind, 1e-22, seed=99)

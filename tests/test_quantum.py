@@ -299,6 +299,12 @@ class TestMonteCarloSigma:
         with pytest.raises(InvalidArgument):
             monte_carlo_sigma(model, 99)
 
+    @pytest.mark.parametrize("trials", [2**53, 10**20])
+    def test_rejects_trials_past_exact_float_counting(self, trials):
+        model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14)
+        with pytest.raises(InvalidArgument, match="trials must be >= 100 and < 2\\*\\*53"):
+            monte_carlo_sigma(model, trials)
+
     def test_mean_and_std_within_three_standard_errors(self):
         model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14)
         sigma = model_sigma(model)

@@ -169,6 +169,17 @@ class TestLinkEfficiency:
                            eta_detector=0.9)
         assert link_efficiency(scaled) == pytest.approx(0.9 * link_efficiency(base), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        link = symmetric_link(0.0, geometric=default_leo_geometry(), pointing_sigma=1e-6)
+        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
+            link_efficiency(link, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_edge_seeds_accepted(self, seed):
+        link = symmetric_link(0.0, geometric=default_leo_geometry(), pointing_sigma=1e-6)
+        assert 0.0 <= link_efficiency(link, seed=seed) <= 1.0
+
 
 class TestRunSyncCampaign:
     def test_noiseless_symmetric_sigma_is_excess_exactly(self):
@@ -215,6 +226,13 @@ class TestRunSyncCampaign:
                                 link=symmetric_link(1e-3))
         with pytest.raises(InvalidArgument):
             run_sync_campaign(campaign, 99)
+
+    @pytest.mark.parametrize("trials", [2**53, 10**20])
+    def test_rejects_trials_past_exact_float_counting(self, trials):
+        campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(),
+                                link=symmetric_link(1e-3))
+        with pytest.raises(InvalidArgument, match="trials must be >= 100 and < 2\\*\\*53"):
+            run_sync_campaign(campaign, trials)
 
     def test_residuals_shape_and_truth(self):
         campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(),
