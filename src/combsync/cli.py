@@ -19,16 +19,17 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import write_artifact, write_table
 from .config import COMMANDS, ConfigError, ExperimentConfig, load_config
-from .errors import CombsyncError, InvalidArgument
+from .errors import CombsyncError
 from .noisegen import generate_noise
 from .quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from .seeding import derive_seed
-from .stability import StabilityCurve, curve_to_csv, octave_m_values, stability_curve
+from .stability import curve_to_csv, octave_m_values, stability_curve
 from .synclink import advantage_report, run_sync_campaign
 from .clockmodel import comb_time_params
 
@@ -42,19 +43,6 @@ def _file_header(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_comments(fh, header: Mapping[str, object]) -> None:
-    for key, value in header.items():
-        fh.write(f"# {key}={value}\n")
-
-
-def emit_sigma_tau(curve: StabilityCurve, path, metadata: Optional[Mapping[str, object]] = None) -> None:
-    """Write a sigma-tau curve as CSV sorted by tau (plot-ready)."""
-    if not curve.points:
-        raise InvalidArgument("cannot emit an empty stability curve")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        curve_to_csv(curve, fh, metadata)
-
-
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns the list of files written.
 
@@ -64,12 +52,9 @@ def _run_noise(config: ExperimentConfig, outdir: Path) -> list[Path]:
     spec = replace(source.spec, seed=derive_seed(config.seed, source.spec.seed))
     series = generate_noise(spec, source.count, source.tau0)
     path = outdir / "noise.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_comments(fh, {**_file_header(config), "kind": spec.kind.value,
-                             "amplitude": repr(spec.amplitude), "tau0_s": repr(series.tau0)})
-        fh.write("k,y\n")
-        for k, y in enumerate(series.samples.tolist()):
-            fh.write(f"{k},{y!r}\n")
+    write_table(path, {**_file_header(config), "kind": spec.kind.value, "amplitude": spec.amplitude,
+                       "tau0_s": series.tau0},
+                {"k": range(len(series)), "y": series.samples.tolist()})
     return [path]
 
 
@@ -80,10 +65,7 @@ def _run_stability(config: ExperimentConfig, outdir: Path) -> list[Path]:
     m_values = run.m_values or octave_m_values(len(series), run.variant)
     curve = stability_curve(series, m_values, run.variant)
     path = outdir / "sigma_tau.csv"
-    metadata = dict(_file_header(config))
-    for i, warning in enumerate(curve.warnings):
-        metadata[f"warning_{i}"] = warning
-    emit_sigma_tau(curve, path, metadata)
+    curve_to_csv(curve, path, _file_header(config))
     return [path]
 
 
@@ -93,28 +75,21 @@ def _run_sync(config: ExperimentConfig, outdir: Path) -> list[Path]:
     header = _file_header(config)
 
     data_path = outdir / "campaign.csv"
-    with open(data_path, "w", encoding="utf-8", newline="") as fh:
-        _write_comments(fh, header)
-        fh.write("trial,estimate_s,truth_s,residual_s\n")
-        for k, (est, res) in enumerate(zip(result.estimates.tolist(), result.residuals.tolist())):
-            fh.write(f"{k},{est!r},{result.truth!r},{res!r}\n")
+    write_table(data_path, header, {"trial": range(run.trials), "estimate_s": result.estimates.tolist(),
+                                    "truth_s": [result.truth] * run.trials,
+                                    "residual_s": result.residuals.tolist()})
 
+    summary = {"trials": run.trials, "mean_offset_s": result.mean_offset,
+               "sigma_delta_t_s": result.sigma_delta_t, "sigma_excess_s": run.campaign.link.sigma_excess}
+    if run.comb is not None:
+        summary["comb_t_r_s"], summary["comb_delta_phi_ceo_rad"] = comb_time_params(run.comb)
+    points = result.tdev_curve.points
+    summary["tdev_points"] = len(points)
     summary_path = outdir / "campaign_summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        _write_comments(fh, header)
-        fh.write(f"trials = {run.trials}\n")
-        fh.write(f"mean_offset_s = {result.mean_offset!r}\n")
-        fh.write(f"sigma_delta_t_s = {result.sigma_delta_t!r}\n")
-        fh.write(f"sigma_excess_s = {run.campaign.link.sigma_excess!r}\n")
-        if run.comb is not None:
-            t_r, dphi = comb_time_params(run.comb)
-            fh.write(f"comb_t_r_s = {t_r!r}\n")
-            fh.write(f"comb_delta_phi_ceo_rad = {dphi!r}\n")
-        fh.write(f"tdev_points = {len(result.tdev_curve.points)}\n")
-        for p in result.tdev_curve.points:
-            fh.write(f"tdev m={p.m} tau_s={p.tau!r} value_s={p.value!r}\n")
-        for warning in result.tdev_curve.warnings:
-            fh.write(f"warning: {warning}\n")
+    write_artifact(summary_path, header, [
+        *(f"{key} = {value}\n" for key, value in summary.items()),
+        *(f"tdev m={p.m} tau_s={p.tau} value_s={p.value}\n" for p in points),
+        *(f"warning: {warning}\n" for warning in result.tdev_curve.warnings)])
     return [data_path, summary_path]
 
 
@@ -134,29 +109,20 @@ def _run_scaling(config: ExperimentConfig, outdir: Path) -> list[Path]:
     fit = np.ptp(log_n) > 0 and np.isfinite(log_n).all() and np.isfinite(log_std).all()
     exponent = float(np.polyfit(log_n, log_std, 1)[0]) if fit else float("nan")
     path = outdir / "scaling.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_comments(fh, {**_file_header(config), "mode": run.mode,
-                             "fitted_exponent": repr(exponent)})
-        fh.write("n,r,sigma_model,mc_mean,mc_std\n")
-        for n, r, sigma, mean, std in rows:
-            fh.write(f"{n!r},{r!r},{sigma!r},{mean!r},{std!r}\n")
+    write_table(path, {**_file_header(config), "mode": run.mode, "fitted_exponent": exponent},
+                dict(zip(("n", "r", "sigma_model", "mc_mean", "mc_std"), zip(*rows))))
     return [path]
 
 
 def _run_advantage(config: ExperimentConfig, outdir: Path) -> list[Path]:
     run = config.payload
     report = advantage_report(run.link, run.estimator)
+    required = "unattainable" if report.required_db_for_2x is None else report.required_db_for_2x
+    summary = {"eta_total": report.eta_total, "sigma_classical_s": report.sigma_classical,
+               "sigma_quantum_s": report.sigma_quantum, "advantage_ratio": report.advantage_ratio,
+               "required_db_for_2x": required}
     path = outdir / "advantage.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_comments(fh, _file_header(config))
-        fh.write(f"eta_total = {report.eta_total!r}\n")
-        fh.write(f"sigma_classical_s = {report.sigma_classical!r}\n")
-        fh.write(f"sigma_quantum_s = {report.sigma_quantum!r}\n")
-        fh.write(f"advantage_ratio = {report.advantage_ratio!r}\n")
-        if report.required_db_for_2x is None:
-            fh.write("required_db_for_2x = unattainable\n")
-        else:
-            fh.write(f"required_db_for_2x = {report.required_db_for_2x!r}\n")
+    write_artifact(path, _file_header(config), [f"{key} = {value}\n" for key, value in summary.items()])
     return [path]
 
 
@@ -204,10 +170,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outdir = Path(config.output) if config.output else Path.cwd()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        written = _RUNNERS[config.command](config, outdir)
-    except ConfigError as exc:
-        print(f"combsync: config error: {exc}", file=sys.stderr)
-        return 2
+        # numpy's floating-point faults go to the INFO log, not stderr; an underflow to 0.0 is still written.
+        with np.errstate(all="call", call=lambda fault, _flag: log.info("numpy floating-point %s", fault)):
+            written = _RUNNERS[config.command](config, outdir)
     except (CombsyncError, ArithmeticError, MemoryError) as exc:  # float range or memory exceeded
         print(f"combsync: error: {exc}", file=sys.stderr)
         return 3

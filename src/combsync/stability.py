@@ -17,8 +17,6 @@ partial sums; the literal nested sums remain the test oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +24,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from .artifacts import read_table, write_table
 from .errors import DegenerateInput, InsufficientData, InvalidArgument
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
@@ -315,45 +314,34 @@ def max_trusted_tau(curve: StabilityCurve) -> Optional[float]:
 CURVE_CSV_FIELDS = ("tau_s", "value", "m", "variant")
 
 
-def curve_to_csv(curve: StabilityCurve, stream: io.TextIOBase, metadata: Optional[Mapping[str, object]] = None) -> None:
-    """Write a curve as CSV with ``tau_s,value,m,variant`` columns.
+def curve_to_csv(curve: StabilityCurve, path, metadata: Optional[Mapping[str, object]] = None) -> None:
+    """Write a non-empty curve to ``path`` as CSV with ``tau_s,value,m,variant`` columns, sorted by tau.
 
-    Metadata key/value pairs (and the curve's source length) go into
-    leading ``#`` comment lines so the data round-trips exactly.
+    Metadata key/value pairs, then the curve's warnings (``warning_<i>``)
+    and source length, go into leading ``#`` comment lines so the data
+    round-trips exactly.
     """
-    for key, value in (metadata or {}).items():
-        stream.write(f"# {key}={value}\n")
+    if not curve.points:
+        raise InvalidArgument("cannot write an empty stability curve")
+    header = {**(metadata or {}), **{f"warning_{i}": warning for i, warning in enumerate(curve.warnings)}}
     if curve.source_length is not None:
-        stream.write(f"# source_length={curve.source_length}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CURVE_CSV_FIELDS)
-    for p in sorted(curve.points, key=lambda p: p.tau):
-        writer.writerow([repr(p.tau), repr(p.value), p.m, p.variant.value])
+        header["source_length"] = curve.source_length
+    rows = [(p.tau, p.value, p.m, p.variant.value) for p in sorted(curve.points, key=lambda p: p.tau)]
+    write_table(path, header, dict(zip(CURVE_CSV_FIELDS, zip(*rows))))
 
 
-def curve_from_csv(stream: io.TextIOBase) -> StabilityCurve:
+def curve_from_csv(stream: Iterable[str]) -> StabilityCurve:
     """Read a curve previously written by :func:`curve_to_csv`."""
-    source_length = None
-    rows = []
-    header_seen = False
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("source_length="):
-                source_length = int(body.split("=", 1)[1])
-            continue
-        cells = next(csv.reader([line]))
-        if not header_seen:
-            if tuple(cells) != CURVE_CSV_FIELDS:
-                raise InvalidArgument(f"unexpected curve CSV header {cells!r}")
-            header_seen = True
-            continue
-        rows.append(cells)
+    header, columns = read_table(stream)
+    if tuple(columns) != CURVE_CSV_FIELDS:
+        raise InvalidArgument(f"unexpected curve CSV header {list(columns)!r}")
+    source_length = header.get("source_length")
+    if source_length is not None and not source_length.isdecimal():
+        raise InvalidArgument(f"source_length must be a non-negative integer, got {source_length!r}")
     points = tuple(
         StabilityPoint(tau=float(tau), value=float(value), m=int(m), variant=Variant(variant))
-        for tau, value, m, variant in rows
+        for tau, value, m, variant in zip(*columns.values())
     )
-    return StabilityCurve(points=points, source_length=source_length)
+    warnings = tuple(value for key, value in header.items() if key.startswith("warning_"))
+    return StabilityCurve(points=points, source_length=None if source_length is None else int(source_length),
+                          warnings=warnings)

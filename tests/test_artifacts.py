@@ -1,0 +1,17 @@
+import numpy as np
+
+from combsync.artifacts import read_table, write_table
+
+
+def test_numpy_scalars_come_out_as_shortest_repr_cells(tmp_path):
+    floats = np.array([0.1, 1.65e-11, -0.0, 5e-324, 1e16, 1e22, np.finfo(float).max])
+    ints = np.arange(floats.size, dtype=np.int64) - 3
+    path = tmp_path / "table.csv"
+    write_table(path, {"seed": np.int64(7), "scale": np.float64(1.65e-11)}, {"i": list(ints), "x": list(floats)})
+    assert path.read_text(encoding="utf-8").splitlines()[:3] == ["# seed=7", "# scale=1.65e-11", "i,x"]
+    with open(path, encoding="utf-8") as fh:
+        header, columns = read_table(fh)
+    assert header == {"seed": "7", "scale": "1.65e-11"}
+    assert columns["x"] == [repr(float(x)) for x in floats]
+    assert [float(x).hex() for x in columns["x"]] == [float(x).hex() for x in floats]
+    assert [int(i) for i in columns["i"]] == ints.tolist()

@@ -1,21 +1,32 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from combsync.cli import emit_sigma_tau, main
+import combsync
+from combsync.artifacts import read_table
+from combsync.cli import main
+from combsync.clockmodel import comb_time_params
 from combsync.config import load_config
 from combsync.errors import InvalidArgument
 from combsync.noisegen import generate_noise
+from combsync.quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from combsync.seeding import derive_seed
 from combsync.stability import (
     StabilityCurve,
     StabilityPoint,
     Variant,
     curve_from_csv,
+    curve_to_csv,
     fit_slope,
+    octave_m_values,
+    stability_curve,
 )
-from combsync.synclink import run_sync_campaign
+from combsync.synclink import advantage_report, run_sync_campaign
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -121,14 +132,14 @@ def test_seed_override_changes_output(tmp_path):
     assert run_cli("noise", config, out1) == 0
     assert run_cli("noise", config, out2, extra=["--seed", "18"]) == 0
     assert run_cli("noise", config, out3, extra=["--seed", "17"]) == 0
-    body = lambda p: [l for l in (p / "noise.csv").read_text().splitlines() if not l.startswith("#")]
+    body = lambda p: _table(p / "noise.csv")[1]
     assert body(out1) != body(out2)
     assert body(out1) == body(out3)
 
 
 def test_runtime_estimator_failure_exits_3(tmp_path, capsys):
     # Every requested averaging factor is too large for the series, so the
-    # curve comes out empty and the emit step fails at run time.
+    # curve comes out empty and writing it fails at run time.
     config = tmp_path / "short.yaml"
     config.write_text(
         "command: stability\nseed: 1\nstability:\n  variant: ffi2\n  m_values: [64]\n"
@@ -151,21 +162,20 @@ def test_emit_sigma_tau_single_point(tmp_path):
         source_length=8,
     )
     path = tmp_path / "single.csv"
-    emit_sigma_tau(curve, path)
+    curve_to_csv(curve, path)
     lines = path.read_text().splitlines()
     assert lines == ["# source_length=8", "tau_s,value,m,variant", "1.0,2.0,1,ffi1"]
 
 
 def test_emit_sigma_tau_rejects_empty_curve(tmp_path):
     with pytest.raises(InvalidArgument):
-        emit_sigma_tau(StabilityCurve(points=()), tmp_path / "x.csv")
+        curve_to_csv(StabilityCurve(points=()), tmp_path / "x.csv")
 
 
 def test_scaling_hl_fixture_exponent(tmp_path):
     assert run_cli("quantum-scaling", CONFIGS / "scaling_hl.yaml", tmp_path) == 0
-    text = (tmp_path / "scaling.csv").read_text()
-    exponent = float(next(l for l in text.splitlines() if l.startswith("# fitted_exponent=")).split("=")[1])
-    assert exponent == pytest.approx(-1.0, abs=0.05)
+    header, _ = _table(tmp_path / "scaling.csv")
+    assert float(header["fitted_exponent"]) == pytest.approx(-1.0, abs=0.05)
 
 
 def test_advantage_fixture_reports_flag(tmp_path):
@@ -175,10 +185,26 @@ def test_advantage_fixture_reports_flag(tmp_path):
     assert "required_db_for_2x = " in text
 
 
-def _cells(path):
-    """Data rows of a CSV artifact, every cell parsed with float()."""
-    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-    return [[float(cell) for cell in row.split(",")] for row in rows]
+def _table(path):
+    with open(path, encoding="utf-8") as fh:
+        return read_table(fh)
+
+
+def _bits(values):
+    """Floats (or cells parsed as floats) as hex strings, so that == compares bit for bit."""
+    return [float(v).hex() for v in values]
+
+
+def _text_artifact(path):
+    """The ``key = value`` pairs of a text artifact and the fields of its ``tdev`` lines."""
+    pairs, tdev = {}, []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("tdev "):
+            tdev.append(dict(field.split("=") for field in line.split()[1:]))
+        elif not line.startswith(("#", "warning: ")):
+            key, value = line.split(" = ")
+            pairs[key] = value
+    return pairs, tdev
 
 
 def test_noise_cells_parse_to_the_generated_floats(tmp_path):
@@ -187,9 +213,9 @@ def test_noise_cells_parse_to_the_generated_floats(tmp_path):
     source = load_config(config, command="noise").payload
     spec = replace(source.spec, seed=derive_seed(17, source.spec.seed))
     samples = generate_noise(spec, source.count, source.tau0).samples
-    rows = _cells(tmp_path / "noise.csv")
-    assert [k for k, _ in rows] == list(range(len(samples)))
-    assert [y for _, y in rows] == samples.tolist()
+    _, columns = _table(tmp_path / "noise.csv")
+    assert columns["k"] == [str(k) for k in range(len(samples))]
+    assert _bits(columns["y"]) == _bits(samples.tolist())
 
 
 def test_campaign_cells_parse_to_the_campaign_floats(tmp_path):
@@ -197,11 +223,73 @@ def test_campaign_cells_parse_to_the_campaign_floats(tmp_path):
     assert run_cli("sync", config, tmp_path) == 0
     run = load_config(config, command="sync").payload
     result = run_sync_campaign(run.campaign, run.trials, 9)
-    rows = _cells(tmp_path / "campaign.csv")
-    assert [row[0] for row in rows] == list(range(run.trials))
-    assert [row[1] for row in rows] == result.estimates.tolist()
-    assert {row[2] for row in rows} == {result.truth}
-    assert [row[3] for row in rows] == result.residuals.tolist()
+    _, columns = _table(tmp_path / "campaign.csv")
+    assert columns["trial"] == [str(k) for k in range(run.trials)]
+    assert _bits(columns["estimate_s"]) == _bits(result.estimates.tolist())
+    assert _bits(columns["truth_s"]) == _bits([result.truth] * run.trials)
+    assert _bits(columns["residual_s"]) == _bits(result.residuals.tolist())
+
+    pairs, tdev = _text_artifact(tmp_path / "campaign_summary.txt")
+    t_r, dphi = comb_time_params(run.comb)
+    points = result.tdev_curve.points
+    expected = {"trials": run.trials, "mean_offset_s": result.mean_offset,
+                "sigma_delta_t_s": result.sigma_delta_t, "sigma_excess_s": run.campaign.link.sigma_excess,
+                "comb_t_r_s": t_r, "comb_delta_phi_ceo_rad": dphi, "tdev_points": len(points)}
+    assert list(pairs) == list(expected)
+    assert _bits(pairs.values()) == _bits(expected.values())
+    assert [t["m"] for t in tdev] == [str(p.m) for p in points]
+    assert _bits(t["tau_s"] for t in tdev) == _bits(p.tau for p in points)
+    assert _bits(t["value_s"] for t in tdev) == _bits(p.value for p in points)
+
+
+@pytest.mark.parametrize("fixture", ["stability_white_fm.yaml", "stability_white_pm_ffi2.yaml"])
+def test_sigma_tau_cells_parse_to_the_curve_floats(fixture, tmp_path):
+    config = load_config(CONFIGS / fixture, command="stability")
+    assert run_cli("stability", CONFIGS / fixture, tmp_path) == 0
+    run = config.payload
+    spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
+    series = generate_noise(spec, run.source.count, run.source.tau0)
+    curve = stability_curve(series, octave_m_values(len(series), run.variant), run.variant)
+    header, columns = _table(tmp_path / "sigma_tau.csv")
+    assert header["source_length"] == str(curve.source_length)
+    assert _bits(columns["tau_s"]) == _bits(p.tau for p in curve.points)
+    assert _bits(columns["value"]) == _bits(p.value for p in curve.points)
+    assert columns["m"] == [str(p.m) for p in curve.points]
+    assert columns["variant"] == [run.variant.value] * len(curve.points)
+
+
+@pytest.mark.parametrize("fixture", ["scaling_sql.yaml", "scaling_hl.yaml"])
+def test_scaling_cells_parse_to_the_monte_carlo_floats(fixture, tmp_path):
+    config = load_config(CONFIGS / fixture, command="quantum-scaling")
+    assert run_cli("quantum-scaling", CONFIGS / fixture, tmp_path) == 0
+    run = config.payload
+    if run.mode == "sql":
+        points = [(n, 0.0) for n in run.n_values]
+    else:
+        points = [(float(np.sinh(r) ** 2), r) for r in run.r_values]
+    models = [EstimatorModel(method=run.method, n=n, nu0=run.nu0, t0=run.t0, r=r) for n, r in points]
+    draws = [monte_carlo_sigma(model, run.trials, derive_seed(config.seed, i)) for i, model in enumerate(models)]
+    header, columns = _table(tmp_path / "scaling.csv")
+    assert _bits(columns["n"]) == _bits(n for n, _ in points)
+    assert _bits(columns["r"]) == _bits(r for _, r in points)
+    assert _bits(columns["sigma_model"]) == _bits(map(model_sigma, models))
+    assert _bits(columns["mc_mean"]) == _bits(mean for mean, _ in draws)
+    assert _bits(columns["mc_std"]) == _bits(std for _, std in draws)
+    exponent = np.polyfit(np.log10([n for n, _ in points]), np.log10([std for _, std in draws]), 1)[0]
+    assert _bits([header["fitted_exponent"]]) == _bits([exponent])
+
+
+def test_advantage_cells_parse_to_the_report_floats(tmp_path):
+    config = load_config(CONFIGS / "advantage_leo.yaml", command="advantage")
+    assert run_cli("advantage", CONFIGS / "advantage_leo.yaml", tmp_path) == 0
+    report = advantage_report(config.payload.link, config.payload.estimator)
+    pairs, tdev = _text_artifact(tmp_path / "advantage.txt")
+    expected = {"eta_total": report.eta_total, "sigma_classical_s": report.sigma_classical,
+                "sigma_quantum_s": report.sigma_quantum, "advantage_ratio": report.advantage_ratio}
+    required = report.required_db_for_2x
+    assert pairs.pop("required_db_for_2x") == ("unattainable" if required is None else repr(required))
+    assert list(pairs) == list(expected) and tdev == []
+    assert _bits(pairs.values()) == _bits(expected.values())
 
 
 def test_advantage_with_dead_detector_is_unattainable(tmp_path):
@@ -216,3 +304,37 @@ def test_advantage_with_dead_detector_is_unattainable(tmp_path):
     assert "eta_total = 0.0\n" in text
     assert "advantage_ratio = 1.0\n" in text
     assert "required_db_for_2x = unattainable\n" in text
+
+
+def _run_module(tmp_path, block, **env):
+    """``python -m combsync.cli quantum-scaling`` in a fresh interpreter, on the package under test."""
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"command: quantum-scaling\nseed: 1\nquantum_scaling: {block}\n")
+    path = os.pathsep.join(filter(None, [str(Path(combsync.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "combsync.cli", "quantum-scaling", "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+
+
+def test_overflowing_squeezing_fails_with_one_stderr_line(tmp_path):
+    proc = _run_module(tmp_path, "{mode: hl, trials: 100, method: temporal_mode, nu0: 1.92e14, "
+                                 "t0: 1.0e-14, r_values: [1.0, 800.0]}")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["combsync: error: n must be finite and positive, got inf"]
+
+
+def test_underflowing_deviation_succeeds_with_empty_stderr(tmp_path):
+    proc = _run_module(tmp_path, "{mode: sql, method: tof, n_values: [1.0e300, 1.0e305], t0: 1.0e-300, "
+                                 "nu0: 1.92e14, trials: 100}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, columns = _table(tmp_path / "scaling.csv")
+    assert header["fitted_exponent"] == "nan"
+    assert columns == {"n": ["1e+300", "1e+305"], "r": ["0.0", "0.0"], "sigma_model": ["0.0", "0.0"],
+                       "mc_mean": ["0.0", "0.0"], "mc_std": ["0.0", "0.0"]}
+
+
+def test_floating_point_fault_is_logged_at_info(tmp_path):
+    proc = _run_module(tmp_path, "{mode: sql, method: tof, n_values: [1.0e300, 1.0e305], t0: 1.0e-300, "
+                                 "nu0: 1.92e14, trials: 100}", COMBSYNC_LOG="info")
+    assert proc.returncode == 0
+    assert "INFO combsync: numpy floating-point divide by zero" in proc.stderr.splitlines()

@@ -348,23 +348,42 @@ class TestMaxTrustedTau:
 
 
 class TestCurveCsv:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         series = random_series(77, length=128, tau0=0.3)
         curve = stability_curve(series, [1, 2, 4, 8, 16], Variant.TDEV)
-        buf = io.StringIO()
-        curve_to_csv(curve, buf, metadata={"seed": 7})
-        buf.seek(0)
-        back = curve_from_csv(buf)
+        curve_to_csv(curve, tmp_path / "curve.csv", metadata={"seed": 7})
+        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
+            back = curve_from_csv(fh)
         assert back.source_length == curve.source_length
         assert len(back.points) == len(curve.points)
         for a, b in zip(back.points, curve.points):
             assert (a.tau, a.value, a.m, a.variant) == (b.tau, b.value, b.m, b.variant)
 
-    def test_header_line(self):
+    def test_header_line(self, tmp_path):
         curve = stability_curve(random_series(1, length=16), [1], Variant.FFI0)
-        buf = io.StringIO()
-        curve_to_csv(curve, buf)
-        lines = buf.getvalue().splitlines()
+        curve_to_csv(curve, tmp_path / "curve.csv")
+        lines = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# source_length=16"
         assert lines[1] == "tau_s,value,m,variant"
         assert len(lines) == 3
+
+    def test_warnings_round_trip(self, tmp_path):
+        curve = stability_curve(random_series(5, length=16), [1, 64, 128], Variant.FFI1)
+        assert len(curve.warnings) == 2
+        curve_to_csv(curve, tmp_path / "curve.csv", metadata={"seed": 5})
+        lines = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[:4] == ["# seed=5", f"# warning_0={curve.warnings[0]}", f"# warning_1={curve.warnings[1]}",
+                             "# source_length=16"]
+        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
+            assert curve_from_csv(fh).warnings == curve.warnings
+
+    @pytest.mark.parametrize("text,match", [
+        ("tau_s,value,m,variant\n1.0,2.0,1\n", "line 2 has 3 cells"),
+        ("tau_s,value,m,variant\n1.0,2.0,1,ffi1,x\n", "line 2 has 5 cells"),
+        ("# source_length=abc\ntau_s,value,m,variant\n1.0,2.0,1,ffi1\n", "source_length must be"),
+        ("", "no column header"),
+        ("tau_s,value,m,variant,variant\n1.0,2.0,1,ffi1,ffi1\n", "line 1 repeats a column name"),
+    ])
+    def test_malformed_file_raises_invalid_argument(self, text, match):
+        with pytest.raises(InvalidArgument, match=match):
+            curve_from_csv(io.StringIO(text))
