@@ -5,7 +5,7 @@ Subpackages by concern:
     noisegen    power-law oscillator noise synthesis
     stability   FFI/TDEV estimators, sigma-tau curves, noise identification
     clockmodel  oscillator and frequency-comb parameter models
-    quantum     squeezed-state algebra and SQL/HL timing scaling laws
+    quantum     SQL/HL timing scaling laws, squeezing and loss
     synclink    one-way/two-way transfer and campaign simulation
     cli         config-driven experiment runner
 """

@@ -5,8 +5,9 @@ drift, power-law noise) into sampled phase-deviation series for the
 stability estimators; its offset + drift ramp is written once, in
 ``ramp_phase``, for a float or an array of times.  ``CombParams`` carries
 the frequency-domain comb descriptor (repetition rate, carrier-envelope
-offset) and derives its time-domain partners; the carrier waveform itself
-is never synthesized because every consumer works on x/y data.
+offset, pulse duration) of a sync config, and ``comb_time_params``
+derives its time-domain partners.  Neither the carrier waveform nor the
+pulse train is synthesized, because every consumer works on x/y data.
 """
 
 from __future__ import annotations
@@ -107,33 +108,6 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
     return TimeSeriesX(tau0, x)
 
 
-def comb_mode_freq(comb: CombParams, n: int) -> float:
-    """Optical frequency of mode index n (Hz)."""
-    lo, hi = comb.n_range
-    if int(n) != n or not (lo <= n <= hi):
-        raise InvalidArgument(f"mode index {n} outside comb range [{lo}, {hi}]")
-    return n * comb.f_r + comb.f_0
-
-
 def comb_time_params(comb: CombParams) -> tuple[float, float]:
     """Pulse period t_r = 1/f_r and carrier-envelope phase slip 2*pi*f_0/f_r."""
     return 1.0 / comb.f_r, 2.0 * math.pi * comb.f_0 / comb.f_r
-
-
-def pulse_train_times(comb: CombParams, count: int, jitter: NoiseSpec | None = None, seed: int = 0) -> np.ndarray:
-    """Emission times of count pulses: k*t_r plus accumulated timing jitter.
-
-    The jitter spec describes fractional fluctuations of the pulse
-    period, integrated into emission-time offsets; None (or zero
-    amplitude) gives the exact nominal train.
-    """
-    if count < 1:
-        raise InvalidArgument(f"count must be >= 1, got {count}")
-    seed = check_seed(seed)
-    t_r = 1.0 / comb.f_r
-    times = np.arange(count) * t_r
-    if jitter is not None and jitter.amplitude > 0.0 and count > 1:
-        derived = replace(jitter, seed=derive_seed(seed, jitter.seed))
-        y = generate_noise(derived, max(2, count - 1), t_r).samples[: count - 1]
-        times[1:] += np.cumsum(y) * t_r
-    return times

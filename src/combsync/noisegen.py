@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidArgument
+from .errors import InvalidArgument
 from .seeding import check_seed
 from .series import TimeSeriesY, _validate_tau0
 
@@ -135,22 +135,3 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
         x = _shaped_gaussian(rng, beta - 2, spec.amplitude / _TWO_PI**2, count + 1, tau0)
         return TimeSeriesY(tau0, np.diff(x) / tau0)
     return TimeSeriesY(tau0, _shaped_gaussian(rng, beta, spec.amplitude, count, tau0))
-
-
-def psd_estimate(series: TimeSeriesY) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided periodogram of a series; returns (frequencies Hz, density).
-
-    Normalized so that sum(density) * df equals the series variance
-    (rectangular window, mean removed).
-    """
-    y = series.samples
-    n = y.size
-    if n < 16:
-        raise InsufficientData(f"psd_estimate needs at least 16 samples, got {n}")
-    spectrum = np.fft.rfft(y - y.mean())
-    freqs = np.fft.rfftfreq(n, d=series.tau0)
-    density = (2.0 * series.tau0 / n) * np.abs(spectrum) ** 2
-    density[0] = 0.0
-    if n % 2 == 0:
-        density[-1] /= 2.0  # Nyquist bin appears once
-    return freqs, density

@@ -1,4 +1,4 @@
-"""Squeezed-state algebra and timing-precision scaling laws.
+"""Timing-precision scaling laws, squeezing in dB, and photonic loss.
 
 The four scaling laws give the standard deviation of a timing-offset
 estimate versus the photon budget n per measurement window:
@@ -14,8 +14,9 @@ With n = sinh(r)^2 the squeezed law approaches the 1/n Heisenberg
 scaling, versus the 1/sqrt(n) standard quantum limit of the first three.
 
 Squeezing magnitudes in dB follow the variance convention
-10*log10(exp(2r)); photonic loss acts as beam-splitter admixture of
-vacuum, V -> eta*V + (1 - eta).
+10*log10(exp(2r)).  Photonic loss acts on a single-mode squeezed state
+as beam-splitter admixture of vacuum, V -> eta*V + (1 - eta); the link
+budget in ``synclink`` reads the squeezed variance from ``apply_loss``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from .errors import InvalidArgument
 _LN10 = math.log(10.0)
 
 
-class Quadrature(Enum):
-    X = "x"
-    P = "p"
-
-
 class EstimatorMethod(Enum):
     TOF = "tof"
     PHASE = "phase"
@@ -51,13 +47,10 @@ class SqueezedState:
     """
 
     r: float
-    squeezed_quadrature: Quadrature = Quadrature.X
 
     def __post_init__(self):
         if not math.isfinite(self.r) or self.r < 0.0:
             raise InvalidArgument(f"squeezing parameter r must be finite and >= 0, got {self.r}")
-        if not isinstance(self.squeezed_quadrature, Quadrature):
-            raise InvalidArgument(f"squeezed_quadrature must be a Quadrature, got {self.squeezed_quadrature!r}")
 
     @property
     def variance_squeezed(self) -> float:
@@ -65,20 +58,18 @@ class SqueezedState:
 
     @property
     def variance_antisqueezed(self) -> float:
-        return math.exp(2.0 * self.r)
-
-    @property
-    def mean_photons(self) -> float:
-        return math.sinh(self.r) ** 2
+        try:
+            return math.exp(2.0 * self.r)
+        except OverflowError:  # exp(2r) leaves the float range above r ~ 354.9
+            return math.inf
 
 
 @dataclass(frozen=True)
 class QuadratureVariances:
-    """Variance pair after a channel; pure=False marks a mixed state."""
+    """Squeezed and antisqueezed quadrature variances after a loss channel."""
 
     variance_squeezed: float
     variance_antisqueezed: float
-    pure: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,31 +98,6 @@ class EstimatorModel:
             raise InvalidArgument(f"r must be finite and >= 0, got {self.r}")
         if self.r > 0.0 and self.method is not EstimatorMethod.TEMPORAL_MODE:
             raise InvalidArgument("squeezing (r > 0) requires the temporal-mode method")
-
-
-@dataclass(frozen=True)
-class SpdcTriple:
-    """Pump/signal/idler frequencies and momentum vectors of one SPDC event."""
-
-    nu_p: float
-    nu_s: float
-    nu_i: float
-    k_p: np.ndarray
-    k_s: np.ndarray
-    k_i: np.ndarray
-
-    _REL_TOL = 1e-9
-
-    def __post_init__(self):
-        for name in ("k_p", "k_s", "k_i"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise InvalidArgument(f"{name} must be a 3-vector, got shape {vec.shape}")
-            object.__setattr__(self, name, vec)
-        if abs(self.nu_s + self.nu_i - self.nu_p) > self._REL_TOL * abs(self.nu_p):
-            raise InvalidArgument("energy conservation violated: nu_s + nu_i != nu_p")
-        if not np.allclose(self.k_s + self.k_i, self.k_p, rtol=self._REL_TOL, atol=0.0):
-            raise InvalidArgument("momentum conservation violated: k_s + k_i != k_p")
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +166,13 @@ def apply_loss(state: Union[SqueezedState, QuadratureVariances], eta: float) -> 
     """Beam-splitter loss: each variance V becomes eta*V + (1 - eta).
 
     Composes multiplicatively in eta and drives both variances toward
-    the vacuum level 1; any eta < 1 leaves a mixed state.
+    the vacuum level 1.
     """
     if not math.isfinite(eta) or not (0.0 <= eta <= 1.0):
         raise InvalidArgument(f"transmissivity eta must lie in [0, 1], got {eta}")
-    pure = isinstance(state, SqueezedState) or state.pure
     return QuadratureVariances(
         variance_squeezed=eta * state.variance_squeezed + (1.0 - eta),
         variance_antisqueezed=eta * state.variance_antisqueezed + (1.0 - eta),
-        pure=pure and eta == 1.0,
     )
 
 
@@ -230,33 +194,6 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
         return None
     r = -0.5 * math.log((target_variance - floor) / eta_total)
     return db_from_r(r)
-
-
-def spdc_degenerate(nu_p: float, k_p) -> SpdcTriple:
-    """Degenerate down-conversion: signal and idler each take half the pump."""
-    if not math.isfinite(nu_p) or nu_p <= 0.0:
-        raise InvalidArgument(f"pump frequency must be positive, got {nu_p}")
-    k_p = np.asarray(k_p, dtype=float)
-    half = k_p / 2.0
-    return SpdcTriple(nu_p=nu_p, nu_s=nu_p / 2.0, nu_i=nu_p / 2.0, k_p=k_p, k_s=half, k_i=half.copy())
-
-
-def entangle_pair(a: SqueezedState, b: SqueezedState) -> tuple[float, float]:
-    """Joint variances after mixing two orthogonally squeezed states on a 50:50 BS.
-
-    With outputs 1, 2 of the splitter, returns the variances of
-    (X1 + X2)/sqrt(2) and (P1 - P2)/sqrt(2).  These collapse onto the
-    X-squeezed input's X variance and the P-squeezed input's P variance
-    respectively, so both drop below 1 exactly when both inputs are
-    squeezed (the entanglement witness).
-    """
-    if a.squeezed_quadrature is b.squeezed_quadrature:
-        raise InvalidArgument(
-            "inputs must be squeezed in orthogonal quadratures (apply a pi/2 phase shift to one arm)"
-        )
-    x_squeezed = a if a.squeezed_quadrature is Quadrature.X else b
-    p_squeezed = b if x_squeezed is a else a
-    return x_squeezed.variance_squeezed, p_squeezed.variance_squeezed
 
 
 def monte_carlo_sigma(

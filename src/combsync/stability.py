@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -86,12 +86,6 @@ class StabilityCurve:
     @property
     def variant(self) -> Optional[Variant]:
         return self.points[0].variant if self.points else None
-
-    def taus(self) -> np.ndarray:
-        return np.array([p.tau for p in self.points])
-
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points])
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +281,6 @@ def classify_noise(slope: float, variant: Variant) -> set[NoiseKind]:
     return {kind for kind, alpha in table.items() if abs(slope - alpha) <= CLASSIFY_TOLERANCE}
 
 
-def max_trusted_tau(curve: StabilityCurve) -> Optional[float]:
-    """Integration time where the local ffi2 slope first rises above -1.25.
-
-    This marks the white-PM-to-flicker-PM handover beyond which stability
-    readings are not trusted; None when no such transition exists.
-    """
-    if curve.variant is not Variant.FFI2:
-        raise InvalidArgument("max_trusted_tau requires an FFI2 curve")
-    if len(curve.points) < 3:
-        return None
-    values = curve.values()
-    if np.any(values <= 0.0):
-        raise DegenerateInput("max_trusted_tau requires strictly positive values")
-    taus = curve.taus()
-    slopes = np.diff(np.log10(values)) / np.diff(np.log10(taus))
-    for i in range(1, slopes.size):
-        if slopes[i - 1] <= -1.25 < slopes[i]:
-            return float(taus[i])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -330,6 +303,17 @@ def curve_to_csv(curve: StabilityCurve, path, metadata: Optional[Mapping[str, ob
     write_table(path, header, dict(zip(CURVE_CSV_FIELDS, zip(*rows))))
 
 
+def _parse_cells(name: str, cells: list[str], parse: Callable[[str], object]) -> list:
+    """Parse one column's cells; a cell ``parse`` rejects is reported with its column and data row."""
+    values = []
+    for row, cell in enumerate(cells, 1):
+        try:
+            values.append(parse(cell))
+        except ValueError:
+            raise InvalidArgument(f"cannot read {name} cell {cell!r} in data row {row}") from None
+    return values
+
+
 def curve_from_csv(stream: Iterable[str]) -> StabilityCurve:
     """Read a curve previously written by :func:`curve_to_csv`."""
     header, columns = read_table(stream)
@@ -338,10 +322,10 @@ def curve_from_csv(stream: Iterable[str]) -> StabilityCurve:
     source_length = header.get("source_length")
     if source_length is not None and not source_length.isdecimal():
         raise InvalidArgument(f"source_length must be a non-negative integer, got {source_length!r}")
-    points = tuple(
-        StabilityPoint(tau=float(tau), value=float(value), m=int(m), variant=Variant(variant))
-        for tau, value, m, variant in zip(*columns.values())
-    )
+    # The columns follow StabilityPoint's field order: tau, value, m, variant.
+    parsed = [_parse_cells(name, columns[name], parse)
+              for name, parse in zip(CURVE_CSV_FIELDS, (float, float, int, Variant))]
+    points = tuple(StabilityPoint(*cells) for cells in zip(*parsed))
     warnings = tuple(value for key, value in header.items() if key.startswith("warning_"))
     return StabilityCurve(points=points, source_length=None if source_length is None else int(source_length),
                           warnings=warnings)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument
-from .quantum import EstimatorModel, model_sigma, required_squeezing
+from .quantum import EstimatorModel, SqueezedState, apply_loss, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX, _validate_tau0
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
@@ -101,23 +101,6 @@ class ExchangeRecord:
             raise InvalidArgument("A must receive after transmitting (t4 >= t1)")
         if self.t3 < self.t2:
             raise InvalidArgument("B must reply after receiving (t3 >= t2)")
-
-
-def default_leo_geometry(wavelength: float = 1.56e-6, aperture_radius: float = 0.3,
-                         match_distance_km: float = 100.0) -> GeometricParams:
-    """Telescope geometry preset for a typical LEO inter-satellite link.
-
-    The waist is chosen so the diffraction-limited divergence spreads the
-    beam to the aperture radius at the matching distance.  This preset is
-    adjustable bookkeeping, not a calibrated reproduction of any reported
-    link budget.
-    """
-    divergence = aperture_radius / (match_distance_km * 1e3)
-    return GeometricParams(
-        wavelength=wavelength,
-        waist=wavelength / (math.pi * divergence),
-        aperture_radius=aperture_radius,
-    )
 
 
 def _is_noisy(clock: ClockModel) -> bool:
@@ -316,10 +299,6 @@ class AdvantageReport:
     advantage_ratio: float
     required_db_for_2x: Optional[float]
 
-    @property
-    def two_x_attainable(self) -> bool:
-        return self.required_db_for_2x is not None
-
 
 def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     """Deterministic link-budget summary of the squeezing advantage.
@@ -327,8 +306,8 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     eta_total combines geometric collection (1 when no geometry is
     configured) with detector efficiency; pointing jitter is a sampling
     effect and enters only :func:`link_efficiency`.  The squeezed
-    deviation is the classical one scaled by the loss-degraded variance
-    sqrt(eta*exp(-2r) + 1 - eta).
+    deviation is the classical one scaled by the square root of the
+    squeezed variance after loss, eta*exp(-2r) + 1 - eta (``apply_loss``).
     """
     if link.geometric is not None:
         zero_pointing = replace(link, pointing_sigma=0.0, eta_detector=1.0)
@@ -336,7 +315,7 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     else:
         eta_total = link.eta_detector
     sigma_classical = model_sigma(replace(model, r=0.0))
-    effective_variance = eta_total * math.exp(-2.0 * model.r) + (1.0 - eta_total)
+    effective_variance = apply_loss(SqueezedState(model.r), eta_total).variance_squeezed
     sigma_quantum = math.sqrt(effective_variance) * sigma_classical
     return AdvantageReport(
         eta_total=eta_total,

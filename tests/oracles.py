@@ -2,14 +2,17 @@
 
 Everything here is deliberately literal and slow: deviation statistics
 as explicit nested loops, frequency-domain noise synthesis as an
-alternative generation route, and textbook deviation levels for the
-three FM noise kinds.  None of it shares code with the package under
-test.
+alternative generation route, textbook deviation levels for the three FM
+noise kinds, and a periodogram of a generated series.  None of it shares
+code with the package under test; the periodogram only raises the
+package's error type.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from combsync.errors import InsufficientData
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +105,33 @@ def random_walk_fm_adev(amplitude: float, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Segment-averaged periodogram slope over the central frequency decade
+# Periodogram, and its segment-averaged slope over the central frequency decade
 
 
-def psd_log_slope(psd_estimate, series_cls, series, segments: int = 8) -> float:
+def psd_estimate(series) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided periodogram of a series; returns (frequencies Hz, density).
+
+    Normalized so that sum(density) * df equals the series variance
+    (rectangular window, mean removed).
+    """
+    y = series.samples
+    n = y.size
+    if n < 16:
+        raise InsufficientData(f"psd_estimate needs at least 16 samples, got {n}")
+    spectrum = np.fft.rfft(y - y.mean())
+    freqs = np.fft.rfftfreq(n, d=series.tau0)
+    density = (2.0 * series.tau0 / n) * np.abs(spectrum) ** 2
+    density[0] = 0.0
+    if n % 2 == 0:
+        density[-1] /= 2.0  # Nyquist bin appears once
+    return freqs, density
+
+
+def psd_log_slope(series, segments: int = 8) -> float:
     n = len(series.samples) // segments
     acc = None
     for i in range(segments):
-        freqs, density = psd_estimate(series_cls(series.tau0, series.samples[i * n : (i + 1) * n]))
+        freqs, density = psd_estimate(type(series)(series.tau0, series.samples[i * n : (i + 1) * n]))
         acc = density if acc is None else acc + density
     acc /= segments
     freqs, acc = freqs[1:], acc[1:]

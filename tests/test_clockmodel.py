@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from combsync.clockmodel import (
     ClockModel,
     CombParams,
-    comb_mode_freq,
     comb_time_params,
-    pulse_train_times,
     ramp_phase,
     sample_clock,
 )
@@ -118,31 +116,6 @@ class TestCombParams:
             CombParams(f_r=5e6, f_0=0.0, t_0=1e-13, n_range=(1, 10))
 
 
-class TestCombModeFreq:
-    def test_zero_offset(self):
-        comb = comb_100mhz(f_0=0.0)
-        assert comb_mode_freq(comb, 100) == 100 * 100e6
-
-    def test_1560_nm_band_mode(self):
-        # 1.92e6 * 100 MHz + 20 MHz lands at 192.00002 THz
-        assert comb_mode_freq(comb_100mhz(), 1_920_000) == pytest.approx(1.9200002e14, rel=1e-15)
-
-    def test_adjacent_modes_spaced_by_f_r(self):
-        comb = comb_100mhz()
-        for n in (10, 500, 99_999):
-            assert comb_mode_freq(comb, n + 1) - comb_mode_freq(comb, n) == comb.f_r
-
-    def test_affine_in_n(self):
-        comb = comb_100mhz()
-        n = np.array([2, 7, 1000])
-        freqs = [comb_mode_freq(comb, int(v)) for v in n]
-        assert freqs == pytest.approx((n * comb.f_r + comb.f_0).tolist(), rel=1e-15)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(InvalidArgument):
-            comb_mode_freq(comb_100mhz(), 3_000_001)
-
-
 class TestCombTimeParams:
     def test_25_mhz_period_is_40_ns(self):
         comb = CombParams(f_r=25e6, f_0=0.0, t_0=3.5e-13, n_range=(1, 10**7))
@@ -154,39 +127,3 @@ class TestCombTimeParams:
 
     def test_quarter_rate_offset_gives_half_pi(self):
         assert comb_time_params(comb_100mhz(f_0=25e6))[1] == pytest.approx(math.pi / 2.0, rel=1e-15)
-
-
-class TestPulseTrainTimes:
-    def test_nominal_train(self):
-        times = pulse_train_times(comb_100mhz(), 3)
-        assert times == pytest.approx([0.0, 1e-8, 2e-8], rel=1e-15)
-
-    def test_zero_amplitude_jitter_matches_nominal(self):
-        comb = comb_100mhz()
-        quiet = pulse_train_times(comb, 100, jitter=NoiseSpec(NoiseKind.WHITE_PM, 0.0), seed=5)
-        assert np.array_equal(quiet, pulse_train_times(comb, 100))
-
-    def test_white_jitter_moment(self):
-        comb = comb_100mhz()
-        t_r = 1.0 / comb.f_r
-        sigma_t = 1e-12
-        # White PM amplitude whose phase-domain standard deviation is sigma_t
-        amplitude = 2.0 * (2.0 * math.pi) ** 2 * t_r * sigma_t**2
-        times = pulse_train_times(comb, 10_000, jitter=NoiseSpec(NoiseKind.WHITE_PM, amplitude, seed=6), seed=7)
-        offsets = times - np.arange(10_000) * t_r
-        assert offsets.std(ddof=1) == pytest.approx(sigma_t, rel=0.1)
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(InvalidArgument):
-            pulse_train_times(comb_100mhz(), 0)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_rejected(self, seed):
-        jitter = NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1)
-        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
-            pulse_train_times(comb_100mhz(), 8, jitter=jitter, seed=seed)
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_edge_seeds_accepted(self, seed):
-        jitter = NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1)
-        assert pulse_train_times(comb_100mhz(), 8, jitter=jitter, seed=seed).shape == (8,)

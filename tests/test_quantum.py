@@ -8,12 +8,9 @@ from combsync.errors import InvalidArgument
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
-    Quadrature,
-    SpdcTriple,
     SqueezedState,
     apply_loss,
     db_from_r,
-    entangle_pair,
     model_sigma,
     monte_carlo_sigma,
     r_from_db,
@@ -22,7 +19,6 @@ from combsync.quantum import (
     sigma_tm,
     sigma_tm_squeezed,
     sigma_tof,
-    spdc_degenerate,
 )
 
 positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
@@ -34,20 +30,20 @@ class TestSqueezedState:
         s = SqueezedState(0.0)
         assert s.variance_squeezed == 1.0
         assert s.variance_antisqueezed == 1.0
-        assert s.mean_photons == 0.0
 
     @given(r_values)
     def test_purity_product(self, r):
         s = SqueezedState(r)
         assert s.variance_squeezed * s.variance_antisqueezed == pytest.approx(1.0, rel=1e-12)
 
-    @given(r_values)
-    def test_mean_photons_is_sinh_squared(self, r):
-        assert SqueezedState(r).mean_photons == math.sinh(r) ** 2
-
     def test_rejects_negative_r(self):
         with pytest.raises(InvalidArgument):
             SqueezedState(-0.1)
+
+    def test_antisqueezed_variance_past_float_range_is_inf(self):
+        state = SqueezedState(400.0)
+        assert state.variance_antisqueezed == math.inf
+        assert apply_loss(state, 0.9).variance_squeezed == 1.0 - 0.9
 
 
 class TestScalingLaws:
@@ -147,13 +143,11 @@ class TestApplyLoss:
         out = apply_loss(SqueezedState(1.2), 1.0)
         assert out.variance_squeezed == SqueezedState(1.2).variance_squeezed
         assert out.variance_antisqueezed == SqueezedState(1.2).variance_antisqueezed
-        assert out.pure
 
     def test_full_loss_gives_vacuum(self):
         out = apply_loss(SqueezedState(3.0), 0.0)
         assert out.variance_squeezed == 1.0
         assert out.variance_antisqueezed == 1.0
-        assert not out.pure
 
     def test_half_loss_caps_squeezing_at_3db(self):
         out = apply_loss(SqueezedState(20.0), 0.5)
@@ -174,9 +168,6 @@ class TestApplyLoss:
         once = apply_loss(state, eta1 * eta2)
         assert twice.variance_squeezed == pytest.approx(once.variance_squeezed, rel=1e-12, abs=1e-12)
         assert twice.variance_antisqueezed == pytest.approx(once.variance_antisqueezed, rel=1e-9)
-
-    def test_mixedness_flag_propagates(self):
-        assert not apply_loss(apply_loss(SqueezedState(1.0), 0.9), 1.0).pure
 
     def test_rejects_eta_out_of_range(self):
         with pytest.raises(InvalidArgument):
@@ -213,70 +204,6 @@ class TestRequiredSqueezing:
                 required_squeezing(eta, 2.0)
         with pytest.raises(InvalidArgument):
             required_squeezing(0.5, 1.0)
-
-
-class TestSpdc:
-    def test_degenerate_halves_pump(self):
-        triple = spdc_degenerate(384e12, [1e7, 0.0, 0.0])
-        assert triple.nu_s == 192e12
-        assert triple.nu_i == 192e12
-
-    def test_energy_conservation_exact(self):
-        triple = spdc_degenerate(563.2e12, [3.3e6, -1.1e6, 0.5e6])
-        assert triple.nu_s + triple.nu_i == triple.nu_p
-
-    def test_momentum_conservation_exact(self):
-        k_p = np.array([2.2e6, 4.4e6, -8.8e6])
-        triple = spdc_degenerate(400e12, k_p)
-        assert np.array_equal(triple.k_s + triple.k_i, k_p)
-
-    def test_rejects_non_positive_pump(self):
-        with pytest.raises(InvalidArgument):
-            spdc_degenerate(0.0, [1.0, 0.0, 0.0])
-
-    def test_triple_invariants_enforced(self):
-        with pytest.raises(InvalidArgument):
-            SpdcTriple(
-                nu_p=2.0, nu_s=1.0, nu_i=1.5,
-                k_p=np.ones(3), k_s=0.5 * np.ones(3), k_i=0.5 * np.ones(3),
-            )
-
-
-class TestEntanglePair:
-    def test_two_vacua(self):
-        pair = entangle_pair(SqueezedState(0.0, Quadrature.X), SqueezedState(0.0, Quadrature.P))
-        assert pair == (1.0, 1.0)
-
-    def test_equal_unit_squeezing(self):
-        pair = entangle_pair(SqueezedState(1.0, Quadrature.X), SqueezedState(1.0, Quadrature.P))
-        assert pair[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert pair[1] == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_unequal_squeezing_mean_variance(self):
-        r_a, r_b = 0.6, 1.4
-        pair = entangle_pair(SqueezedState(r_a, Quadrature.X), SqueezedState(r_b, Quadrature.P))
-        expected_mean = (math.exp(-2.0 * r_a) + math.exp(-2.0 * r_b)) / 2.0
-        assert np.mean(pair) == pytest.approx(expected_mean, rel=1e-12)
-
-    def test_argument_order_is_free(self):
-        a = entangle_pair(SqueezedState(0.3, Quadrature.P), SqueezedState(0.9, Quadrature.X))
-        b = entangle_pair(SqueezedState(0.9, Quadrature.X), SqueezedState(0.3, Quadrature.P))
-        assert a == b
-
-    # r below ~1e-17 makes exp(-2r) round to exactly 1.0, so the strict
-    # inequality is only meaningful above float resolution
-    @given(
-        st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
-        st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
-    )
-    def test_witness_iff_both_squeezed(self, r_a, r_b):
-        pair = entangle_pair(SqueezedState(r_a, Quadrature.X), SqueezedState(r_b, Quadrature.P))
-        both_below_vacuum = pair[0] < 1.0 and pair[1] < 1.0
-        assert both_below_vacuum == (min(r_a, r_b) > 0.0)
-
-    def test_same_quadrature_rejected(self):
-        with pytest.raises(InvalidArgument):
-            entangle_pair(SqueezedState(1.0, Quadrature.X), SqueezedState(1.0, Quadrature.X))
 
 
 class TestEstimatorModel:

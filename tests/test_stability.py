@@ -21,7 +21,6 @@ from combsync.stability import (
     ffi1,
     ffi2,
     fit_slope,
-    max_trusted_tau,
     octave_m_values,
     stability_curve,
     tdev,
@@ -289,19 +288,6 @@ class TestFitSlope:
             fit_slope(StabilityCurve(points=points))
 
 
-def synthetic_curve(slopes_by_segment, taus, variant=Variant.FFI2):
-    """Piecewise power-law curve: list of (tau_break, slope) applied in order."""
-    values = [1.0]
-    for a, b in zip(taus, taus[1:]):
-        slope = next(s for brk, s in slopes_by_segment if a < brk)
-        values.append(values[-1] * (b / a) ** slope)
-    points = tuple(
-        StabilityPoint(tau=t, value=v, m=m + 1, variant=variant)
-        for m, (t, v) in enumerate(zip(taus, values))
-    )
-    return StabilityCurve(points=points)
-
-
 class TestClassifyNoise:
     def test_white_pm_under_ffi2(self):
         assert classify_noise(-1.5, Variant.FFI2) == {NoiseKind.WHITE_PM}
@@ -322,29 +308,6 @@ class TestClassifyNoise:
     def test_rejects_tdev_variant(self):
         with pytest.raises(InvalidArgument):
             classify_noise(-1.0, Variant.TDEV)
-
-
-class TestMaxTrustedTau:
-    def test_pure_white_pm_curve_has_no_transition(self):
-        taus = [0.125 * 2**k for k in range(8)]
-        curve = synthetic_curve([(math.inf, -1.5)], taus)
-        assert max_trusted_tau(curve) is None
-
-    def test_white_to_flicker_handover_near_one_second(self):
-        taus = [0.125 * 2**k for k in range(8)]
-        curve = synthetic_curve([(1.0, -1.5), (math.inf, -1.0)], taus)
-        assert max_trusted_tau(curve) == pytest.approx(1.0)
-
-    def test_monotone_white_fm_curve_has_no_transition(self):
-        taus = [0.125 * 2**k for k in range(8)]
-        curve = synthetic_curve([(math.inf, -0.5)], taus)
-        assert max_trusted_tau(curve) is None
-
-    def test_rejects_non_ffi2_variant(self):
-        taus = [1.0, 2.0, 4.0]
-        curve = synthetic_curve([(math.inf, -1.0)], taus, variant=Variant.FFI1)
-        with pytest.raises(InvalidArgument):
-            max_trusted_tau(curve)
 
 
 class TestCurveCsv:
@@ -383,6 +346,10 @@ class TestCurveCsv:
         ("# source_length=abc\ntau_s,value,m,variant\n1.0,2.0,1,ffi1\n", "source_length must be"),
         ("", "no column header"),
         ("tau_s,value,m,variant,variant\n1.0,2.0,1,ffi1,ffi1\n", "line 1 repeats a column name"),
+        ("tau_s,value,m,variant\nabc,2.0,1,ffi1\n", "cannot read tau_s cell 'abc' in data row 1"),
+        ("tau_s,value,m,variant\n1.0,2.0,1,ffi1\n2.0,x,2,ffi1\n", "cannot read value cell 'x' in data row 2"),
+        ("tau_s,value,m,variant\n1.0,2.0,1.5,ffi1\n", "cannot read m cell '1.5' in data row 1"),
+        ("tau_s,value,m,variant\n1.0,2.0,1,xx\n", "cannot read variant cell 'xx' in data row 1"),
     ])
     def test_malformed_file_raises_invalid_argument(self, text, match):
         with pytest.raises(InvalidArgument, match=match):

@@ -1,11 +1,13 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from combsync import synclink
 from combsync.clockmodel import ClockModel, sample_clock
+from combsync.config import load_config
 from combsync.errors import InvalidArgument
 from combsync.noisegen import NoiseKind, NoiseSpec
 from combsync.quantum import EstimatorMethod, EstimatorModel, r_from_db
@@ -17,7 +19,6 @@ from combsync.synclink import (
     LinkModel,
     SyncCampaign,
     advantage_report,
-    default_leo_geometry,
     link_efficiency,
     one_way_offset,
     run_sync_campaign,
@@ -38,6 +39,14 @@ def symmetric_link(delay, **kwargs):
 
 def tm_estimator(n=100.0, r=0.0):
     return EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=n, nu0=1.92e14, t0=1e-14, r=r)
+
+
+def default_leo_geometry(wavelength=1.56e-6, aperture_radius=0.3, match_distance_km=100.0):
+    """Telescope geometry whose diffraction-limited divergence spreads the
+    beam to the aperture radius at the matching distance."""
+    divergence = aperture_radius / (match_distance_km * 1e3)
+    return GeometricParams(wavelength=wavelength, waist=wavelength / (math.pi * divergence),
+                           aperture_radius=aperture_radius)
 
 
 class TestSimulateExchange:
@@ -257,7 +266,6 @@ class TestAdvantageReport:
         report = advantage_report(link, tm_estimator(r=20.0))
         assert report.advantage_ratio == pytest.approx(math.sqrt(2.0), rel=1e-8)
         assert report.required_db_for_2x is None
-        assert not report.two_x_attainable
 
     def test_classical_baseline_ratio_is_one(self):
         link = LinkModel(distance_km=100.0, delay_ab=1e-3, delay_ba=1e-3)
@@ -313,6 +321,25 @@ PINNED_CAMPAIGNS = [
      "-0x1.ad92dc5bffc0ep-21", "0x1.831e45a0ff77ap-34"),
 ]
 
+# float.hex of eta_total, sigma_classical, sigma_quantum, advantage_ratio and
+# required_db_for_2x (None when unattainable).
+LEO_FIXTURE = load_config(str(Path(__file__).parent / "configs" / "advantage_leo.yaml")).payload
+SHORT_HOP = LinkModel(distance_km=20.0, delay_ab=6.7e-5, delay_ba=6.6e-5,
+                      geometric=GeometricParams(wavelength=1.56e-6, waist=0.08, aperture_radius=0.3),
+                      pointing_sigma=2e-6, eta_detector=0.95)
+PINNED_ADVANTAGE = [
+    (LEO_FIXTURE.link, LEO_FIXTURE.estimator,
+     ("0x1.6957f4146aeddp-1", "0x1.50d456f24b406p-53", "0x1.7b0758b522665p-54", "0x1.c6ff11bc1b8bep+0", None)),
+    (SHORT_HOP, EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=500.0, nu0=1.92e14, t0=1e-14, r=0.9),
+     ("0x1.e645f5147bd87p-1", "0x1.dc594991392c4p-53", "0x1.b1b3f73406da3p-54", "0x1.192c1eddaacf8p+1",
+      "0x1.b15b0df3e4a45p+2")),
+    # exp(2r) overflows a float here; the squeezed variance does not
+    (LinkModel(distance_km=100.0, delay_ab=1e-3, delay_ba=1e-3, eta_detector=0.9),
+     EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=1.0, nu0=1.92e14, t0=1e-14, r=400.0),
+     ("0x1.ccccccccccccdp-1", "0x1.4cdbdc2b01c3fp-48", "0x1.a5096caede107p-50", "0x1.94c583ada5b53p+1",
+      "0x1.f2044d05591fcp+2")),
+]
+
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("args,kwargs,expected", PINNED_EXCHANGES,
@@ -333,6 +360,13 @@ class TestPinnedOutputs:
         assert h.hexdigest() == digest
         assert result.mean_offset.hex() == mean_offset
         assert result.sigma_delta_t.hex() == sigma_delta_t
+
+    @pytest.mark.parametrize("link,model,expected", PINNED_ADVANTAGE, ids=["leo-fixture", "short-hop", "r400"])
+    def test_advantage_report(self, link, model, expected):
+        report = advantage_report(link, model)
+        values = (report.eta_total, report.sigma_classical, report.sigma_quantum, report.advantage_ratio,
+                  report.required_db_for_2x)
+        assert [None if v is None else v.hex() for v in values] == list(expected)
 
 
 SILENT = ClockModel(nu0=1.94e14, drift=1e-17, noise=(NoiseSpec(NoiseKind.WHITE_FM, 0.0, seed=1),
