@@ -170,6 +170,8 @@ def apply_loss(state: Union[SqueezedState, QuadratureVariances], eta: float) -> 
     """
     if not math.isfinite(eta) or not (0.0 <= eta <= 1.0):
         raise InvalidArgument(f"transmissivity eta must lie in [0, 1], got {eta}")
+    if eta == 0.0:  # pure vacuum; also keeps 0 * inf (r above ~354.9) from giving nan
+        return QuadratureVariances(1.0, 1.0)
     return QuadratureVariances(
         variance_squeezed=eta * state.variance_squeezed + (1.0 - eta),
         variance_antisqueezed=eta * state.variance_antisqueezed + (1.0 - eta),

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from combsync.artifacts import read_table, write_table
+from combsync.errors import InvalidArgument
 
 
 def test_numpy_scalars_come_out_as_shortest_repr_cells(tmp_path):
@@ -15,3 +17,23 @@ def test_numpy_scalars_come_out_as_shortest_repr_cells(tmp_path):
     assert columns["x"] == [repr(float(x)) for x in floats]
     assert [float(x).hex() for x in columns["x"]] == [float(x).hex() for x in floats]
     assert [int(i) for i in columns["i"]] == ints.tolist()
+
+
+def test_blank_lines_skipped_and_header_only_table_has_empty_columns():
+    header, columns = read_table(["# a=b=c\n", "\n", "tau_s,value\n", "   \n"])
+    assert header == {"a": "b=c"}
+    assert columns == {"tau_s": [], "value": []}
+
+
+@pytest.mark.parametrize(
+    "lines, match",
+    [
+        (["# seed=1\n"], "table has no column header line"),
+        (["x,y,x\n", "1,2,3\n"], "line 1 repeats a column name"),
+        (["# seed=1\n", "x,y\n", "1,2\n", "3\n"], "line 4 has 1 cells, the column header has 2"),
+        (["x,y\n", "1,2,3\n"], "line 2 has 3 cells, the column header has 2"),
+    ],
+)
+def test_malformed_table_raises_invalid_argument(lines, match):
+    with pytest.raises(InvalidArgument, match=match):
+        read_table(lines)

@@ -71,6 +71,39 @@ class TestSampleClock:
         curve = stability_curve(y_from_x(x), [2**k for k in range(9)], Variant.FFI0)
         assert fit_slope(curve) == pytest.approx(1.0, abs=0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1),))
+        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
+            sample_clock(clock, 8, 1e-8, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_edge_seeds_accepted(self, seed):
+        clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1),))
+        x = sample_clock(clock, 8, 1e-8, seed=seed)
+        assert len(x) == 8
+        assert x.samples[1:].all()
+
+    def test_zero_amplitude_source_matches_noiseless(self):
+        noisy = quiet_clock(frac_freq_offset=1e-9, noise=(NoiseSpec(NoiseKind.WHITE_PM, 0.0, seed=2),))
+        x = sample_clock(noisy, 100, 1e-8, seed=5)
+        assert np.array_equal(x.samples, sample_clock(quiet_clock(frac_freq_offset=1e-9), 100, 1e-8).samples)
+
+    def test_white_pm_jitter_moment(self):
+        tau0, sigma_t = 1e-8, 1e-12
+        # White PM amplitude whose phase-domain standard deviation is sigma_t
+        amplitude = 2.0 * (2.0 * math.pi) ** 2 * tau0 * sigma_t**2
+        clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_PM, amplitude, seed=6),))
+        x = sample_clock(clock, 10_000, tau0, seed=7)
+        assert x.samples[0] == 0.0
+        assert x.samples[1:].std(ddof=1) == pytest.approx(sigma_t, rel=0.1)
+
+    def test_identical_sources_draw_separate_streams(self):
+        spec = NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4)
+        one = sample_clock(quiet_clock(noise=(spec,)), 64, 1.0, seed=9).samples
+        two = sample_clock(quiet_clock(noise=(spec, spec)), 64, 1.0, seed=9).samples
+        assert not np.allclose(two, 2.0 * one, rtol=0.1, atol=0.0)
+
 
 # Ramp coefficients: signed zeros, subnormals and values near 1e-9, besides
 # Hypothesis draws from [-1e-8, 1e-8].
@@ -98,6 +131,16 @@ class TestClockModelValidation:
         with pytest.raises(InvalidArgument):
             ClockModel(nu0=1e14, drift=math.inf)
 
+    def test_rejects_non_finite_offset(self):
+        with pytest.raises(InvalidArgument, match="frac_freq_offset must be finite"):
+            ClockModel(nu0=1e14, frac_freq_offset=math.nan)
+
+    def test_noise_list_stored_as_tuple(self):
+        spec = NoiseSpec(NoiseKind.FLICKER_FM, 1e-26, seed=3)
+        clock = ClockModel(nu0=1e14, noise=[spec])
+        assert clock.noise == (spec,)
+        hash(clock)
+
 
 class TestCombParams:
     def test_derived_quantities_not_stored(self):
@@ -110,6 +153,20 @@ class TestCombParams:
     def test_rejects_offset_at_or_above_f_r(self):
         with pytest.raises(InvalidArgument):
             comb_100mhz(f_0=100e6)
+
+    @pytest.mark.parametrize("n_range", [(0, 5), (5, 4), (1.5, 3)])
+    def test_rejects_bad_n_range(self, n_range):
+        with pytest.raises(InvalidArgument, match="n_range must be an integer interval"):
+            CombParams(f_r=100e6, f_0=0.0, t_0=1e-13, n_range=n_range)
+
+    def test_n_range_normalized_to_ints(self):
+        comb = CombParams(f_r=100e6, f_0=0.0, t_0=1e-13, n_range=(2.0, np.int64(9)))
+        assert comb.n_range == (2, 9)
+        assert all(type(n) is int for n in comb.n_range)
+
+    def test_rejects_non_positive_pulse_duration(self):
+        with pytest.raises(InvalidArgument, match="pulse duration"):
+            CombParams(f_r=100e6, f_0=0.0, t_0=0.0, n_range=(1, 10))
 
     def test_advisory_outside_photodetection_band(self):
         with pytest.warns(UserWarning, match="repetition rate"):

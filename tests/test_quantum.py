@@ -149,6 +149,11 @@ class TestApplyLoss:
         assert out.variance_squeezed == 1.0
         assert out.variance_antisqueezed == 1.0
 
+    def test_full_loss_of_overflowed_state_is_vacuum(self):
+        out = apply_loss(SqueezedState(400.0), 0.0)
+        assert out.variance_squeezed == 1.0
+        assert out.variance_antisqueezed == 1.0
+
     def test_half_loss_caps_squeezing_at_3db(self):
         out = apply_loss(SqueezedState(20.0), 0.5)
         assert out.variance_squeezed == pytest.approx(0.5, rel=1e-8)
@@ -210,6 +215,21 @@ class TestEstimatorModel:
     def test_squeezing_requires_temporal_mode(self):
         with pytest.raises(InvalidArgument):
             EstimatorModel(EstimatorMethod.TOF, n=10.0, nu0=1e14, t0=1e-14, r=0.5)
+
+    def test_rejects_method_given_as_string(self):
+        with pytest.raises(InvalidArgument, match="method must be an EstimatorMethod"):
+            EstimatorModel("tof", n=10.0, nu0=1e14, t0=1e-14)
+
+    @pytest.mark.parametrize("field", ["n", "nu0", "t0"])
+    def test_rejects_non_positive_field(self, field):
+        kwargs = dict(n=10.0, nu0=1e14, t0=1e-14)
+        for bad in (0.0, -1.0, math.inf):
+            with pytest.raises(InvalidArgument, match=f"{field} must be finite and positive"):
+                EstimatorModel(EstimatorMethod.TEMPORAL_MODE, **{**kwargs, field: bad})
+
+    def test_rejects_negative_r(self):
+        with pytest.raises(InvalidArgument, match="r must be finite and >= 0"):
+            EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14, r=-0.1)
 
     def test_model_sigma_dispatch(self):
         kwargs = dict(n=25.0, nu0=2e14, t0=1e-14)

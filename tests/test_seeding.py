@@ -1,0 +1,25 @@
+import numpy as np
+import pytest
+
+from combsync.errors import InvalidArgument
+from combsync.seeding import check_seed, derive_seed
+
+
+def test_derive_seed_is_deterministic_and_order_sensitive():
+    assert derive_seed(9, 0, 4) == derive_seed(9, 0, 4)
+    assert derive_seed(9, 0, 4) != derive_seed(9, 1, 4)
+    assert derive_seed(9, 0, 4) != derive_seed(4, 0, 9)
+    assert 0 <= derive_seed(2**64 - 1, 2**64 - 1) < 2**64
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_check_seed_accepts_64_bit_values_as_int(seed):
+    checked = check_seed(seed)
+    assert type(checked) is int
+    assert checked == int(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-5)])
+def test_check_seed_rejects_out_of_range(seed):
+    with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
+        check_seed(seed)
