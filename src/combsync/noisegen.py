@@ -17,7 +17,12 @@ the PM/FM distinction explicit at the synthesis level.
 
 Long-memory shaping uses the recursive fractional-difference filter
 (exact power-law tail, well conditioned); spectral-FFT synthesis exists
-only as a test oracle in the test suite.
+only as a test oracle in the test suite.  A shaped series of ``n`` samples
+(``count`` for FM kinds, ``count + 1`` phase samples for PM kinds) filters
+``2n`` white draws and drops the first ``n`` as warm-up.  The filter runs
+as one FFT convolution of the smallest power-of-two size at or above
+``3n - 1``, the least size that keeps the emitted samples free of
+wrap-around.
 """
 
 from __future__ import annotations
@@ -102,8 +107,9 @@ def fractional_filter_coeffs(beta_exponent: float, count: int) -> np.ndarray:
 def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: float) -> np.ndarray:
     """Gaussian sequence with one-sided PSD ``coefficient * f**exponent``.
 
-    exponent <= 0.  The first ``count`` filtered samples are warm-up and
-    discarded, leaving ``count`` emitted samples.
+    exponent <= 0.  ``2 * count`` white draws are filtered and the first
+    ``count`` outputs dropped as warm-up, leaving ``count`` samples.  The
+    FFT size is the smallest power of two at or above ``3 * count - 1``.
     """
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
@@ -113,7 +119,9 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     if exponent == 0:
         return white[count:]
     h = fractional_filter_coeffs(exponent, total)
-    size = 1 << (2 * total - 1).bit_length()
+    # The linear convolution spans [0, 2*total - 2] and a size-L FFT folds n + L onto n,
+    # so the kept slice n >= count is alias-free once L >= total + count - 1.
+    size = 1 << (total + count - 2).bit_length()
     shaped = np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[:total]
     return shaped[count:]
 

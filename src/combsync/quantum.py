@@ -29,6 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidArgument
+from .seeding import check_seed
 
 _LN10 = math.log(10.0)
 
@@ -209,6 +210,6 @@ def monte_carlo_sigma(
     if not 100 <= trials < 2**53:
         raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
     sigma = model_sigma(model)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     draws = rng.normal(true_offset, sigma, trials)
     return float(draws.mean()), float(draws.std(ddof=1))

@@ -20,7 +20,13 @@ def derive_seed(*parts: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int; anything outside [0, 2**64) raises InvalidArgument."""
+    """The seed as an int.
+
+    Only a Python or numpy integer in [0, 2**64) is a seed; a bool, a
+    float, a string or anything else raises InvalidArgument.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {seed}")
     return int(seed)

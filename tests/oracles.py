@@ -2,8 +2,9 @@
 
 Everything here is deliberately literal and slow: deviation statistics
 as explicit nested loops, frequency-domain noise synthesis as an
-alternative generation route, textbook deviation levels for the three FM
-noise kinds, and a periodogram of a generated series.  None of it shares
+alternative generation route, the recursive-filter synthesis with its
+first (full-length) FFT padding, textbook deviation levels for the three
+FM noise kinds, and a periodogram of a generated series.  None of it shares
 code with the package under test; the periodogram only raises the
 package's error type.
 """
@@ -72,7 +73,8 @@ def brute_ffi2_x(x: np.ndarray, m: int, tau0: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Alternative noise synthesis: direct spectral shaping
+# Alternative noise synthesis: direct spectral shaping, and the recursive
+# filter padded to the full convolution length
 
 
 def spectral_noise(beta: int, coefficient: float, count: int, tau0: float, rng) -> np.ndarray:
@@ -85,6 +87,29 @@ def spectral_noise(beta: int, coefficient: float, count: int, tau0: float, rng) 
     # White input has flat one-sided PSD 2*qd*tau0 with qd = 1
     spectrum *= np.sqrt(target / (2.0 * tau0))
     return np.fft.irfft(spectrum, count)
+
+
+def fractional_taps(exponent: float, count: int) -> np.ndarray:
+    """Impulse response h_0 = 1, h_k = h_{k-1} * (k - 1 + |exponent|/2) / k, one tap at a time."""
+    half = abs(float(exponent)) / 2.0
+    taps = [1.0]
+    for k in range(1, count):
+        taps.append(taps[-1] * ((k - 1.0 + half) / k))
+    return np.array(taps)
+
+
+def shaped_gaussian_reference(rng, exponent: int, coefficient: float, count: int, tau0: float) -> np.ndarray:
+    """Recursive-filter synthesis with its first padding rule.
+
+    The FFT is padded to the next power of two at or above 2 * total - 1,
+    the full length of the linear convolution, so no sample wraps around.
+    """
+    qd = coefficient / (2.0 * (2.0 * np.pi) ** exponent * tau0 ** (exponent + 1))
+    total = 2 * count
+    white = rng.standard_normal(total) * np.sqrt(qd)
+    h = fractional_taps(exponent, total)
+    size = 1 << (2 * total - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[count:total]
 
 
 # ---------------------------------------------------------------------------

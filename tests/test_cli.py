@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -61,6 +62,35 @@ def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
     assert run_cli(command, CONFIGS / fixture, out2) == 0
     for name in artifacts:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+#: sha256 of every fixture artifact, so that a change meant to keep the artifacts
+#: byte-identical fails here when it does not.
+FIXTURE_SHA256 = [
+    ("noise", "noise_flicker_fm.yaml", "noise.csv",
+     "0da425724a428322f25b9816c3ba7421e629e853c6b39e99aaee022020357f75"),
+    ("stability", "stability_white_fm.yaml", "sigma_tau.csv",
+     "41727625c554ef40e492133a9701c92838b8767669820ba0577bbe9747f661b5"),
+    ("stability", "stability_white_pm_ffi2.yaml", "sigma_tau.csv",
+     "812f1a8e013bab744ec94474669c19b604dfa4f73e02265a3654550002588863"),
+    ("sync", "sync_white_pm.yaml", "campaign.csv",
+     "a16aa9c8106dc9b4be0f8c8af34b265bcbb8995f475ba8376a3bfa417dd41795"),
+    ("sync", "sync_white_pm.yaml", "campaign_summary.txt",
+     "48f1bc3bc8bede237b6ff274da324e33c1368235bbd7eb3ee2824682b5559ce0"),
+    ("quantum-scaling", "scaling_sql.yaml", "scaling.csv",
+     "fc048f79c62f7ad1da676a61c36fd2ac280fdba176c298d3240f9d682848f508"),
+    ("quantum-scaling", "scaling_hl.yaml", "scaling.csv",
+     "f3c4d2a2afb666ef46f72d6fd685a295152aabdd7a8f8525b5c4229e2179ccdb"),
+    ("advantage", "advantage_leo.yaml", "advantage.txt",
+     "cfdeb4b5809ea634a9cc60760882dfef76989ed691f2cb0f0fb17cfc5281c8a1"),
+]
+
+
+@pytest.mark.parametrize("command,fixture,artifact,digest", FIXTURE_SHA256,
+                         ids=[f"{fixture}:{artifact}" for _, fixture, artifact, _ in FIXTURE_SHA256])
+def test_fixture_artifact_bytes_are_pinned(command, fixture, artifact, digest, tmp_path):
+    assert run_cli(command, CONFIGS / fixture, tmp_path) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
 def test_white_fm_fixture_slope(tmp_path):

@@ -6,6 +6,7 @@ from combsync.errors import InsufficientData, InvalidArgument
 from combsync.noisegen import (
     NoiseKind,
     NoiseSpec,
+    _shaped_gaussian,
     fractional_filter_coeffs,
     generate_noise,
 )
@@ -176,3 +177,48 @@ class TestPsdEstimate:
         df = freqs[1] - freqs[0]
         variance = series.samples.var()
         assert density.sum() * df == pytest.approx(variance, rel=0.05)
+
+
+SHAPED_KINDS = [NoiseKind.FLICKER_PM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM]
+# The right-sized FFT rounds differently from the full-length one.  Over 100
+# seeds per kind at counts 257, 4097 and 2**15 + 1, the worst difference was
+# 12.2 eps * max|ref| (random-walk FM at 2**15 + 1; flicker PM 6.0, flicker FM 3.5).
+FFT_ULPS = 16
+
+
+def _reference_noise(kind, count, seed, amplitude=1e-22, tau0=0.5):
+    """generate_noise's PM/FM split over the full-length-padding oracle."""
+    rng = np.random.default_rng(seed)
+    if kind.is_pm:
+        x = oracles.shaped_gaussian_reference(rng, kind.beta - 2, amplitude / (2.0 * np.pi) ** 2, count + 1, tau0)
+        return np.diff(x) / tau0
+    return oracles.shaped_gaussian_reference(rng, kind.beta, amplitude, count, tau0)
+
+
+class TestFftSize:
+    @pytest.mark.parametrize("kind", SHAPED_KINDS)
+    @pytest.mark.parametrize("count", [2, 3, 255, 256, 257, 4096, 4097, 2**15 + 1])
+    def test_matches_full_length_padding_within_a_few_ulps(self, kind, count):
+        ours = generate_noise(NoiseSpec(kind, 1e-22, seed=count), count, 0.5).samples
+        ref = _reference_noise(kind, count, seed=count)
+        assert np.max(np.abs(ours - ref)) <= FFT_ULPS * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", [NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM])
+    @pytest.mark.parametrize("count", [2, 256, 4096, 2**15])
+    def test_fm_kinds_at_power_of_two_counts_are_bit_identical(self, kind, count):
+        # 3 * count - 1 and 4 * count - 1 round up to the same power of two.
+        ours = generate_noise(NoiseSpec(kind, 1e-22, seed=count), count, 0.5).samples
+        assert np.array_equal(ours, _reference_noise(kind, count, seed=count))
+
+    @pytest.mark.parametrize("exponent", [-1, -2])
+    @pytest.mark.parametrize("count", [2, 3, 5, 17, 33, 64])
+    def test_matches_direct_convolution(self, exponent, count):
+        coefficient, total = 1e-20, 2 * count
+        scale = np.sqrt(coefficient / (2.0 * (2.0 * np.pi) ** exponent))  # tau0 = 1
+        white = np.random.default_rng(count).standard_normal(total) * scale
+        direct = np.convolve(white, oracles.fractional_taps(exponent, total))[count:total]
+        bound = FFT_ULPS * np.finfo(float).eps * np.max(np.abs(direct))
+        for shaped in (_shaped_gaussian(np.random.default_rng(count), exponent, coefficient, count, 1.0),
+                       oracles.shaped_gaussian_reference(np.random.default_rng(count), exponent, coefficient,
+                                                         count, 1.0)):
+            assert np.max(np.abs(shaped - direct)) <= bound

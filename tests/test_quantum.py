@@ -276,3 +276,9 @@ class TestMonteCarloSigma:
     def test_deterministic_per_seed(self):
         model = EstimatorModel(EstimatorMethod.PHASE, n=10.0, nu0=1e14, t0=1e-14)
         assert monte_carlo_sigma(model, 500, seed=7) == monte_carlo_sigma(model, 500, seed=7)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 7.5, True, "12"])
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
+        model = EstimatorModel(EstimatorMethod.PHASE, n=10.0, nu0=1e14, t0=1e-14)
+        with pytest.raises(InvalidArgument, match="seed must be"):
+            monte_carlo_sigma(model, 500, seed=seed)
