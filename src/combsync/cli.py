@@ -13,6 +13,7 @@ range or a size too large to allocate included), 4 output I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import os
@@ -139,6 +140,7 @@ _RUNNERS = {
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combsync",
@@ -154,8 +156,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("COMBSYNC_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("COMBSYNC_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):  # a name logging.basicConfig would reject
+        print(f"combsync: COMBSYNC_LOG must be a level name: DEBUG, INFO, WARNING, ERROR or CRITICAL; "
+              f"got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, command=args.command,

@@ -8,6 +8,14 @@ written ``troposphere`` and a stability run's ``source`` is ``noise``.
 Parsing is strict — unknown, missing, mistyped and repeated keys are
 rejected with the offending dotted key name so typos in physics
 parameters cannot pass silently.
+
+The YAML is parsed by PyYAML's libyaml binding (``yaml.CSafeLoader``;
+``yaml.__with_libyaml__`` is true where it is built, as in the PyPI
+wheels), with the duplicate-key check and the ``1e14`` float resolver
+running in Python on top of it.  Collections nested deeper than
+``MAX_NESTING`` are rejected before the document is composed.  A YAML
+error is reported on one line: ``cannot parse config: line L, column C:
+<problem> (<context>)``, or ``byte N: ...`` for an undecodable byte.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ class ConfigError(CombsyncError):
     """Unparseable or invalid experiment configuration."""
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that treats '1e14'-style scalars as floats and rejects repeated keys.
+class _ConfigLoader(yaml.CSafeLoader):
+    """libyaml's SafeLoader that treats '1e14'-style scalars as floats and rejects repeated keys.
 
     YAML 1.1 only resolves exponents written with a sign and a dot;
     physics configs are full of bare scientific notation.  A repeated key
@@ -69,6 +77,42 @@ _ConfigLoader.add_implicit_resolver(
     ),
     list("-+0123456789."),
 )
+
+#: The schema nests at most 5 collections (root, sync, clock_a, noise, one spec).  libyaml's
+#: composer recurses on the C stack once per level, and a document nested 100,000 deep overflows
+#: it and kills the process, so deeper documents are refused from the event stream first.
+MAX_NESTING = 100
+
+
+def _at(mark) -> str:
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def _parse(raw: bytes) -> Any:
+    """The YAML document in raw; a YAML fault becomes a one-line ConfigError."""
+    try:
+        depth = 0
+        for event in yaml.parse(raw, Loader=_ConfigLoader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ConfigError(f"cannot parse config: {_at(event.start_mark)}: "
+                                      f"collections nested deeper than {MAX_NESTING} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(raw, Loader=_ConfigLoader)
+    except yaml.reader.ReaderError as exc:
+        raise ConfigError(f"cannot parse config: byte {exc.position}: "
+                          f"unacceptable character #x{exc.character:04x}: {exc.reason}") from None
+    except yaml.MarkedYAMLError as exc:
+        where = _at(exc.problem_mark)
+        context = exc.context
+        if context and exc.context_mark and _at(exc.context_mark) != where:
+            context += f" at {_at(exc.context_mark)}"
+        raise ConfigError(f"cannot parse config: {where}: {exc.problem}"
+                          + (f" ({context})" if context else "")) from None
+    except ValueError as exc:  # an integer too long to convert
+        raise ConfigError(f"cannot parse config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +321,7 @@ def load_config(
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        root = yaml.load(raw, Loader=_ConfigLoader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
-        raise ConfigError(f"cannot parse config: {exc}") from None
+    root = _parse(raw)
     keys = ("command", "seed", "output", *map(_block_key, COMMANDS))
     root = _mapping(root if root is not None else {}, keys, "")
 

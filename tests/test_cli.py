@@ -28,6 +28,7 @@ from combsync.stability import (
     stability_curve,
 )
 from combsync.synclink import advantage_report, run_sync_campaign
+from test_config import YAML_FAULTS
 
 CONFIGS = Path(__file__).parent / "configs"
 
@@ -126,9 +127,10 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
 
 def test_yaml_syntax_error_exits_2(tmp_path, capsys):
     config = tmp_path / "broken.yaml"
-    config.write_text("command: noise\nseed: [unclosed\n")
-    assert run_cli("noise", config, tmp_path) == 2
-    assert "config error" in capsys.readouterr().err
+    for text, message in YAML_FAULTS:
+        config.write_bytes(text)
+        assert run_cli("noise", config, tmp_path) == 2
+        assert capsys.readouterr().err == f"combsync: config error: {message}\n"
 
 
 def test_missing_seed_for_stochastic_command(tmp_path, capsys):
@@ -157,14 +159,17 @@ def test_config_output_field_used_without_out_flag(tmp_path):
 
 
 def test_seed_override_changes_output(tmp_path):
-    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    out1, out2, out3, out4 = tmp_path / "a", tmp_path / "b", tmp_path / "c", tmp_path / "d"
     config = CONFIGS / "noise_flicker_fm.yaml"
     assert run_cli("noise", config, out1) == 0
     assert run_cli("noise", config, out2, extra=["--seed", "18"]) == 0
     assert run_cli("noise", config, out3, extra=["--seed", "17"]) == 0
+    # The argument parser is shared across calls: an override must not outlive its call.
+    assert run_cli("noise", config, out4) == 0
     body = lambda p: _table(p / "noise.csv")[1]
     assert body(out1) != body(out2)
     assert body(out1) == body(out3)
+    assert body(out4) == body(out1)
 
 
 def test_runtime_estimator_failure_exits_3(tmp_path, capsys):
@@ -361,6 +366,14 @@ def test_underflowing_deviation_succeeds_with_empty_stderr(tmp_path):
     assert header["fitted_exponent"] == "nan"
     assert columns == {"n": ["1e+300", "1e+305"], "r": ["0.0", "0.0"], "sigma_model": ["0.0", "0.0"],
                        "mc_mean": ["0.0", "0.0"], "mc_std": ["0.0", "0.0"]}
+
+
+def test_unknown_log_level_exits_2_with_one_line(tmp_path):
+    proc = _run_module(tmp_path, "{mode: sql, trials: 100, nu0: 1.92e14, t0: 1.0e-14, n_values: [10, 100]}",
+                       COMBSYNC_LOG="bogus")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["combsync: COMBSYNC_LOG must be a level name: "
+                                        "DEBUG, INFO, WARNING, ERROR or CRITICAL; got 'BOGUS'"]
 
 
 def test_floating_point_fault_is_logged_at_info(tmp_path):

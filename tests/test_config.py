@@ -5,6 +5,9 @@ documented domain boundaries."""
 import contextlib
 import copy
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from combsync import cli
 from combsync.cli import main
 from combsync.clockmodel import ClockModel, CombParams
 from combsync.config import (
+    MAX_NESTING,
     AdvantageRun,
     ConfigError,
     ScalingRun,
@@ -297,11 +301,51 @@ def test_duplicate_key_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"combsync: config error: duplicate key 'seed' on line {line}\n"
 
 
+#: One malformed config for each YAML stage (scanner, parser, composer, reader, constructor),
+#: and its one-line message.
+YAML_FAULTS = [
+    (b"command: noise\nseed: @1\n",
+     "cannot parse config: line 2, column 7: found character that cannot start any token "
+     "(while scanning for the next token)"),
+    (b"command: noise\nseed: [unclosed\n",
+     "cannot parse config: line 3, column 1: did not find expected ',' or ']' "
+     "(while parsing a flow sequence at line 2, column 7)"),
+    (b"command: noise\nseed: *undefined\n",
+     "cannot parse config: line 2, column 7: found undefined alias"),
+    (b"command: noise\nseed: 1\xff\n",
+     "cannot parse config: byte 22: unacceptable character #x00ff: invalid leading UTF-8 octet"),
+    (b"command: noise\nseed: !!python/object:os.system 1\n",
+     "cannot parse config: line 2, column 7: could not determine a constructor for the tag "
+     "'tag:yaml.org,2002:python/object:os.system'"),
+]
+
+
 def test_yaml_errors_are_config_errors(tmp_path):
     path = tmp_path / "broken.yaml"
-    path.write_text("command: noise\nseed: [unclosed\n")
-    with pytest.raises(ConfigError, match="^cannot parse config: "):
-        load_config(path)
+    for text, message in YAML_FAULTS:
+        path.write_bytes(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+
+#: Configs nested 2,000 and 100,000 levels deep (libyaml's composer overflows the C stack on the
+#: second), and one with 100,000 unclosed '['.
+@pytest.mark.parametrize("text,line", [
+    ("[" * 2000 + "]" * 2000 + "\n", "line 1, column 101"),
+    ("[" * 100_000 + "]" * 100_000 + "\n", "line 1, column 101"),
+    ("command: noise\nseed: " + "[" * 100_000 + "\n", "line 2, column 106"),
+], ids=["2000-deep", "100000-deep", "100000-unclosed"])
+def test_deep_nesting_exits_2_with_one_line(tmp_path, text, line):
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "combsync.cli", "noise", "--config", str(path), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert (proc.returncode, proc.stderr) == (2, f"combsync: config error: cannot parse config: {line}: "
+                                                 f"collections nested deeper than {MAX_NESTING} levels\n")
 
 
 def test_overlong_integer_is_a_config_error(tmp_path):
