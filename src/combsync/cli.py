@@ -157,11 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("COMBSYNC_LOG", "WARNING").upper()
-    if not isinstance(logging.getLevelName(level), int):  # a name logging.basicConfig would reject
+    if not isinstance(logging.getLevelName(level), int):  # a name Logger.setLevel would reject
         print(f"combsync: COMBSYNC_LOG must be a level name: DEBUG, INFO, WARNING, ERROR or CRITICAL; "
               f"got {level!r}", file=sys.stderr)
         return 2
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig installs the stderr handler once per process; the level is set on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, command=args.command,

@@ -209,6 +209,8 @@ def monte_carlo_sigma(
     """
     if not 100 <= trials < 2**53:
         raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
+    if not math.isfinite(true_offset):
+        raise InvalidArgument("true_offset must be finite")
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))
     draws = rng.normal(true_offset, sigma, trials)

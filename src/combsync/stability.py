@@ -100,15 +100,12 @@ def y_from_x(series: TimeSeriesX) -> TimeSeriesY:
     return TimeSeriesY(series.tau0, np.diff(x) / series.tau0)
 
 
-def x_from_y(series: TimeSeriesY, x0: float = 0.0) -> TimeSeriesX:
-    """Cumulative inverse of :func:`y_from_x`, starting at phase deviation x0."""
+def x_from_y(series: TimeSeriesY) -> TimeSeriesX:
+    """Cumulative inverse of :func:`y_from_x`, starting at phase deviation 0."""
     y = series.samples
     if y.size < 1:
         raise InvalidArgument("x_from_y needs at least 1 sample")
-    x = np.empty(y.size + 1)
-    x[0] = x0
-    x[1:] = x0 + np.cumsum(y) * series.tau0
-    return TimeSeriesX(series.tau0, x)
+    return TimeSeriesX(series.tau0, np.concatenate(([0.0], np.cumsum(y) * series.tau0)))
 
 
 # ---------------------------------------------------------------------------

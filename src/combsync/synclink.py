@@ -1,14 +1,19 @@
 """One-way and two-way time transfer over a free-space link.
 
 One exchange produces the classic timestamp quartet: A transmits (t1),
-B receives (t2), B replies after a turnaround (t3), A receives (t4),
-each timestamp read in the owning clock's own timescale.  The two-way
+B receives (t2), B replies after a fixed 1 ms turnaround (t3), A
+receives (t4), each timestamp read in the owning clock's own timescale.
+Each clock contributes one phase draw per exchange.  The two-way
 combination ((t2 - t1) - (t4 - t3))/2 cancels any reciprocal path delay
 exactly; asymmetry delta between the directions biases it by delta/2.
 
-A campaign repeats exchanges on a fixed schedule, feeds the residuals
-to the stability estimators, and reports sigma_dt as the configured
-excess bias plus the sample deviation of the residuals.
+A single exchange is noiseless apart from the clocks, whose phase it
+reads at t = 1 s.  A campaign repeats exchanges on a fixed schedule,
+adds the estimator's timestamp noise, feeds the residuals to the
+stability estimators, and reports sigma_dt as the configured excess
+bias plus the sample deviation of the residuals.  The advantage report
+degrades squeezing by the link's efficiency: Gaussian-beam collection on
+the receive aperture times the detector efficiency.
 
 One kernel computes the quartet and one formula the offset, on Python
 floats (one exchange) or arrays (a campaign).  A clock without an active
@@ -28,11 +33,16 @@ from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument
 from .quantum import EstimatorModel, SqueezedState, apply_loss, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
-from .series import TimeSeriesX, _validate_tau0
+from .series import TimeSeriesX
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
 
 #: Near-surface troposphere lengthens the effective path by 1 ns per km.
 TROPOSPHERE_DELAY_S_PER_KM = 1e-9
+
+#: B's receive-to-reply time.  A clock's phase is constant over one
+#: exchange, so the turnaround cancels in t4 - t3 up to rounding, and the
+#: one-way estimate never reads t3 or t4.
+TURNAROUND_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -64,14 +74,13 @@ class LinkModel:
     delay_ba: float
     troposphere_enabled: bool = False
     geometric: Optional[GeometricParams] = None
-    pointing_sigma: float = 0.0
     eta_detector: float = 1.0
     sigma_excess: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.distance_km) or self.distance_km <= 0.0:
             raise InvalidArgument(f"distance_km must be positive, got {self.distance_km}")
-        for name in ("delay_ab", "delay_ba", "pointing_sigma", "sigma_excess"):
+        for name in ("delay_ab", "delay_ba", "sigma_excess"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise InvalidArgument(f"{name} must be finite and >= 0, got {v}")
@@ -114,20 +123,24 @@ def _clock_path(clock: ClockModel, count: int, tau0: float, seed: int, stream: i
     return sample_clock(clock, count, tau0, seed).samples
 
 
-def _clock_phase(clock: ClockModel, tau0: float, seed: int, stream: int) -> float:
-    """Phase error at t = tau0; a noiseless clock's is its ramp there, with no path sampled."""
+def _clock_phase(clock: ClockModel, seed: int, stream: int) -> float:
+    """Phase error at t = 1 s; a noiseless clock's is its ramp there, with no path sampled."""
     if _is_noisy(clock):
-        return float(sample_clock(clock, 2, tau0, derive_seed(seed, stream)).samples[1])
-    return float(ramp_phase(clock, tau0))
+        return float(sample_clock(clock, 2, 1.0, derive_seed(seed, stream)).samples[1])
+    return float(ramp_phase(clock, 1.0))
 
 
-def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, turnaround, true_offset, start_time):
-    """Quartet (t1, t2, t3, t4) from clock errors xa, xb and timestamp deviations e1..e4."""
-    time_b_rx = start_time + d_ab
-    time_b_tx = time_b_rx + turnaround
+def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, true_offset):
+    """Quartet (t1, t2, t3, t4) from clock errors xa, xb and timestamp deviations e1..e4.
+
+    Times run from the exchange's start: a common epoch cancels in both
+    estimators and would otherwise quantize away sub-femtosecond noise
+    against coordinates of order 1e3 s.
+    """
+    time_b_tx = d_ab + TURNAROUND_S
     return (
-        start_time + xa + e1,
-        time_b_rx + true_offset + xb + e2,
+        xa + e1,
+        d_ab + true_offset + xb + e2,
         time_b_tx + true_offset + xb + e3,
         time_b_tx + d_ba + xa + e4,
     )
@@ -143,33 +156,19 @@ def simulate_exchange(
     link: LinkModel,
     true_offset: float,
     seed: int = 0,
-    *,
-    tau0: float = 1.0,
-    measurement_sigma: float = 0.0,
-    turnaround: float = 1e-3,
-    start_time: float = 0.0,
 ) -> ExchangeRecord:
     """One two-way exchange; B's clock leads A's by true_offset seconds.
 
-    Each clock's timestamps carry its own sampled phase error (one noise
-    draw per clock, constant over the sub-second exchange) and every
-    timestamp is perturbed by the measurement deviation.  turnaround is
-    B's receive-to-reply processing time.
+    Each clock's timestamps carry its own phase error at t = 1 s (one
+    noise draw per clock, constant over the sub-second exchange); the
+    timestamps carry no other noise.
     """
     if not math.isfinite(true_offset):
         raise InvalidArgument("true_offset must be finite")
-    if turnaround < 0.0:
-        raise InvalidArgument(f"turnaround must be >= 0, got {turnaround}")
     seed = check_seed(seed)
-    tau0 = _validate_tau0(tau0)
-    xa = _clock_phase(clock_a, tau0, seed, 1)
-    xb = _clock_phase(clock_b, tau0, seed, 2)
-    if measurement_sigma > 0.0:
-        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, measurement_sigma, 4).tolist()
-    else:
-        eps = [0.0] * 4
-    return ExchangeRecord(*_timestamps(xa, xb, *eps, *link.effective_delays(),
-                                       turnaround, true_offset, start_time))
+    xa = _clock_phase(clock_a, seed, 1)
+    xb = _clock_phase(clock_b, seed, 2)
+    return ExchangeRecord(*_timestamps(xa, xb, 0.0, 0.0, 0.0, 0.0, *link.effective_delays(), true_offset))
 
 
 def two_way_offset(record: ExchangeRecord) -> float:
@@ -192,15 +191,12 @@ def one_way_offset(record: ExchangeRecord, assumed_delay: float) -> float:
     return (record.t2 - record.t1) - assumed_delay
 
 
-def link_efficiency(link: LinkModel, seed: int = 0) -> float:
-    """Sample the composite transmissivity (geometry x pointing x detector).
+def link_efficiency(link: LinkModel) -> float:
+    """Composite transmissivity: geometric collection x detector efficiency.
 
     Geometric collection is the encircled power of the diffracted
-    Gaussian beam on the receive aperture; pointing jitter tilts the
-    beam by a Gaussian angle and attenuates by exp(-2 theta^2/theta_div^2).
-    Deterministic when pointing_sigma is zero.
+    Gaussian beam on the receive aperture.
     """
-    seed = check_seed(seed)
     g = link.geometric
     if g is None:
         raise InvalidArgument("link_efficiency requires the link's geometric parameters")
@@ -208,12 +204,7 @@ def link_efficiency(link: LinkModel, seed: int = 0) -> float:
     rayleigh = math.pi * g.waist**2 / g.wavelength
     beam_radius = g.waist * math.sqrt(1.0 + (distance_m / rayleigh) ** 2)
     eta_geo = 1.0 - math.exp(-2.0 * g.aperture_radius**2 / beam_radius**2)
-    pointing = 1.0
-    if link.pointing_sigma > 0.0:
-        divergence = g.wavelength / (math.pi * g.waist)
-        theta = np.random.default_rng(seed).normal(0.0, link.pointing_sigma)
-        pointing = math.exp(-2.0 * theta**2 / divergence**2)
-    return eta_geo * pointing * link.eta_detector
+    return eta_geo * link.eta_detector
 
 
 @dataclass(frozen=True)
@@ -226,15 +217,12 @@ class SyncCampaign:
     interval: float = 1.0
     true_offset: float = 0.0
     estimator: Optional[EstimatorModel] = None
-    turnaround: float = 1e-3
 
     def __post_init__(self):
         if not math.isfinite(self.interval) or self.interval <= 0.0:
             raise InvalidArgument(f"interval must be positive, got {self.interval}")
         if not math.isfinite(self.true_offset):
             raise InvalidArgument("true_offset must be finite")
-        if self.turnaround < 0.0:
-            raise InvalidArgument(f"turnaround must be >= 0, got {self.turnaround}")
 
 
 @dataclass(frozen=True)
@@ -267,11 +255,7 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
         eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma_m, (trials, 4)).T
     else:
         eps = [0.0] * 4
-    # Timestamps are taken relative to each exchange's start; the common
-    # epoch cancels in both estimators and would otherwise quantize away
-    # sub-femtosecond noise against coordinates of order 1e3 s.
-    estimates = _two_way(*_timestamps(xa, xb, *eps, *config.link.effective_delays(),
-                                      config.turnaround, config.true_offset, 0.0))
+    estimates = _two_way(*_timestamps(xa, xb, *eps, *config.link.effective_delays(), config.true_offset))
     residuals = estimates - config.true_offset
     residual_series = TimeSeriesX(config.interval, residuals)
     curve = stability_curve(
@@ -304,16 +288,11 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     """Deterministic link-budget summary of the squeezing advantage.
 
     eta_total combines geometric collection (1 when no geometry is
-    configured) with detector efficiency; pointing jitter is a sampling
-    effect and enters only :func:`link_efficiency`.  The squeezed
-    deviation is the classical one scaled by the square root of the
-    squeezed variance after loss, eta*exp(-2r) + 1 - eta (``apply_loss``).
+    configured) with detector efficiency.  The squeezed deviation is the
+    classical one scaled by the square root of the squeezed variance
+    after loss, eta*exp(-2r) + 1 - eta (``apply_loss``).
     """
-    if link.geometric is not None:
-        zero_pointing = replace(link, pointing_sigma=0.0, eta_detector=1.0)
-        eta_total = link_efficiency(zero_pointing) * link.eta_detector
-    else:
-        eta_total = link.eta_detector
+    eta_total = link.eta_detector if link.geometric is None else link_efficiency(link)
     sigma_classical = model_sigma(replace(model, r=0.0))
     effective_variance = apply_loss(SqueezedState(model.r), eta_total).variance_squeezed
     sigma_quantum = math.sqrt(effective_variance) * sigma_classical

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import os
 import subprocess
 import sys
@@ -381,3 +382,20 @@ def test_floating_point_fault_is_logged_at_info(tmp_path):
                                  "nu0: 1.92e14, trials: 100}", COMBSYNC_LOG="info")
     assert proc.returncode == 0
     assert "INFO combsync: numpy floating-point divide by zero" in proc.stderr.splitlines()
+
+
+def test_log_level_is_read_on_every_call(tmp_path, monkeypatch, caplog, capsys):
+    # caplog only listens: the level comes from COMBSYNC_LOG alone.
+    logger = logging.getLogger("combsync")
+    saved = logger.level
+    config = CONFIGS / "advantage_leo.yaml"
+    try:
+        monkeypatch.setenv("COMBSYNC_LOG", "WARNING")
+        assert run_cli("advantage", config, tmp_path / "quiet") == 0
+        assert not [r for r in caplog.records if r.name == "combsync"]
+        monkeypatch.setenv("COMBSYNC_LOG", "INFO")
+        assert run_cli("advantage", config, tmp_path / "loud") == 0
+        messages = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "combsync"]
+        assert messages == [("INFO", f"wrote {tmp_path / 'loud' / 'advantage.txt'}")]
+    finally:
+        logger.setLevel(saved)

@@ -39,7 +39,7 @@ DELETE = object()
 
 LINK = {
     "distance_km": 100.0, "delay_ab": 3.3e-4, "delay_ba": 3.3e-4, "troposphere": False,
-    "pointing_sigma": 0.0, "eta_detector": 1.0, "sigma_excess": 0.0,
+    "eta_detector": 1.0, "sigma_excess": 0.0,
     "geometric": {"wavelength": 1.56e-6, "waist": 0.16552, "aperture_radius": 0.3},
 }
 ESTIMATOR = {"method": "temporal_mode", "n": 100.0, "nu0": 1.92e14, "t0": 1.0e-14, "r": 0.0}
@@ -52,7 +52,7 @@ BASE = {
     "stability": {"command": "stability", "seed": 1,
                   "stability": {"variant": "ffi1", "m_values": [1, 2, 4], "noise": SERIES}},
     "sync": {"command": "sync", "seed": 1, "sync": {
-        "trials": 128, "interval": 1.0, "true_offset": 0.0, "turnaround": 1.0e-3,
+        "trials": 128, "interval": 1.0, "true_offset": 0.0,
         "clock_a": {"nu0": 1.94e14, "frac_freq_offset": 0.0, "drift": 0.0,
                     "noise": [{"kind": "white_pm", "amplitude": 1.0e-24, "seed": 1}]},
         "clock_b": {"nu0": 1.94e14},
@@ -135,7 +135,7 @@ CASES = [
     ("sync", ("sync", "interval"), "x", "'sync.interval' must be a number, got 'x'"),
     ("sync", ("sync", "interval"), -1.0, "invalid 'sync': interval must be positive, got -1.0"),
     ("sync", ("sync", "true_offset"), float("nan"), "'sync.true_offset' must be finite, got nan"),
-    ("sync", ("sync", "turnaround"), -1.0, "invalid 'sync': turnaround must be >= 0, got -1.0"),
+    ("sync", ("sync", "turnaround"), 1.0e-3, "unknown key 'sync.turnaround'"),
     ("sync", ("sync", "clock_a"), DELETE, "missing required key 'sync.clock_a'"),
     ("sync", ("sync", "clock_b"), "quartz", "'sync.clock_b' must be a mapping, got str"),
     ("sync", ("sync", "clock_a", "nu0"), DELETE, "missing required key 'sync.clock_a.nu0'"),
@@ -164,8 +164,7 @@ CASES = [
      "unknown key 'sync.link.troposphere_enabled'"),
     ("sync", ("sync", "link", "eta_detector"), 1.5,
      "invalid 'sync.link': eta_detector must lie in [0, 1], got 1.5"),
-    ("sync", ("sync", "link", "pointing_sigma"), -1.0,
-     "invalid 'sync.link': pointing_sigma must be finite and >= 0, got -1.0"),
+    ("sync", ("sync", "link", "pointing_sigma"), 0.0, "unknown key 'sync.link.pointing_sigma'"),
     ("sync", ("sync", "link", "geometric"), None, "'sync.link.geometric' must be a mapping, got NoneType"),
     ("sync", ("sync", "link", "geometric", "waist"), DELETE,
      "missing required key 'sync.link.geometric.waist'"),
@@ -232,6 +231,7 @@ CASES = [
     ("advantage", ("advantage", "link", "geometric", "aperture_radius"), DELETE,
      "missing required key 'advantage.link.geometric.aperture_radius'"),
     ("advantage", ("advantage", "seed"), 1, "unknown key 'advantage.seed'"),
+    ("advantage", ("advantage", "link", "pointing_sigma"), 1e-6, "unknown key 'advantage.link.pointing_sigma'"),
 ]
 
 
@@ -482,7 +482,7 @@ series = st.fixed_dictionaries({"kind": KIND, "amplitude": AMPLITUDES, "seed": S
 link = st.fixed_dictionaries({
     "distance_km": POSITIVE, "delay_ab": st.sampled_from([0.0, 3.3e-4, 1e300]),
     "delay_ba": st.sampled_from([0.0, 3.3e-4]), "troposphere": st.booleans(),
-    "eta_detector": ETAS, "pointing_sigma": st.sampled_from([0.0, 1e-6]),
+    "eta_detector": ETAS,
     "sigma_excess": st.sampled_from([0.0, 1e-12]),
 }, optional={"geometric": st.fixed_dictionaries(
     {"wavelength": POSITIVE, "waist": POSITIVE, "aperture_radius": POSITIVE})})

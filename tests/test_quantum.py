@@ -260,6 +260,12 @@ class TestMonteCarloSigma:
         assert abs(mean - 2e-15) <= 3.0 * sigma / math.sqrt(trials)
         assert abs(std - sigma) <= 3.0 * sigma / math.sqrt(2.0 * trials)
 
+    @pytest.mark.parametrize("true_offset", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_true_offset(self, true_offset):
+        model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14)
+        with pytest.raises(InvalidArgument, match="true_offset must be finite"):
+            monte_carlo_sigma(model, 100, true_offset=true_offset)
+
     def test_sql_exponent_sweep(self):
         ns = np.logspace(2, 6, 9)
         stds = [
