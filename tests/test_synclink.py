@@ -11,6 +11,7 @@ from combsync.config import load_config
 from combsync.errors import InvalidArgument
 from combsync.noisegen import NoiseKind, NoiseSpec
 from combsync.quantum import EstimatorMethod, EstimatorModel, r_from_db
+from combsync.seeding import derive_seed
 from combsync.stability import fit_slope
 from combsync.synclink import (
     AdvantageReport,
@@ -388,3 +389,41 @@ class TestExchangeArguments:
         monkeypatch.setattr(synclink, "sample_clock", forbidden)
         rec = simulate_exchange(RAMP, SILENT, DRY, 1e-6)
         assert all(type(v) is float for v in (rec.t1, rec.t2, rec.t3, rec.t4))
+
+    @pytest.mark.parametrize("entry", ["exchange", "campaign"])
+    @pytest.mark.parametrize("true_offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_true_offset_rejected(self, entry, true_offset):
+        build = {
+            "exchange": lambda: simulate_exchange(RAMP, RAMP, DRY, true_offset),
+            "campaign": lambda: SyncCampaign(RAMP, RAMP, DRY, true_offset=true_offset),
+        }[entry]
+        with pytest.raises(InvalidArgument, match="true_offset must be finite"):
+            build()
+
+
+class TestExchangeTiming:
+    def test_noiseless_phase_is_the_ramp_at_one_second(self):
+        rec = simulate_exchange(RAMP, quiet_clock(), symmetric_link(0.0), 0.0, seed=7)
+        assert rec.t1 == RAMP.frac_freq_offset * 1.0 + 0.5 * RAMP.drift * 1.0
+        assert rec.t2 == 0.0
+
+    def test_noisy_phase_is_the_path_sample_at_one_second(self):
+        rec = simulate_exchange(NOISY, quiet_clock(), symmetric_link(0.0), 0.0, seed=7)
+        assert rec.t1 == sample_clock(NOISY, 2, 1.0, seed=derive_seed(7, 1)).samples[1]
+        assert rec.t1 != 0.0
+
+    # A clock's phase is one draw per exchange, so a turnaround 500 times the
+    # fixed one moves the two-way estimate only by rounding at 0.5 s.
+    def test_exchange_estimate_ignores_turnaround(self, monkeypatch):
+        before = two_way_offset(simulate_exchange(NOISY, RAMP, DRY, 3e-6, seed=15))
+        monkeypatch.setattr(synclink, "TURNAROUND_S", 0.5)
+        rec = simulate_exchange(NOISY, RAMP, DRY, 3e-6, seed=15)
+        assert rec.t3 - rec.t2 == pytest.approx(0.5, rel=1e-12)
+        assert abs(two_way_offset(rec) - before) <= 2 * math.ulp(0.5)
+
+    def test_campaign_estimates_ignore_turnaround(self, monkeypatch):
+        campaign = SyncCampaign(NOISY, NOISY, WET, true_offset=3e-6, estimator=tm_estimator())
+        before = run_sync_campaign(campaign, 128, seed=5).estimates
+        monkeypatch.setattr(synclink, "TURNAROUND_S", 0.5)
+        after = run_sync_campaign(campaign, 128, seed=5).estimates
+        assert np.abs(after - before).max() <= 2 * math.ulp(0.5)
