@@ -3,10 +3,10 @@
 Everything here is deliberately literal and slow: deviation statistics
 as explicit nested loops, frequency-domain noise synthesis as an
 alternative generation route, the recursive-filter synthesis with its
-first (full-length) FFT padding, textbook deviation levels for the three
-FM noise kinds, and a periodogram of a generated series.  None of it shares
-code with the package under test; the periodogram only raises the
-package's error type.
+first (full-length) FFT padding, a compensated running sum, textbook
+deviation levels for the three FM noise kinds, and a periodogram of a
+generated series.  None of it shares code with the package under test;
+the periodogram only raises the package's error type.
 """
 
 from __future__ import annotations
@@ -110,6 +110,26 @@ def shaped_gaussian_reference(rng, exponent: int, coefficient: float, count: int
     h = fractional_taps(exponent, total)
     size = 1 << (2 * total - 1).bit_length()
     return np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[count:total]
+
+
+def compensated_running_sum(values: np.ndarray, start: int) -> np.ndarray:
+    """Running sums values[0] + ... + values[k] for k >= start, in Python floats.
+
+    Neumaier's compensated summation carries each addition's rounding error
+    in a second float, so every sum is exact to within about one rounding.
+    """
+    total = carry = 0.0
+    sums = []
+    for k, value in enumerate(values.tolist()):
+        t = total + value
+        if abs(total) >= abs(value):
+            carry += (total - t) + value
+        else:
+            carry += (value - t) + total
+        total = t
+        if k >= start:
+            sums.append(total + carry)
+    return np.array(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ CONFIGS = Path(__file__).parent / "configs"
 
 ALL_FIXTURES = [
     ("noise", "noise_flicker_fm.yaml", ["noise.csv"]),
+    ("noise", "noise_random_walk_fm.yaml", ["noise.csv"]),
     ("stability", "stability_white_fm.yaml", ["sigma_tau.csv"]),
     ("sync", "sync_white_pm.yaml", ["campaign.csv", "campaign_summary.txt"]),
     ("quantum-scaling", "scaling_sql.yaml", ["scaling.csv"]),
@@ -71,6 +72,8 @@ def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
 FIXTURE_SHA256 = [
     ("noise", "noise_flicker_fm.yaml", "noise.csv",
      "0da425724a428322f25b9816c3ba7421e629e853c6b39e99aaee022020357f75"),
+    ("noise", "noise_random_walk_fm.yaml", "noise.csv",
+     "febf2928db343e2ac5c701fa80fc5779f384b91e5873d3bf7cb31554c9f3dc04"),
     ("stability", "stability_white_fm.yaml", "sigma_tau.csv",
      "41727625c554ef40e492133a9701c92838b8767669820ba0577bbe9747f661b5"),
     ("stability", "stability_white_pm_ffi2.yaml", "sigma_tau.csv",

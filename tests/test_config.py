@@ -381,6 +381,8 @@ def _clock(seed):
 
 FIXTURE_PAYLOADS = {
     "noise_flicker_fm.yaml": SeriesSource(NoiseSpec(NoiseKind.FLICKER_FM, 1.0e-22, 0), count=4096, tau0=0.5),
+    "noise_random_walk_fm.yaml": SeriesSource(NoiseSpec(NoiseKind.RANDOM_WALK_FM, 1.0e-22, 0), count=4097,
+                                              tau0=0.5),
     "stability_white_fm.yaml": StabilityRun(
         SeriesSource(NoiseSpec(NoiseKind.WHITE_FM, 1.0e-24, 0), count=65536, tau0=1.0),
         variant=Variant.FFI1, m_values=None),

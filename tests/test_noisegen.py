@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from combsync.errors import InsufficientData, InvalidArgument
 from combsync.noisegen import (
@@ -88,6 +88,15 @@ class TestGenerateNoise:
         assert np.array_equal(a.samples, b.samples)
         c = generate_noise(NoiseSpec(kind, 1e-22, seed=100), 512, 2.0)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_series_owns_only_its_samples(self, kind):
+        # A view into the draw or FFT buffer would keep two to four times the samples alive.
+        samples = generate_noise(NoiseSpec(kind, 1e-22, seed=4), 4097, 0.5).samples
+        owner = samples
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == samples.nbytes == 4097 * 8
 
     def test_white_fm_ffi1_slope(self):
         series = generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1e-22, seed=7), 2**16, 1.0)
@@ -182,7 +191,9 @@ class TestPsdEstimate:
 SHAPED_KINDS = [NoiseKind.FLICKER_PM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM]
 # The right-sized FFT rounds differently from the full-length one.  Over 100
 # seeds per kind at counts 257, 4097 and 2**15 + 1, the worst difference was
-# 12.2 eps * max|ref| (random-walk FM at 2**15 + 1; flicker PM 6.0, flicker FM 3.5).
+# 6.0 eps * max|ref| for flicker PM and 3.5 for flicker FM.  Random-walk FM, a
+# blocked running sum, was at most 11.0 (at 2**15 + 1); the FFT it replaced
+# reached 12.2, which set this bound.
 FFT_ULPS = 16
 
 
@@ -203,7 +214,8 @@ class TestFftSize:
         ref = _reference_noise(kind, count, seed=count)
         assert np.max(np.abs(ours - ref)) <= FFT_ULPS * np.finfo(float).eps * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("kind", [NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM])
+    # Random-walk FM runs no FFT, so only flicker FM can match the oracle bit for bit.
+    @pytest.mark.parametrize("kind", [NoiseKind.FLICKER_FM])
     @pytest.mark.parametrize("count", [2, 256, 4096, 2**15])
     def test_fm_kinds_at_power_of_two_counts_are_bit_identical(self, kind, count):
         # 3 * count - 1 and 4 * count - 1 round up to the same power of two.
@@ -222,3 +234,29 @@ class TestFftSize:
                        oracles.shaped_gaussian_reference(np.random.default_rng(count), exponent, coefficient,
                                                          count, 1.0)):
             assert np.max(np.abs(shaped - direct)) <= bound
+
+
+def _running_sum_error(count, seed, coefficient=1e-22):
+    """Random-walk _shaped_gaussian's distance from the compensated running sum, in eps."""
+    scale = np.sqrt(coefficient / (2.0 * (2.0 * np.pi) ** -2))  # tau0 = 1
+    white = np.random.default_rng(seed).standard_normal(2 * count) * scale
+    # From the warm-up sum on: the kept sums of a short walk can cancel to near
+    # zero while the warm-up sum, which every float route rounds, stays large.
+    exact = oracles.compensated_running_sum(white, count - 1)
+    ours = _shaped_gaussian(np.random.default_rng(seed), -2, coefficient, count, 1.0)
+    assert ours.shape == (count,)
+    return np.max(np.abs(ours - exact[1:])) / (np.finfo(float).eps * np.max(np.abs(exact)))
+
+
+class TestRunningSum:
+    @given(st.integers(2, 5000), st.integers(0, 2**32))
+    @example(2, 0)
+    @example(3, 0)
+    @example(4096, 1)  # 64 blocks of 64
+    @example(4097, 1)  # 63 blocks of 65 and one of 2
+    @example(1000, 2)  # 31 blocks of 32 and one of 8
+    def test_within_fft_ulps_of_the_compensated_sum(self, count, seed):
+        assert _running_sum_error(count, seed) <= FFT_ULPS
+
+    def test_within_fft_ulps_of_the_compensated_sum_at_2_to_the_18(self):
+        assert _running_sum_error(2**18, 18) <= FFT_ULPS
