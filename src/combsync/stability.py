@@ -9,17 +9,25 @@ plus the time deviation derived from the third:
              that separates white PM from flicker PM
     tdev  -- (tau / sqrt(3)) * ffi2
 
-The module evaluates the overlapping sums through cumulative windows of
-the raw sample differences, which is algebraically the phase-domain
-(second/third difference) form evaluated without building large phase
-partial sums; the literal nested sums remain the test oracle.
+A single-m estimator evaluates its overlapping sums through cumulative
+windows of the raw sample differences, which is algebraically the
+phase-domain (second/third difference) form evaluated without building
+large phase partial sums.  A curve over octave averaging factors
+(every m a power of two) is swept instead: one array of window sums is
+carried from m to 2m by adding two (ffi1) or three (ffi2, tdev) shifted
+copies of itself, so no long running sum is formed at all.  These are
+the octave-spaced overlapping estimators of Riley, Handbook of Frequency
+Stability Analysis, NIST SP 1065 (2008).  The literal nested sums remain
+the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -124,9 +132,21 @@ def _window_sums(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def _validate_m(m: int) -> int:
-    if int(m) != m or m < 1:
-        raise InvalidArgument(f"averaging factor m must be a positive integer, got {m}")
+    """m as an int; a bool, a non-number, a fraction, a non-finite or a non-positive value raises InvalidArgument."""
+    integral = isinstance(m, numbers.Integral) or (isinstance(m, (float, np.floating)) and m.is_integer())
+    if isinstance(m, bool) or not integral or m < 1:
+        raise InvalidArgument(f"averaging factor m must be a positive integer, got {m!r}")
     return int(m)
+
+
+def _check_length(name: str, m: int, need: int, size: int) -> None:
+    if size < need:
+        raise InsufficientData(f"{name} with m={m} needs at least {need} samples, got {size}")
+
+
+def _deviation(sums: np.ndarray, scale: int) -> float:
+    """sqrt(sum(sums**2) / (2 * scale * len(sums))), the readout of every estimator."""
+    return float(np.sqrt(np.sum(sums * sums) / (2.0 * scale * sums.size)))
 
 
 def ffi0(series: TimeSeriesY) -> float:
@@ -134,31 +154,25 @@ def ffi0(series: TimeSeriesY) -> float:
     y = series.samples
     if y.size < 2:
         raise InsufficientData(f"ffi0 needs at least 2 samples, got {y.size}")
-    d = np.diff(y)
-    return float(np.sqrt(np.sum(d * d) / (2.0 * d.size)))
+    return _deviation(np.diff(y), 1)
 
 
 def ffi1(series: TimeSeriesY, m: int) -> float:
     """Overlapping two-sample deviation at averaging factor m (tau = m*tau0)."""
     m = _validate_m(m)
     y = series.samples
-    if y.size - 2 * m + 1 < 1:
-        raise InsufficientData(f"ffi1 with m={m} needs at least {2 * m} samples, got {y.size}")
+    _check_length("ffi1", m, 2 * m, y.size)
     d = y[m:] - y[:-m]
-    w = _window_sums(d, m)
-    return float(np.sqrt(np.sum(w * w) / (2.0 * m * m * w.size)))
+    return _deviation(_window_sums(d, m), m * m)
 
 
 def ffi2(series: TimeSeriesY, m: int) -> float:
     """Modified (double-averaged) deviation at averaging factor m."""
     m = _validate_m(m)
     y = series.samples
-    if y.size - 3 * m + 2 < 1:
-        raise InsufficientData(f"ffi2 with m={m} needs at least {3 * m - 1} samples, got {y.size}")
+    _check_length("ffi2", m, 3 * m - 1, y.size)
     d = y[m:] - y[:-m]
-    w = _window_sums(d, m)
-    s = _window_sums(w, m)
-    return float(np.sqrt(np.sum(s * s) / (2.0 * m**4 * s.size)))
+    return _deviation(_window_sums(_window_sums(d, m), m), m**4)
 
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
@@ -197,17 +211,63 @@ def _point_value(series: TimeSeriesY, m: int, variant: Variant) -> float:
     raise InvalidArgument(f"unknown variant {variant!r}")
 
 
+def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], float]:
+    """Point values for increasing powers of two m, from one array carried across the octaves.
+
+    FFI1 carries the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
+    and reads w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
+    double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
+    read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ffi1 and ffi2
+    build from cumulative sums, so the readout and the length checks are theirs.
+    """
+    y = series.samples
+    is_ffi1 = variant is Variant.FFI1
+    carried, carried_m = y, 1
+
+    def value(m: int) -> float:
+        nonlocal carried, carried_m
+        if is_ffi1:
+            _check_length("ffi1", m, 2 * m, y.size)
+        else:
+            _check_length("ffi2", m, 3 * m - 1, y.size)
+        while carried_m < m:
+            k = carried_m
+            if is_ffi1:
+                carried = carried[:-k] + carried[k:]
+            else:
+                z = carried[k:-k] * 2.0
+                z += carried[: -2 * k]
+                z += carried[2 * k :]
+                carried = z
+            carried_m = 2 * k
+        sums = carried[m:] - carried[:-m]
+        if is_ffi1:
+            return _deviation(sums, m * m)
+        deviation = _deviation(sums, m**4)
+        return tdev_from_ffi2(deviation, m * series.tau0) if variant is Variant.TDEV else deviation
+
+    return value
+
+
 def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Variant) -> StabilityCurve:
     """Evaluate one statistic over several averaging factors.
 
-    Averaging factors the series is too short for are skipped and noted
-    in the returned curve's ``warnings`` instead of failing the curve.
+    FFI1, FFI2 and TDEV curves whose averaging factors are all powers of
+    two are swept octave by octave; FFI0 and other sets of m evaluate each
+    point on its own.  Averaging factors the series is too short for are
+    skipped and noted in the returned curve's ``warnings`` instead of
+    failing the curve.
     """
+    ms = sorted({_validate_m(m) for m in m_values})
+    if variant in (Variant.FFI1, Variant.FFI2, Variant.TDEV) and all(m & (m - 1) == 0 for m in ms):
+        point_value = _octave_sweep(series, variant)
+    else:
+        point_value = partial(_point_value, series, variant=variant)
     points = []
     warnings = []
-    for m in sorted({_validate_m(m) for m in m_values}):
+    for m in ms:
         try:
-            value = _point_value(series, m, variant)
+            value = point_value(m)
         except InsufficientData as exc:
             warnings.append(f"m={m}: {exc}")
             continue

@@ -1,15 +1,19 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately literal and slow: deviation statistics
-as explicit nested loops, frequency-domain noise synthesis as an
-alternative generation route, the recursive-filter synthesis with its
-first (full-length) FFT padding, a compensated running sum, textbook
-deviation levels for the three FM noise kinds, and a periodogram of a
-generated series.  None of it shares code with the package under test;
-the periodogram only raises the package's error type.
+as explicit nested loops and as exact integer sums, frequency-domain
+noise synthesis as an alternative generation route, the recursive-filter
+synthesis with its first (full-length) FFT padding, a compensated running
+sum, textbook deviation levels for the three FM noise kinds, and a
+periodogram of a generated series.  None of it shares code with the
+package under test; the periodogram only raises the package's error type.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,6 +74,52 @@ def brute_ffi2_x(x: np.ndarray, m: int, tau0: float) -> float:
         )
         outer += inner**2
     return float(np.sqrt(outer / (2.0 * m**4 * (big_m - 3 * m + 2) * tau0**2)))
+
+
+# ---------------------------------------------------------------------------
+# Exact deviations: the samples as integers over one power-of-two
+# denominator, so every prefix sum and every square is exact
+
+
+def _common_integers(y: np.ndarray) -> tuple[list[int], int]:
+    """Integers n_k and one denominator d with y_k = n_k / d exactly."""
+    ratios = [value.as_integer_ratio() for value in y.tolist()]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _sqrt_fraction(num: int, den: int, bits: int = 100) -> Fraction:
+    """sqrt(num / den) rounded down to a Fraction within 2**-bits relative."""
+    if num == 0:
+        return Fraction(0)
+    shift = max(0, bits + 2 - (num.bit_length() - den.bit_length()) // 2)
+    return Fraction(math.isqrt((num << (2 * shift)) // den), 1 << shift)
+
+
+def exact_ffi1(y: np.ndarray, m: int) -> Fraction:
+    """ffi1 of float samples y as a Fraction within 2**-100 relative of the exact value.
+
+    With phase sums P_i = y_0 + ... + y_{i-1}, the window sums are
+    w_j = P_{j+2m} - 2 P_{j+m} + P_j.
+    """
+    ints, den = _common_integers(y)
+    p = list(accumulate(ints, initial=0))
+    terms = len(ints) - 2 * m + 1
+    total = sum((p[j + 2 * m] - 2 * p[j + m] + p[j]) ** 2 for j in range(terms))
+    return _sqrt_fraction(total, 2 * m**2 * terms * den**2)
+
+
+def exact_ffi2(y: np.ndarray, m: int) -> Fraction:
+    """ffi2 of float samples y as a Fraction within 2**-100 relative of the exact value.
+
+    With Q_i = P_0 + ... + P_{i-1} over the phase sums P, the double
+    window sums are s_j = Q_{j+3m} - 3 Q_{j+2m} + 3 Q_{j+m} - Q_j.
+    """
+    ints, den = _common_integers(y)
+    q = list(accumulate(accumulate(ints, initial=0), initial=0))
+    terms = len(ints) - 3 * m + 2
+    total = sum((q[j + 3 * m] - 3 * q[j + 2 * m] + 3 * q[j + m] - q[j]) ** 2 for j in range(terms))
+    return _sqrt_fraction(total, 2 * m**4 * terms * den**2)
 
 
 # ---------------------------------------------------------------------------

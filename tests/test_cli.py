@@ -40,6 +40,7 @@ ALL_FIXTURES = [
     ("sync", "sync_white_pm.yaml", ["campaign.csv", "campaign_summary.txt"]),
     ("quantum-scaling", "scaling_sql.yaml", ["scaling.csv"]),
     ("advantage", "advantage_leo.yaml", ["advantage.txt"]),
+    ("stability", "stability_tdev_m_values.yaml", ["sigma_tau.csv"]),
 ]
 
 
@@ -75,9 +76,11 @@ FIXTURE_SHA256 = [
     ("noise", "noise_random_walk_fm.yaml", "noise.csv",
      "febf2928db343e2ac5c701fa80fc5779f384b91e5873d3bf7cb31554c9f3dc04"),
     ("stability", "stability_white_fm.yaml", "sigma_tau.csv",
-     "41727625c554ef40e492133a9701c92838b8767669820ba0577bbe9747f661b5"),
+     "06af1363b77a9b8be55890bbad5546ee9893bdea1c0257bafa62c198ab049245"),
     ("stability", "stability_white_pm_ffi2.yaml", "sigma_tau.csv",
-     "812f1a8e013bab744ec94474669c19b604dfa4f73e02265a3654550002588863"),
+     "30f041ff0a624c392b8afa33b92be4e9df63ac825dc9538c75abdd53a9c1b1a2"),
+    ("stability", "stability_tdev_m_values.yaml", "sigma_tau.csv",
+     "bcc0e9dec7ee1cb8164000bb52c0a64c0265ab765f31cc50acd6dcfb7f635cb4"),
     ("sync", "sync_white_pm.yaml", "campaign.csv",
      "a16aa9c8106dc9b4be0f8c8af34b265bcbb8995f475ba8376a3bfa417dd41795"),
     ("sync", "sync_white_pm.yaml", "campaign_summary.txt",

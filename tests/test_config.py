@@ -389,6 +389,9 @@ FIXTURE_PAYLOADS = {
     "stability_white_pm_ffi2.yaml": StabilityRun(
         SeriesSource(NoiseSpec(NoiseKind.WHITE_PM, 1.0e-24, 0), count=65536, tau0=1.0),
         variant=Variant.FFI2, m_values=None),
+    "stability_tdev_m_values.yaml": StabilityRun(
+        SeriesSource(NoiseSpec(NoiseKind.FLICKER_PM, 1.0e-24, 0), count=4096, tau0=1.0),
+        variant=Variant.TDEV, m_values=(1, 3, 10, 30, 100, 2000)),
     "sync_white_pm.yaml": SyncRun(
         campaign=SyncCampaign(
             clock_a=_clock(1), clock_b=_clock(2), link=_link(), interval=1.0, true_offset=1.0e-6,

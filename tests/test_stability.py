@@ -1,5 +1,7 @@
 import io
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,8 +124,17 @@ class TestFfi1:
             ffi1(TimeSeriesY(1.0, [1.0, 2.0, 3.0]), 2)
 
     def test_rejects_bad_m(self):
-        with pytest.raises(InvalidArgument):
-            ffi1(random_series(1), 0)
+        # Every entry point that takes an averaging factor validates it the same way.
+        series = random_series(1)
+        calls = (ffi1, ffi2, decimate, lambda s, m: stability_curve(s, [1, m], Variant.FFI1))
+        for call in calls:
+            for m in (0, -2, 2.5, True, False, float("nan"), float("inf"), float("-inf"), "3", None, 2 + 0j):
+                with pytest.raises(InvalidArgument, match=re.escape(f"got {m!r}")):
+                    call(series, m)
+
+    def test_accepts_integer_valued_m(self):
+        series = random_series(2)
+        assert ffi1(series, np.int64(3)) == ffi1(series, 3.0) == ffi1(series, 3)
 
 
 class TestFfi2:
@@ -222,16 +233,71 @@ class TestStabilityCurve:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_points_equal_single_m_calls(self, variant):
         series = random_series(31, length=64)
-        curve = stability_curve(series, [1, 2, 4, 8], variant)
         lookup = {
             Variant.FFI0: lambda m: ffi0(decimate(series, m)),
             Variant.FFI1: lambda m: ffi1(series, m),
             Variant.FFI2: lambda m: ffi2(series, m),
             Variant.TDEV: lambda m: tdev(series, m),
         }[variant]
+        for m_values in ([1, 2, 4, 8], [1, 2, 3, 8]):
+            curve = stability_curve(series, m_values, variant)
+            # Octave FFI1/FFI2/TDEV curves are swept, which rounds differently
+            # from the single-m window sums; every other curve calls them.
+            swept = variant is not Variant.FFI0 and m_values == [1, 2, 4, 8]
+            assert [p.m for p in curve.points] == m_values
+            for p in curve.points:
+                if swept:
+                    assert p.value == pytest.approx(lookup(p.m), rel=1e-13, abs=0.0)
+                else:
+                    assert p.value == lookup(p.m)
+                assert p.tau == p.m * series.tau0
+
+    @pytest.mark.parametrize("variant", [Variant.FFI1, Variant.FFI2, Variant.TDEV])
+    def test_sweep_skips_like_single_m_calls(self, variant):
+        # 21 samples: ffi1 stops after m = 8 and ffi2 after m = 4 (it needs 3m - 1).
+        series = random_series(7, length=21)
+        m_values = [1, 2, 4, 8, 16, 32]
+        single = {Variant.FFI1: ffi1, Variant.FFI2: ffi2, Variant.TDEV: tdev}[variant]
+        kept, warnings = [], []
+        for m in m_values:
+            try:
+                single(series, m)
+            except InsufficientData as exc:
+                warnings.append(f"m={m}: {exc}")
+            else:
+                kept.append(m)
+        curve = stability_curve(series, m_values, variant)
+        assert warnings and [p.m for p in curve.points] == kept
+        assert curve.warnings == tuple(warnings)
+        # Adding m = 3 sends the same set down the per-m path.
+        mixed = stability_curve(series, [*m_values, 3], variant)
+        assert [p.m for p in mixed.points] == sorted([*kept, 3])
+        assert mixed.warnings == curve.warnings
+
+    @given(
+        finite_samples,
+        st.one_of(st.sets(st.sampled_from([1, 2, 4, 8, 16]), min_size=1),
+                  st.sets(st.integers(1, 14), min_size=1)),
+        st.sampled_from(list(Variant)),
+    )
+    def test_matches_brute_oracles(self, samples, m_values, variant):
+        series = TimeSeriesY(0.5, samples)
+        curve = stability_curve(series, m_values, variant)
+        scale = 1.0 + np.abs(samples).max()
         for p in curve.points:
-            assert p.value == lookup(p.m)
-            assert p.tau == p.m * series.tau0
+            m = p.m
+            if variant is Variant.FFI0:
+                blocks = [sum(samples[i * m:(i + 1) * m].tolist()) / m for i in range(samples.size // m)]
+                brute = oracles.brute_ffi0_y(np.array(blocks))
+            elif variant is Variant.FFI1:
+                brute = oracles.brute_ffi1_y(samples, m)
+            else:
+                brute = oracles.brute_ffi2_y(samples, m)
+                if variant is Variant.TDEV:
+                    brute *= m * series.tau0 / math.sqrt(3.0)
+            assert p.value == pytest.approx(brute, rel=1e-12, abs=1e-12 * scale)
+        skipped = sorted(set(m_values) - {p.m for p in curve.points})
+        assert [int(w.split(":")[0][2:]) for w in curve.warnings] == skipped
 
     def test_skip_with_warning_policy(self):
         series = random_series(3, length=10)
@@ -247,6 +313,42 @@ class TestStabilityCurve:
             StabilityCurve(points=(p1, p2))
         with pytest.raises(InvalidArgument):
             StabilityCurve(points=(p1, p1))
+
+
+class TestOctaveSweepAccuracy:
+    """The octave sweep against exact integer sums, at 2^14 samples of each noise kind.
+
+    Over every octave m > 1 with at least 64 terms, the sweep's worst
+    relative error is no worse than the single-m window form's (or 2 eps,
+    where both are at the rounding floor), and strictly better on the FM
+    kinds, whose window form subtracts long running sums.
+    """
+
+    @staticmethod
+    def worst_errors(series, variant):
+        single, exact, terms = {
+            Variant.FFI1: (ffi1, oracles.exact_ffi1, lambda m: len(series) - 2 * m + 1),
+            Variant.FFI2: (ffi2, oracles.exact_ffi2, lambda m: len(series) - 3 * m + 2),
+        }[variant]
+        m_values = [m for m in octave_m_values(len(series), variant) if m > 1 and terms(m) >= 64]
+        curve = stability_curve(series, m_values, variant)
+        assert [p.m for p in curve.points] == m_values
+        window = swept = 0.0
+        for p in curve.points:
+            ref = exact(series.samples, p.m)
+            window = max(window, float(abs(Fraction(single(series, p.m)) - ref) / ref))
+            swept = max(swept, float(abs(Fraction(p.value) - ref) / ref))
+        return window, swept
+
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda kind: kind.value)
+    def test_sweep_is_at_least_as_accurate(self, kind):
+        series = generate_noise(NoiseSpec(kind, 1e-22, seed=0), 2**14, 1.0)
+        eps = np.finfo(float).eps
+        for variant in (Variant.FFI1, Variant.FFI2):
+            window, swept = self.worst_errors(series, variant)
+            assert swept <= max(window, 2 * eps), (variant, window, swept)
+            if kind in (NoiseKind.WHITE_FM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM):
+                assert swept < window, (variant, window, swept)
 
 
 class TestFitSlope:
