@@ -22,7 +22,14 @@ only as a test oracle in the test suite.  A shaped series of ``n`` samples
 ``2n`` white draws and drops the first ``n`` as warm-up.  For the flicker
 kinds the filter runs as one FFT convolution of the smallest power-of-two
 size at or above ``3n - 1``, the least size that keeps the emitted samples
-free of wrap-around.  Random-walk FM has every tap equal to 1, so its
+free of wrap-around.  The filter's transform depends only on the series
+length, so a private one-entry memo keyed on ``(2n, FFT size)`` keeps the
+last one, read-only: repeated flicker series of one length (both clocks of
+a campaign, a sweep over seeds) transform only their draws, and every
+sample is bit for bit what a fresh transform gives.  The memo holds one
+complex spectrum of ``L/2 + 1`` bins, about ``8 L`` bytes for FFT size
+``L`` (8 MiB at 2**18 samples), until a flicker series of another length
+replaces it.  Random-walk FM has every tap equal to 1, so its
 filter is the running sum of the draws.  That sum runs in blocks of about
 ``sqrt(n)`` draws: a sequential cumulative sum inside each block, on top
 of a pairwise sum of the warm-up draws and a cumulative sum of the block
@@ -33,6 +40,7 @@ over all ``n`` draws strays by about 130 eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -117,12 +125,19 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     ``count`` outputs dropped as warm-up, leaving ``count`` samples in an
     array of their own.  Exponent -2 is the running sum of the draws,
     summed in blocks of about ``sqrt(count)``; the flicker exponent runs
-    an FFT of the smallest power of two at or above ``3 * count - 1``.
+    an FFT of the smallest power of two at or above ``3 * count - 1``
+    against the filter spectrum memoized by ``_flicker_response``.
     """
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
     qd = coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1))
     total = 2 * count
+    if exponent == -1:
+        # The linear convolution spans [0, 2*total - 2] and a size-L FFT folds n + L onto n,
+        # so the kept slice n >= count is alias-free once L >= total + count - 1.
+        size = 1 << (total + count - 2).bit_length()
+        # Fetched before the draws exist, so a miss does not hold them alive while it transforms.
+        response = _flicker_response(total, size)
     white = rng.standard_normal(total)
     if exponent == 0:
         return white[count:] * math.sqrt(qd)
@@ -139,11 +154,18 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
         np.cumsum(blocks, axis=1, out=blocks)
         blocks += starts[:, None]
         return blocks.ravel()[:count].copy()
-    h = fractional_filter_coeffs(exponent, total)
-    # The linear convolution spans [0, 2*total - 2] and a size-L FFT folds n + L onto n,
-    # so the kept slice n >= count is alias-free once L >= total + count - 1.
-    size = 1 << (total + count - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[count:total].copy()
+    spectrum = np.fft.rfft(white, size)
+    del white  # freed before the inverse transform allocates, which keeps the peak RSS flat
+    spectrum *= response
+    return np.fft.irfft(spectrum, size)[count:total].copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _flicker_response(total: int, size: int) -> np.ndarray:
+    """Read-only size-``size`` rfft of the first ``total`` flicker filter taps; memoizes one entry."""
+    response = np.fft.rfft(fractional_filter_coeffs(-1, total), size)
+    response.flags.writeable = False
+    return response
 
 
 def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:

@@ -57,8 +57,7 @@ class StabilityPoint:
     variant: Variant
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidArgument(f"averaging factor m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", _validate_m(self.m))
         if not math.isfinite(self.value) or self.value < 0.0:
             raise InvalidArgument(f"stability value must be finite and >= 0, got {self.value}")
         if not math.isfinite(self.tau) or self.tau <= 0.0:

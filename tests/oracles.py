@@ -3,7 +3,8 @@
 Everything here is deliberately literal and slow: deviation statistics
 as explicit nested loops and as exact integer sums, frequency-domain
 noise synthesis as an alternative generation route, the recursive-filter
-synthesis with its first (full-length) FFT padding, a compensated running
+synthesis with its first (full-length) FFT padding, flicker synthesis with
+a fresh filter transform at the package's padding, a compensated running
 sum, textbook deviation levels for the three FM noise kinds, and a
 periodogram of a generated series.  None of it shares code with the
 package under test; the periodogram only raises the package's error type.
@@ -159,6 +160,22 @@ def shaped_gaussian_reference(rng, exponent: int, coefficient: float, count: int
     white = rng.standard_normal(total) * np.sqrt(qd)
     h = fractional_taps(exponent, total)
     size = 1 << (2 * total - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[count:total]
+
+
+def one_shot_flicker(rng, coefficient: float, count: int, tau0: float) -> np.ndarray:
+    """Flicker (exponent -1) synthesis with fresh taps and a fresh filter transform.
+
+    The package's formula at its right-sized padding, the next power of two
+    at or above 3 * count - 1, with the taps from the scalar recursion and
+    nothing kept from one call to the next.
+    """
+    exponent = -1
+    qd = coefficient / (2.0 * (2.0 * np.pi) ** exponent * tau0 ** (exponent + 1))
+    total = 2 * count
+    white = rng.standard_normal(total) * np.sqrt(qd)
+    h = fractional_taps(exponent, total)
+    size = 1 << (3 * count - 2).bit_length()
     return np.fft.irfft(np.fft.rfft(white, size) * np.fft.rfft(h, size), size)[count:total]
 
 

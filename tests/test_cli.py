@@ -38,6 +38,7 @@ ALL_FIXTURES = [
     ("noise", "noise_random_walk_fm.yaml", ["noise.csv"]),
     ("stability", "stability_white_fm.yaml", ["sigma_tau.csv"]),
     ("sync", "sync_white_pm.yaml", ["campaign.csv", "campaign_summary.txt"]),
+    ("sync", "sync_flicker_fm.yaml", ["campaign.csv", "campaign_summary.txt"]),
     ("quantum-scaling", "scaling_sql.yaml", ["scaling.csv"]),
     ("advantage", "advantage_leo.yaml", ["advantage.txt"]),
     ("stability", "stability_tdev_m_values.yaml", ["sigma_tau.csv"]),
@@ -85,6 +86,10 @@ FIXTURE_SHA256 = [
      "a16aa9c8106dc9b4be0f8c8af34b265bcbb8995f475ba8376a3bfa417dd41795"),
     ("sync", "sync_white_pm.yaml", "campaign_summary.txt",
      "48f1bc3bc8bede237b6ff274da324e33c1368235bbd7eb3ee2824682b5559ce0"),
+    ("sync", "sync_flicker_fm.yaml", "campaign.csv",
+     "76f2b396c5d840fb985a3793bada08955b78ea1e8a1209ea266f8b320ba15eed"),
+    ("sync", "sync_flicker_fm.yaml", "campaign_summary.txt",
+     "a229fce5845d7bacd8977a19a72b70f459a264778e6719f0d7b13839fdc4cf55"),
     ("quantum-scaling", "scaling_sql.yaml", "scaling.csv",
      "fc048f79c62f7ad1da676a61c36fd2ac280fdba176c298d3240f9d682848f508"),
     ("quantum-scaling", "scaling_hl.yaml", "scaling.csv",

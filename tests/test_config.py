@@ -375,8 +375,8 @@ def _link(**kwargs):
                      delay_ba=3.3356409519815204e-4, **kwargs)
 
 
-def _clock(seed):
-    return ClockModel(nu0=1.94e14, noise=(NoiseSpec(NoiseKind.WHITE_PM, 1.0e-24, seed),))
+def _clock(seed, *extra):
+    return ClockModel(nu0=1.94e14, noise=(NoiseSpec(NoiseKind.WHITE_PM, 1.0e-24, seed), *extra))
 
 
 FIXTURE_PAYLOADS = {
@@ -397,6 +397,14 @@ FIXTURE_PAYLOADS = {
             clock_a=_clock(1), clock_b=_clock(2), link=_link(), interval=1.0, true_offset=1.0e-6,
             estimator=EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1.0e-14)),
         trials=2048,
+        comb=CombParams(f_r=1.0e8, f_0=2.0e7, t_0=1.0e-13, n_range=(1, 3000000))),
+    "sync_flicker_fm.yaml": SyncRun(
+        campaign=SyncCampaign(
+            clock_a=_clock(1, NoiseSpec(NoiseKind.FLICKER_FM, 1.0e-30, 2)),
+            clock_b=_clock(3, NoiseSpec(NoiseKind.FLICKER_FM, 1.0e-30, 4)),
+            link=_link(), interval=1.0, true_offset=1.0e-6,
+            estimator=EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1.0e-14)),
+        trials=4096,
         comb=CombParams(f_r=1.0e8, f_0=2.0e7, t_0=1.0e-13, n_range=(1, 3000000))),
     "scaling_sql.yaml": ScalingRun(
         mode="sql", trials=1000, method=EstimatorMethod.TEMPORAL_MODE, nu0=1.92e14, t0=1.0e-14,

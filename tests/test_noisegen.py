@@ -6,6 +6,7 @@ from combsync.errors import InsufficientData, InvalidArgument
 from combsync.noisegen import (
     NoiseKind,
     NoiseSpec,
+    _flicker_response,
     _shaped_gaussian,
     fractional_filter_coeffs,
     generate_noise,
@@ -234,6 +235,36 @@ class TestFftSize:
                        oracles.shaped_gaussian_reference(np.random.default_rng(count), exponent, coefficient,
                                                          count, 1.0)):
             assert np.max(np.abs(shaped - direct)) <= bound
+
+
+def _one_shot_noise(kind, count, seed, amplitude, tau0):
+    """generate_noise's PM/FM split over the fresh-transform flicker oracle."""
+    rng = np.random.default_rng(seed)
+    if kind.is_pm:
+        return np.diff(oracles.one_shot_flicker(rng, amplitude / (2.0 * np.pi) ** 2, count + 1, tau0)) / tau0
+    return oracles.one_shot_flicker(rng, amplitude, count, tau0)
+
+
+def test_flicker_spectrum_memo_keeps_samples_bit_identical():
+    # (kind, count, amplitude, tau0, memo hit): a flicker PM series of count n
+    # filters n + 1 phase samples, so PM at 4096 shares its key with FM at 4097.
+    sequence = [
+        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, False),
+        (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, False),
+        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, False),
+        (NoiseKind.FLICKER_FM, 4097, 1e-22, 0.5, True),
+        (NoiseKind.FLICKER_FM, 4096, 3e-26, 2.0, False),
+        (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, True),
+    ]
+    _flicker_response.cache_clear()
+    for seed, (kind, count, amplitude, tau0, hit) in enumerate(sequence):
+        hits = _flicker_response.cache_info().hits
+        samples = generate_noise(NoiseSpec(kind, amplitude, seed=seed), count, tau0).samples
+        assert np.array_equal(samples, _one_shot_noise(kind, count, seed, amplitude, tau0))
+        info = _flicker_response.cache_info()
+        assert (info.hits - hits, info.currsize) == (int(hit), 1)
+    assert not _flicker_response(2 * 4096, 2**14).flags.writeable  # the last call's key
+    assert _flicker_response.cache_info().misses == 4
 
 
 def _running_sum_error(count, seed, coefficient=1e-22):

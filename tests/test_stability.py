@@ -314,6 +314,16 @@ class TestStabilityCurve:
         with pytest.raises(InvalidArgument):
             StabilityCurve(points=(p1, p1))
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_point_rejects_a_non_integer_m(self, m):
+        with pytest.raises(InvalidArgument, match="m must be a positive integer"):
+            StabilityPoint(tau=1.0, value=1.0, m=m, variant=Variant.FFI1)
+
+    @pytest.mark.parametrize("m", [np.int64(4), 4.0])
+    def test_point_stores_m_as_int(self, m):
+        point = StabilityPoint(tau=4.0, value=1.0, m=m, variant=Variant.FFI1)
+        assert type(point.m) is int and point.m == 4
+
 
 class TestOctaveSweepAccuracy:
     """The octave sweep against exact integer sums, at 2^14 samples of each noise kind.
@@ -423,6 +433,15 @@ class TestCurveCsv:
         assert len(back.points) == len(curve.points)
         for a, b in zip(back.points, curve.points):
             assert (a.tau, a.value, a.m, a.variant) == (b.tau, b.value, b.m, b.variant)
+
+    def test_round_trip_of_points_built_from_numpy_and_float_m(self, tmp_path):
+        # An m kept as 2.0 would be written as the cell "2.0", which the reader rejects.
+        points = (StabilityPoint(tau=2.0, value=1.0, m=2.0, variant=Variant.FFI1),
+                  StabilityPoint(tau=4.0, value=0.5, m=np.int64(4), variant=Variant.FFI1))
+        curve = StabilityCurve(points=points, source_length=16)
+        curve_to_csv(curve, tmp_path / "curve.csv")
+        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
+            assert curve_from_csv(fh) == curve
 
     def test_header_line(self, tmp_path):
         curve = stability_curve(random_series(1, length=16), [1], Variant.FFI0)
