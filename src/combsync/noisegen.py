@@ -23,17 +23,17 @@ only as a test oracle in the test suite.  A shaped series of ``n`` samples
 kinds the filter runs as one FFT convolution of the smallest power-of-two
 size at or above ``3n - 1``, the least size that keeps the emitted samples
 free of wrap-around.  The filter's transform depends only on the series
-length, so a private one-entry memo keyed on ``(2n, FFT size)`` keeps the
-last one, read-only: repeated flicker series of one length (both clocks of
-a campaign, a sweep over seeds) transform only their draws, and every
-sample is bit for bit what a fresh transform gives.  The memo holds one
-complex spectrum of ``L/2 + 1`` bins, about ``8 L`` bytes for FFT size
-``L`` (8 MiB at 2**18 samples), until a flicker series of another length
-replaces it.  Random-walk FM has every tap equal to 1, so its
-filter is the running sum of the draws.  That sum runs in blocks of about
-``sqrt(n)`` draws: a sequential cumulative sum inside each block, on top
-of a pairwise sum of the warm-up draws and a cumulative sum of the block
-totals.  At ``n = 2**18`` it stays within about 6 eps of the largest
+length, so a private one-entry memo keyed on the draw count ``2n`` keeps
+the last one, read-only: flicker series of one length made one after the
+other in one process (both clocks of a campaign, a sweep over seeds)
+transform only their draws, and every sample is bit for bit what a fresh
+transform gives.  The memo holds one complex spectrum of ``L/2 + 1`` bins,
+about ``8 L`` bytes for FFT size ``L`` (8 MiB at 2**18 samples), until a
+flicker series of another length replaces it.  Random-walk FM has every
+tap equal to 1, so its filter is the running sum of the draws.  That sum
+runs in blocks of about ``sqrt(n)`` draws: a sequential cumulative sum
+inside each block, on top of a pairwise sum of the warm-up draws and a
+cumulative sum of the block totals.  At ``n = 2**18`` it stays within about 6 eps of the largest
 exact sum, as the FFT convolution did; one sequential cumulative sum
 over all ``n`` draws strays by about 130 eps.
 """
@@ -133,11 +133,9 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     qd = coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1))
     total = 2 * count
     if exponent == -1:
-        # The linear convolution spans [0, 2*total - 2] and a size-L FFT folds n + L onto n,
-        # so the kept slice n >= count is alias-free once L >= total + count - 1.
-        size = 1 << (total + count - 2).bit_length()
+        size = _flicker_fft_size(total)
         # Fetched before the draws exist, so a miss does not hold them alive while it transforms.
-        response = _flicker_response(total, size)
+        response = _flicker_response(total)
     white = rng.standard_normal(total)
     if exponent == 0:
         return white[count:] * math.sqrt(qd)
@@ -160,10 +158,17 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     return np.fft.irfft(spectrum, size)[count:total].copy()
 
 
+def _flicker_fft_size(total: int) -> int:
+    """FFT size of a flicker series filtered from ``total`` draws, of which the last ``total // 2`` are kept."""
+    # The linear convolution spans [0, 2*total - 2] and a size-L FFT folds n + L onto n,
+    # so the kept slice n >= total/2 is alias-free once L >= total + total/2 - 1.
+    return 1 << (total + total // 2 - 2).bit_length()
+
+
 @functools.lru_cache(maxsize=1)
-def _flicker_response(total: int, size: int) -> np.ndarray:
-    """Read-only size-``size`` rfft of the first ``total`` flicker filter taps; memoizes one entry."""
-    response = np.fft.rfft(fractional_filter_coeffs(-1, total), size)
+def _flicker_response(total: int) -> np.ndarray:
+    """Read-only rfft of the first ``total`` flicker filter taps at their FFT size; memoizes one entry."""
+    response = np.fft.rfft(fractional_filter_coeffs(-1, total), _flicker_fft_size(total))
     response.flags.writeable = False
     return response
 
