@@ -22,14 +22,20 @@ only as a test oracle in the test suite.  A shaped series of ``n`` samples
 ``2n`` white draws and drops the first ``n`` as warm-up.  For the flicker
 kinds the filter runs as one FFT convolution of the smallest power-of-two
 size at or above ``3n - 1``, the least size that keeps the emitted samples
-free of wrap-around.  The filter's transform depends only on the series
-length, so a private one-entry memo keyed on the draw count ``2n`` keeps
-the last one, read-only: flicker series of one length made one after the
-other in one process (both clocks of a campaign, a sweep over seeds)
-transform only their draws, and every sample is bit for bit what a fresh
-transform gives.  The memo holds one complex spectrum of ``L/2 + 1`` bins,
-about ``8 L`` bytes for FFT size ``L`` (8 MiB at 2**18 samples), until a
-flicker series of another length replaces it.  Random-walk FM has every
+free of wrap-around.  That convolution runs in a private work set for
+its FFT size ``L``: the read-only filter spectrum of the draw count it
+was last used for, a buffer for the draws' spectrum (``L/2 + 1``
+complex) and one for the draws and the filtered series (``L`` floats).
+The draws, both transforms and the product write into those buffers,
+and each series is copied out into an array of its own, so every sample
+is bit for bit what fresh arrays give.  A series of another draw count
+reloads the spectrum; flicker series of one length made one after the
+other (both clocks of a campaign, a sweep over seeds) transform only
+their draws.  The work set keeps about ``24 L`` bytes alive (24 MiB at
+2**18 samples, 6 MiB at 2**16) until a flicker series of another FFT
+size replaces it, and a lock makes concurrent syntheses take turns.
+With no draw or spectrum array allocated per call, the peak resident
+memory falls although more stays resident.  Random-walk FM has every
 tap equal to 1, so its filter is the running sum of the draws.  That sum
 runs in blocks of about ``sqrt(n)`` draws: a sequential cumulative sum
 inside each block, on top of a pairwise sum of the warm-up draws and a
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,10 +119,16 @@ def fractional_filter_coeffs(beta_exponent: float, count: int) -> np.ndarray:
     if count < 1:
         raise InvalidArgument(f"count must be >= 1, got {count}")
     half = abs(float(beta_exponent)) / 2.0
-    if count == 1:
-        return np.ones(1)
+    taps = np.empty(count)
+    taps[0] = 1.0
+    # The ratios (k - 1 + half) / k are built and multiplied up in place in taps[1:].
     k = np.arange(1, count, dtype=float)
-    return np.concatenate(([1.0], np.cumprod((k - 1.0 + half) / k)))
+    ratios = taps[1:]
+    np.subtract(k, 1.0, out=ratios)
+    ratios += half
+    ratios /= k
+    np.cumprod(ratios, out=ratios)
+    return taps
 
 
 def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: float) -> np.ndarray:
@@ -125,37 +138,30 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     ``count`` outputs dropped as warm-up, leaving ``count`` samples in an
     array of their own.  Exponent -2 is the running sum of the draws,
     summed in blocks of about ``sqrt(count)``; the flicker exponent runs
-    an FFT of the smallest power of two at or above ``3 * count - 1``
-    against the filter spectrum memoized by ``_flicker_response``.
+    an FFT of the smallest power of two at or above ``3 * count - 1`` in
+    the buffers of ``_flicker_work_set``.
     """
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
     qd = coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1))
     total = 2 * count
     if exponent == -1:
-        size = _flicker_fft_size(total)
-        # Fetched before the draws exist, so a miss does not hold them alive while it transforms.
-        response = _flicker_response(total)
+        return _flicker_work_set(_flicker_fft_size(total)).synthesize(rng, math.sqrt(qd), total)
     white = rng.standard_normal(total)
     if exponent == 0:
         return white[count:] * math.sqrt(qd)
     white *= math.sqrt(qd)
-    if exponent == -2:
-        # Row r of the zero-padded tail starts from the warm-up sum plus the totals of rows < r.
-        width = math.isqrt(count - 1) + 1
-        blocks = np.zeros((-(-count // width), width))
-        blocks.ravel()[:count] = white[count:]
-        starts = np.empty(len(blocks))
-        starts[0] = np.sum(white[:count])
-        starts[1:] = blocks[:-1].sum(axis=1)
-        np.cumsum(starts, out=starts)
-        np.cumsum(blocks, axis=1, out=blocks)
-        blocks += starts[:, None]
-        return blocks.ravel()[:count].copy()
-    spectrum = np.fft.rfft(white, size)
-    del white  # freed before the inverse transform allocates, which keeps the peak RSS flat
-    spectrum *= response
-    return np.fft.irfft(spectrum, size)[count:total].copy()
+    # Row r of the zero-padded tail starts from the warm-up sum plus the totals of rows < r.
+    width = math.isqrt(count - 1) + 1
+    blocks = np.zeros((-(-count // width), width))
+    blocks.ravel()[:count] = white[count:]
+    starts = np.empty(len(blocks))
+    starts[0] = np.sum(white[:count])
+    starts[1:] = blocks[:-1].sum(axis=1)
+    np.cumsum(starts, out=starts)
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks += starts[:, None]
+    return blocks.ravel()[:count].copy()
 
 
 def _flicker_fft_size(total: int) -> int:
@@ -165,12 +171,52 @@ def _flicker_fft_size(total: int) -> int:
     return 1 << (total + total // 2 - 2).bit_length()
 
 
+class _FlickerWorkSet:
+    """Resident arrays of the flicker FFT convolution at one FFT size; used only under ``lock``.
+
+    ``response`` is the read-only filter spectrum of the first ``total``
+    taps (``total`` is 0 while none is loaded), ``spectrum`` the draws'
+    spectrum and ``signal`` the draws, then the filtered series.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.total = 0
+        self.response = np.empty(size // 2 + 1, dtype=complex)
+        self.response.flags.writeable = False
+        self.spectrum = np.empty(size // 2 + 1, dtype=complex)
+        self.signal = np.empty(size)
+        self.lock = threading.Lock()
+
+    def _load(self, total: int) -> None:
+        """Transform the first ``total`` flicker taps into ``response``, through ``signal``."""
+        self.total = 0  # cleared first, so a load that raises is never reused
+        self.signal[:total] = fractional_filter_coeffs(-1, total)
+        self.response.flags.writeable = True
+        try:
+            np.fft.rfft(self.signal[:total], self.size, out=self.response)
+        finally:
+            self.response.flags.writeable = False
+        self.total = total
+
+    def synthesize(self, rng, scale: float, total: int) -> np.ndarray:
+        """The last ``total // 2`` of ``total`` draws times ``scale``, flicker-filtered, in an array of their own."""
+        with self.lock:
+            if self.total != total:
+                self._load(total)
+            draws = self.signal[:total]
+            rng.standard_normal(out=draws)
+            draws *= scale
+            np.fft.rfft(draws, self.size, out=self.spectrum)
+            self.spectrum *= self.response
+            np.fft.irfft(self.spectrum, self.size, out=self.signal)
+            return self.signal[total // 2 : total].copy()
+
+
 @functools.lru_cache(maxsize=1)
-def _flicker_response(total: int) -> np.ndarray:
-    """Read-only rfft of the first ``total`` flicker filter taps at their FFT size; memoizes one entry."""
-    response = np.fft.rfft(fractional_filter_coeffs(-1, total), _flicker_fft_size(total))
-    response.flags.writeable = False
-    return response
+def _flicker_work_set(size: int) -> _FlickerWorkSet:
+    """The one flicker work set, for FFT size ``size``; a call with another size replaces it."""
+    return _FlickerWorkSet(size)
 
 
 def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:

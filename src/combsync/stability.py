@@ -15,7 +15,9 @@ phase-domain (second/third difference) form evaluated without building
 large phase partial sums.  A curve over octave averaging factors
 (every m a power of two) is swept instead: one array of window sums is
 carried from m to 2m by adding two (ffi1) or three (ffi2, tdev) shifted
-copies of itself, so no long running sum is formed at all.  These are
+copies of itself, so no long running sum is formed at all; the sums
+of every octave and their readouts go into two work arrays of the
+series' length, allocated once per curve.  These are
 the octave-spaced overlapping estimators of Riley, Handbook of Frequency
 Stability Analysis, NIST SP 1065 (2008).  The literal nested sums remain
 the test oracle.
@@ -144,8 +146,12 @@ def _check_length(name: str, m: int, need: int, size: int) -> None:
 
 
 def _deviation(sums: np.ndarray, scale: int) -> float:
-    """sqrt(sum(sums**2) / (2 * scale * len(sums))), the readout of every estimator."""
-    return float(np.sqrt(np.sum(sums * sums) / (2.0 * scale * sums.size)))
+    """sqrt(sum(sums**2) / (2 * scale * len(sums))), the readout of every estimator.
+
+    Consumes ``sums``: it is squared in place, so callers pass an array of their own.
+    """
+    sums *= sums
+    return float(np.sqrt(np.sum(sums) / (2.0 * scale * sums.size)))
 
 
 def ffi0(series: TimeSeriesY) -> float:
@@ -218,13 +224,17 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
     double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
     read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ffi1 and ffi2
     build from cumulative sums, so the readout and the length checks are theirs.
+    Two work arrays of len(y) floats, allocated once per curve, take turns:
+    each octave step and each readout writes into the one not holding the
+    carried sums.
     """
     y = series.samples
     is_ffi1 = variant is Variant.FFI1
     carried, carried_m = y, 1
+    spare, busy = np.empty(y.size), np.empty(y.size)
 
     def value(m: int) -> float:
-        nonlocal carried, carried_m
+        nonlocal carried, carried_m, spare, busy
         if is_ffi1:
             _check_length("ffi1", m, 2 * m, y.size)
         else:
@@ -232,14 +242,14 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
         while carried_m < m:
             k = carried_m
             if is_ffi1:
-                carried = carried[:-k] + carried[k:]
+                z = np.add(carried[:-k], carried[k:], out=spare[: carried.size - k])
             else:
-                z = carried[k:-k] * 2.0
+                z = np.multiply(carried[k:-k], 2.0, out=spare[: carried.size - 2 * k])
                 z += carried[: -2 * k]
                 z += carried[2 * k :]
-                carried = z
-            carried_m = 2 * k
-        sums = carried[m:] - carried[:-m]
+            carried, carried_m = z, 2 * k
+            spare, busy = busy, spare
+        sums = np.subtract(carried[m:], carried[:-m], out=spare[: carried.size - m])
         if is_ffi1:
             return _deviation(sums, m * m)
         deviation = _deviation(sums, m**4)

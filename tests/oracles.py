@@ -4,9 +4,10 @@ Everything here is deliberately literal and slow: deviation statistics
 as explicit nested loops and as exact integer sums, frequency-domain
 noise synthesis as an alternative generation route, the recursive-filter
 synthesis with its first (full-length) FFT padding, flicker synthesis with
-a fresh filter transform at the package's padding, a compensated running
-sum, textbook deviation levels for the three FM noise kinds, and a
-periodogram of a generated series.  None of it shares code with the
+a fresh filter transform at the package's padding, the octave sweep with
+fresh arrays at every step, a compensated running sum, textbook deviation
+levels for the three FM noise kinds, and a periodogram of a generated
+series.  None of it shares code with the
 package under test; the periodogram only raises the package's error type.
 """
 
@@ -121,6 +122,42 @@ def exact_ffi2(y: np.ndarray, m: int) -> Fraction:
     terms = len(ints) - 3 * m + 2
     total = sum((q[j + 3 * m] - 3 * q[j + 2 * m] + 3 * q[j + m] - q[j]) ** 2 for j in range(terms))
     return _sqrt_fraction(total, 2 * m**4 * terms * den**2)
+
+
+# ---------------------------------------------------------------------------
+# The octave sweep allocating a fresh array at every step
+
+
+def octave_sweep_reference(y: np.ndarray, tau0: float, m_values, variant: str) -> dict:
+    """Octave-sweep values {m: value} of ``variant`` ("ffi1", "ffi2" or "tdev") at the powers of two in m_values.
+
+    The carried sums, each readout and its squares are new arrays at every
+    step; an m that ``y`` is too short for is left out, and the sweep carries
+    on without it.
+    """
+    is_ffi1 = variant == "ffi1"
+    carried, carried_m = y, 1
+    values = {}
+    for m in sorted(m_values):
+        if y.size < (2 * m if is_ffi1 else 3 * m - 1):
+            continue
+        while carried_m < m:
+            k = carried_m
+            if is_ffi1:
+                carried = carried[:-k] + carried[k:]
+            else:
+                z = carried[k:-k] * 2.0
+                z += carried[: -2 * k]
+                z += carried[2 * k :]
+                carried = z
+            carried_m = 2 * k
+        sums = carried[m:] - carried[:-m]
+        scale = m * m if is_ffi1 else m**4
+        value = float(np.sqrt(np.sum(sums * sums) / (2.0 * scale * sums.size)))
+        if variant == "tdev":
+            value = m * tau0 / math.sqrt(3.0) * value
+        values[m] = value
+    return values
 
 
 # ---------------------------------------------------------------------------

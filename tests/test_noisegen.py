@@ -1,12 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from combsync import noisegen
 from combsync.errors import InsufficientData, InvalidArgument
 from combsync.noisegen import (
     NoiseKind,
     NoiseSpec,
-    _flicker_response,
+    _flicker_work_set,
     _shaped_gaussian,
     fractional_filter_coeffs,
     generate_noise,
@@ -28,6 +32,14 @@ class TestFractionalFilterCoeffs:
     def test_flicker_taps(self):
         # h_1 = 1 * (0 + 0.5) / 1, h_2 = 0.5 * (1 + 0.5) / 2
         assert fractional_filter_coeffs(-1.0, 3).tolist() == [1.0, 0.5, 0.375]
+
+    @pytest.mark.parametrize("beta", [-2.0, -1.5, -1.0, 0.0, 0.5])
+    def test_equals_the_allocating_vector_recursion(self, beta):
+        half = abs(beta) / 2.0
+        for count in range(1, 5001):
+            k = np.arange(1, count, dtype=float)
+            expected = np.concatenate(([1.0], np.cumprod((k - 1.0 + half) / k)))
+            assert np.array_equal(fractional_filter_coeffs(beta, count), expected)
 
     @given(st.floats(-2.5, 0.0), st.integers(1, 40))
     def test_matches_scalar_recursion(self, beta, count):
@@ -245,26 +257,103 @@ def _one_shot_noise(kind, count, seed, amplitude, tau0):
     return oracles.one_shot_flicker(rng, amplitude, count, tau0)
 
 
-def test_flicker_spectrum_memo_keeps_samples_bit_identical():
-    # (kind, count, amplitude, tau0, memo hit): a flicker PM series of count n
-    # filters n + 1 phase samples, so PM at 4096 shares its key with FM at 4097.
+FLICKER_SIZE_4096 = 16384  # FFT size of flicker FM at 4096 and 4097 and of flicker PM at 4096
+
+
+def _record_rfft_lengths(monkeypatch) -> list:
+    """Record the ``n`` of every ``np.fft.rfft`` call from now on."""
+    lengths = []
+    real_rfft = np.fft.rfft
+
+    def recording_rfft(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return real_rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    return lengths
+
+
+def test_flicker_work_set_keeps_samples_bit_identical(monkeypatch):
+    # (kind, count, amplitude, tau0, reload): a flicker PM series of count n
+    # filters n + 1 phase samples, so PM at 4096 shares its draw count with FM at 4097.
+    # All six share one FFT size, so one work set serves them; a reload transforms
+    # the taps and the draws, a reuse the draws alone.
     sequence = [
-        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, False),
-        (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, False),
-        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, False),
-        (NoiseKind.FLICKER_FM, 4097, 1e-22, 0.5, True),
-        (NoiseKind.FLICKER_FM, 4096, 3e-26, 2.0, False),
+        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, True),
         (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, True),
+        (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, True),
+        (NoiseKind.FLICKER_FM, 4097, 1e-22, 0.5, False),
+        (NoiseKind.FLICKER_FM, 4096, 3e-26, 2.0, True),
+        (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, False),
     ]
-    _flicker_response.cache_clear()
-    for seed, (kind, count, amplitude, tau0, hit) in enumerate(sequence):
-        hits = _flicker_response.cache_info().hits
+    _flicker_work_set.cache_clear()
+    lengths = _record_rfft_lengths(monkeypatch)
+    for seed, (kind, count, amplitude, tau0, reload) in enumerate(sequence):
+        lengths.clear()
         samples = generate_noise(NoiseSpec(kind, amplitude, seed=seed), count, tau0).samples
+        assert lengths == [FLICKER_SIZE_4096] * (2 if reload else 1)
         assert np.array_equal(samples, _one_shot_noise(kind, count, seed, amplitude, tau0))
-        info = _flicker_response.cache_info()
-        assert (info.hits - hits, info.currsize) == (int(hit), 1)
-    assert not _flicker_response(2 * 4096).flags.writeable  # the last call's key
-    assert _flicker_response.cache_info().misses == 4
+        work = _flicker_work_set(FLICKER_SIZE_4096)
+        assert work.total == 2 * (count + kind.is_pm)
+        assert not work.response.flags.writeable
+    assert _flicker_work_set.cache_info().misses == 1
+
+
+def test_flicker_series_share_no_memory():
+    first_spec, second_spec = (NoiseSpec(NoiseKind.FLICKER_FM, 1e-22, seed=seed) for seed in (1, 2))
+    first = generate_noise(first_spec, 1000, 1.0).samples
+    second = generate_noise(second_spec, 1000, 1.0).samples
+    assert not np.shares_memory(first, second)
+    first_copy, second_copy = first.copy(), second.copy()
+    first[:] = 0.0
+    third = generate_noise(first_spec, 1000, 1.0).samples
+    assert np.array_equal(second, second_copy)
+    assert np.array_equal(third, first_copy)
+    assert np.array_equal(third, _one_shot_noise(NoiseKind.FLICKER_FM, 1000, 1, 1e-22, 1.0))
+
+
+def test_flicker_syntheses_in_two_threads_match_serial():
+    # PM and FM at 4096 share the FFT size, and so the work set, but not the filter
+    # spectrum: every synthesis of one thread reloads what the other left there.
+    def series(kind):
+        return [generate_noise(NoiseSpec(kind, 1e-22, seed=seed), 4096, 1.0).samples for seed in range(10)]
+
+    kinds = (NoiseKind.FLICKER_PM, NoiseKind.FLICKER_FM)
+    serial = {kind: series(kind) for kind in kinds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {kind: pool.submit(series, kind) for kind in kinds}
+            threaded = {kind: future.result(timeout=60) for kind, future in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for kind in kinds:
+        assert all(np.array_equal(a, b) for a, b in zip(threaded[kind], serial[kind], strict=True))
+
+
+def test_a_failed_reload_is_not_reused(monkeypatch):
+    _flicker_work_set.cache_clear()
+    generate_noise(NoiseSpec(NoiseKind.FLICKER_FM, 1e-22, seed=0), 4096, 1.0)
+    real_coeffs = noisegen.fractional_filter_coeffs
+    failures = []
+
+    def coeffs_failing_once(beta_exponent, count):
+        if not failures:
+            failures.append(count)
+            raise MemoryError
+        return real_coeffs(beta_exponent, count)
+
+    monkeypatch.setattr(noisegen, "fractional_filter_coeffs", coeffs_failing_once)
+    pm = NoiseSpec(NoiseKind.FLICKER_PM, 1e-22, seed=1)
+    with pytest.raises(MemoryError):
+        generate_noise(pm, 4096, 1.0)
+    assert failures == [2 * 4097]
+    assert not _flicker_work_set(FLICKER_SIZE_4096).response.flags.writeable
+    assert np.array_equal(generate_noise(pm, 4096, 1.0).samples,
+                          _one_shot_noise(NoiseKind.FLICKER_PM, 4096, 1, 1e-22, 1.0))
+    assert np.array_equal(generate_noise(NoiseSpec(NoiseKind.FLICKER_FM, 1e-22, seed=0), 4096, 1.0).samples,
+                          _one_shot_noise(NoiseKind.FLICKER_FM, 4096, 0, 1e-22, 1.0))
 
 
 def _running_sum_error(count, seed, coefficient=1e-22):

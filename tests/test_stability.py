@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from combsync.errors import DegenerateInput, InsufficientData, InvalidArgument
@@ -273,6 +273,21 @@ class TestStabilityCurve:
         mixed = stability_curve(series, [*m_values, 3], variant)
         assert [p.m for p in mixed.points] == sorted([*kept, 3])
         assert mixed.warnings == curve.warnings
+
+    @given(
+        st.integers(2, 5000),
+        st.integers(0, 2**32 - 1),
+        st.sets(st.sampled_from([2**j for j in range(13)]), min_size=1),
+        st.sampled_from([Variant.FFI1, Variant.FFI2, Variant.TDEV]),
+    )
+    @example(5000, 0, {2**j for j in range(13)}, Variant.FFI2)
+    @example(2, 0, {1, 2}, Variant.FFI1)
+    def test_sweep_equals_the_allocating_reference(self, length, seed, m_values, variant):
+        series = random_series(seed, length, tau0=0.25)
+        curve = stability_curve(series, m_values, variant)
+        reference = oracles.octave_sweep_reference(series.samples, series.tau0, m_values, variant.value)
+        assert {p.m: p.value for p in curve.points} == reference  # bit for bit
+        assert [int(w.split(":")[0][2:]) for w in curve.warnings] == sorted(set(m_values) - set(reference))
 
     @given(
         finite_samples,
