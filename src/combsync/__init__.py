@@ -4,7 +4,7 @@ Modules by concern:
 
     series      phase and fractional-frequency time series containers
     seeding     explicit seeds and derived sub-seeds
-    errors      the toolkit's exception types
+    errors      the toolkit's exception types and its shared range checks
     noisegen    power-law oscillator noise synthesis
     stability   FFI/TDEV estimators, sigma-tau curves, noise identification
     clockmodel  oscillator and frequency-comb parameter models

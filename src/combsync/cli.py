@@ -181,7 +181,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # numpy's floating-point faults go to the INFO log, not stderr; an underflow to 0.0 is still written.
         with np.errstate(all="call", call=lambda fault, _flag: log.info("numpy floating-point %s", fault)):
             written = _RUNNERS[config.command](config, outdir)
-    except (CombsyncError, ArithmeticError, MemoryError) as exc:  # float range or memory exceeded
+    except ArithmeticError as exc:  # a float overflowed, or underflowed to 0.0 and was divided by
+        print(f"combsync: error: {config.command}: a result left the float range ({type(exc).__name__})",
+              file=sys.stderr)
+        return 3
+    except (CombsyncError, MemoryError) as exc:
         print(f"combsync: error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

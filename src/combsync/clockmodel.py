@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _finite, _positive
 from .noisegen import NoiseSpec, generate_noise
 from .seeding import check_seed, derive_seed
-from .series import TimeSeriesX, _validate_tau0
+from .series import TimeSeriesX
 
 #: Photodetector-friendly repetition-rate band for comb sampling schemes.
 REP_RATE_BAND_HZ = (10e6, 1e9)
@@ -41,11 +41,9 @@ class ClockModel:
     noise: tuple[NoiseSpec, ...] = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.nu0) or self.nu0 <= 0.0:
-            raise InvalidArgument(f"nu0 must be finite and positive, got {self.nu0}")
+        _positive("nu0", self.nu0)
         for name in ("frac_freq_offset", "drift"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgument(f"{name} must be finite")
+            _finite(name, getattr(self, name))
         object.__setattr__(self, "noise", tuple(self.noise))
 
 
@@ -63,12 +61,10 @@ class CombParams:
     n_range: tuple[int, int]
 
     def __post_init__(self):
-        if not math.isfinite(self.f_r) or self.f_r <= 0.0:
-            raise InvalidArgument(f"repetition rate f_r must be positive, got {self.f_r}")
+        _positive("f_r", self.f_r)
         if not (0.0 <= self.f_0 < self.f_r):
             raise InvalidArgument(f"offset frequency must satisfy 0 <= f_0 < f_r, got {self.f_0}")
-        if not math.isfinite(self.t_0) or self.t_0 <= 0.0:
-            raise InvalidArgument(f"pulse duration t_0 must be positive, got {self.t_0}")
+        _positive("t_0", self.t_0)
         lo, hi = self.n_range
         if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
             raise InvalidArgument(f"n_range must be an integer interval with 1 <= lo <= hi, got {self.n_range}")
@@ -97,7 +93,7 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
     if count < 2:
         raise InvalidArgument(f"count must be >= 2, got {count}")
     seed = check_seed(seed)
-    tau0 = _validate_tau0(tau0)
+    tau0 = _positive("tau0", float(tau0))
     x = ramp_phase(clock, np.arange(count) * tau0)
     for i, spec in enumerate(clock.noise):
         if spec.amplitude == 0.0:

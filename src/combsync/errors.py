@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the range rules its inputs are checked against.
+
+Each rule is one helper: finite, finite and positive, finite and >= 0,
+in [0, 1].  A helper returns the value it is given or raises
+``InvalidArgument`` with the rule's one message, which names the
+argument; NaN fails every rule.
+"""
+
+import math
 
 
 class CombsyncError(Exception):
@@ -15,3 +23,27 @@ class InsufficientData(CombsyncError, ValueError):
 
 class DegenerateInput(CombsyncError, ValueError):
     """Structurally valid input that cannot be processed (e.g. zeros where logs are needed)."""
+
+
+def _finite(name: str, value):
+    if not math.isfinite(value):
+        raise InvalidArgument(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value):
+    if not math.isfinite(value) or value <= 0.0:
+        raise InvalidArgument(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def _non_negative(name: str, value):
+    if not math.isfinite(value) or value < 0.0:
+        raise InvalidArgument(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+def _unit_interval(name: str, value):
+    if not 0.0 <= value <= 1.0:
+        raise InvalidArgument(f"{name} must lie in [0, 1], got {value}")
+    return value

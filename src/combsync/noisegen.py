@@ -54,9 +54,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _non_negative, _positive
 from .seeding import check_seed
-from .series import TimeSeriesY, _validate_tau0
+from .series import TimeSeriesY
 
 _TWO_PI = 2.0 * math.pi
 
@@ -104,10 +104,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.kind, NoiseKind):
             raise InvalidArgument(f"kind must be a NoiseKind, got {self.kind!r}")
-        amp = float(self.amplitude)
-        if not math.isfinite(amp) or amp < 0.0:
-            raise InvalidArgument(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "amplitude", _non_negative("amplitude", float(self.amplitude)))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -227,7 +224,7 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     """
     if not 2 <= count < 2**53:
         raise InvalidArgument(f"count must be >= 2 and < 2**53, got {count}")
-    tau0 = _validate_tau0(tau0)
+    tau0 = _positive("tau0", float(tau0))
     if spec.amplitude == 0.0:
         return TimeSeriesY(tau0, np.zeros(count))
     rng = np.random.default_rng(spec.seed)

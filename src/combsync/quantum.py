@@ -1,17 +1,19 @@
 """Timing-precision scaling laws, squeezing in dB, and photonic loss.
 
-The four scaling laws give the standard deviation of a timing-offset
-estimate versus the photon budget n per measurement window:
+One function, ``model_sigma``, gives the standard deviation of a
+timing-offset estimate for an ``EstimatorModel``, keyed on its method,
+versus the photon budget n per measurement window:
 
-    time-of-flight        sigma ~ T0 / sqrt(n)
-    phase comparison      sigma ~ 1 / (nu0 * sqrt(n))
-    temporal-mode         sigma ~ 1 / sqrt(n * ((1/T0)^2 + nu0^2))
-    squeezed temporal     sigma ~ exp(-r) / sqrt(n * ((1/T0)^2 + nu0^2))
+    tof                   sigma ~ T0 / sqrt(n)
+    phase                 sigma ~ 1 / (nu0 * sqrt(n))
+    temporal_mode         sigma ~ exp(-r) / sqrt(n * ((1/T0)^2 + nu0^2))
 
-All four are proportionalities; the constant is fixed to 1 and every
-check downstream compares ratios or fitted exponents so it cancels.
-With n = sinh(r)^2 the squeezed law approaches the 1/n Heisenberg
-scaling, versus the 1/sqrt(n) standard quantum limit of the first three.
+r is the quadrature squeezing, 0 unless the temporal-mode estimate is
+squeezed (Lamine, Fabre & Treps, PRL 101, 123601, 2008).  All are
+proportionalities; the constant is fixed to 1 and every check downstream
+compares ratios or fitted exponents so it cancels.  With n = sinh(r)^2
+the squeezed law approaches the 1/n Heisenberg scaling, versus the
+1/sqrt(n) standard quantum limit of the unsqueezed laws.
 
 Squeezing magnitudes in dB follow the variance convention
 10*log10(exp(2r)).  Photonic loss acts on a single-mode squeezed state
@@ -28,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
 from .seeding import check_seed
 
 _LN10 = math.log(10.0)
@@ -50,8 +52,7 @@ class SqueezedState:
     r: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise InvalidArgument(f"squeezing parameter r must be finite and >= 0, got {self.r}")
+        _non_negative("r", self.r)
 
     @property
     def variance_squeezed(self) -> float:
@@ -92,11 +93,8 @@ class EstimatorModel:
         if not isinstance(self.method, EstimatorMethod):
             raise InvalidArgument(f"method must be an EstimatorMethod, got {self.method!r}")
         for name in ("n", "nu0", "t0"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidArgument(f"{name} must be finite and positive, got {v}")
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise InvalidArgument(f"r must be finite and >= 0, got {self.r}")
+            _positive(name, getattr(self, name))
+        _non_negative("r", self.r)
         if self.r > 0.0 and self.method is not EstimatorMethod.TEMPORAL_MODE:
             raise InvalidArgument("squeezing (r > 0) requires the temporal-mode method")
 
@@ -105,44 +103,13 @@ class EstimatorModel:
 # Scaling laws
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise InvalidArgument(f"{name} must be finite and positive, got {value}")
-
-
-def sigma_tof(n: float, t0: float) -> float:
-    """Time-of-flight estimate deviation, T0/sqrt(n) (relative scale)."""
-    _require_positive(n=n, t0=t0)
-    return t0 / math.sqrt(n)
-
-
-def sigma_phase(n: float, nu0: float) -> float:
-    """Phase-comparison estimate deviation, 1/(nu0*sqrt(n)) (relative scale)."""
-    _require_positive(n=n, nu0=nu0)
-    return 1.0 / (nu0 * math.sqrt(n))
-
-
-def sigma_tm(n: float, t0: float, nu0: float) -> float:
-    """Temporal-mode estimate deviation; carries both TOF and phase information."""
-    _require_positive(n=n, t0=t0, nu0=nu0)
-    return 1.0 / math.sqrt(n * ((1.0 / t0) ** 2 + nu0**2))
-
-
-def sigma_tm_squeezed(n: float, t0: float, nu0: float, r: float) -> float:
-    """Temporal-mode deviation with quadrature squeezing r; exp(-r) * sigma_tm."""
-    if not math.isfinite(r) or r < 0.0:
-        raise InvalidArgument(f"r must be finite and >= 0, got {r}")
-    return math.exp(-r) * sigma_tm(n, t0, nu0)
-
-
 def model_sigma(model: EstimatorModel) -> float:
-    """Closed-form deviation for an estimator model."""
+    """Closed-form deviation of the model's method, from its already validated fields (relative scale)."""
     if model.method is EstimatorMethod.TOF:
-        return sigma_tof(model.n, model.t0)
+        return model.t0 / math.sqrt(model.n)
     if model.method is EstimatorMethod.PHASE:
-        return sigma_phase(model.n, model.nu0)
-    return sigma_tm_squeezed(model.n, model.t0, model.nu0, model.r)
+        return 1.0 / (model.nu0 * math.sqrt(model.n))
+    return math.exp(-model.r) * (1.0 / math.sqrt(model.n * ((1.0 / model.t0) ** 2 + model.nu0**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +118,12 @@ def model_sigma(model: EstimatorModel) -> float:
 
 def db_from_r(r: float) -> float:
     """Squeezing in variance dB: 10*log10(exp(2r))."""
-    if not math.isfinite(r) or r < 0.0:
-        raise InvalidArgument(f"r must be finite and >= 0, got {r}")
-    return 20.0 * r / _LN10
+    return 20.0 * _non_negative("r", r) / _LN10
 
 
 def r_from_db(db: float) -> float:
     """Inverse of :func:`db_from_r`."""
-    if not math.isfinite(db) or db < 0.0:
-        raise InvalidArgument(f"dB value must be finite and >= 0, got {db}")
-    return db * _LN10 / 20.0
+    return _non_negative("db", db) * _LN10 / 20.0
 
 
 def apply_loss(state: Union[SqueezedState, QuadratureVariances], eta: float) -> QuadratureVariances:
@@ -169,8 +132,7 @@ def apply_loss(state: Union[SqueezedState, QuadratureVariances], eta: float) -> 
     Composes multiplicatively in eta and drives both variances toward
     the vacuum level 1.
     """
-    if not math.isfinite(eta) or not (0.0 <= eta <= 1.0):
-        raise InvalidArgument(f"transmissivity eta must lie in [0, 1], got {eta}")
+    _unit_interval("eta", eta)
     if eta == 0.0:  # pure vacuum; also keeps 0 * inf (r above ~354.9) from giving nan
         return QuadratureVariances(1.0, 1.0)
     return QuadratureVariances(
@@ -187,8 +149,7 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     sqrt(1 - eta), so targets below that floor return None (unattainable),
     as does every target at eta = 0, where the floor is 1.
     """
-    if not (0.0 <= eta_total <= 1.0):
-        raise InvalidArgument(f"eta_total must lie in [0, 1], got {eta_total}")
+    _unit_interval("eta_total", eta_total)
     if not math.isfinite(advantage_factor) or advantage_factor <= 1.0:
         raise InvalidArgument(f"advantage_factor must exceed 1, got {advantage_factor}")
     target_variance = 1.0 / advantage_factor**2
@@ -209,8 +170,7 @@ def monte_carlo_sigma(
     """
     if not 100 <= trials < 2**53:
         raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
-    if not math.isfinite(true_offset):
-        raise InvalidArgument("true_offset must be finite")
+    _finite("true_offset", true_offset)
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))
     draws = rng.normal(true_offset, sigma, trials)

@@ -7,53 +7,34 @@ Both containers hold window averages on a fixed grid with sample period
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
-
-
-def _validated_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidArgument(f"samples must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def _validate_tau0(tau0: float) -> float:
-    tau0 = float(tau0)
-    if not math.isfinite(tau0) or tau0 <= 0.0:
-        raise InvalidArgument(f"tau0 must be finite and positive, got {tau0}")
-    return tau0
+from .errors import InvalidArgument, _positive
 
 
 @dataclass(frozen=True)
-class TimeSeriesY:
+class _Series:
+    """A positive, finite ``tau0`` and one-dimensional float ``samples``."""
+
+    tau0: float
+    samples: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau0", _positive("tau0", float(self.tau0)))
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1:
+            raise InvalidArgument(f"samples must be one-dimensional, got shape {samples.shape}")
+        object.__setattr__(self, "samples", samples)
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+
+class TimeSeriesY(_Series):
     """Averaged fractional-frequency samples (dimensionless)."""
 
-    tau0: float
-    samples: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau0", _validate_tau0(self.tau0))
-        object.__setattr__(self, "samples", _validated_samples(self.samples))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class TimeSeriesX:
+class TimeSeriesX(_Series):
     """Averaged timing-deviation samples (seconds)."""
-
-    tau0: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau0", _validate_tau0(self.tau0))
-        object.__setattr__(self, "samples", _validated_samples(self.samples))
-
-    def __len__(self) -> int:
-        return self.samples.size

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .artifacts import read_table, write_table
-from .errors import DegenerateInput, InsufficientData, InvalidArgument
+from .errors import DegenerateInput, InsufficientData, InvalidArgument, _non_negative, _positive
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -60,10 +60,8 @@ class StabilityPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _validate_m(self.m))
-        if not math.isfinite(self.value) or self.value < 0.0:
-            raise InvalidArgument(f"stability value must be finite and >= 0, got {self.value}")
-        if not math.isfinite(self.tau) or self.tau <= 0.0:
-            raise InvalidArgument(f"tau must be finite and positive, got {self.tau}")
+        _non_negative("value", self.value)
+        _positive("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,16 @@ def _validate_m(m: int) -> int:
     return int(m)
 
 
-def _check_length(name: str, m: int, need: int, size: int) -> None:
+def _min_length(variant: Variant, m: int) -> int:
+    """Fewest samples a point at averaging factor m needs: 2m for FFI0 and FFI1, 3m - 1 for FFI2 and TDEV."""
+    return 3 * m - 1 if variant in (Variant.FFI2, Variant.TDEV) else 2 * m
+
+
+def _check_length(variant: Variant, m: int, size: int) -> None:
+    """Raise InsufficientData for too few samples; a TDEV point is reported as the FFI2 it reads."""
+    need = _min_length(variant, m)
     if size < need:
+        name = "ffi1" if variant is Variant.FFI1 else "ffi2"
         raise InsufficientData(f"{name} with m={m} needs at least {need} samples, got {size}")
 
 
@@ -154,6 +160,29 @@ def _deviation(sums: np.ndarray, scale: int) -> float:
     return float(np.sqrt(np.sum(sums) / (2.0 * scale * sums.size)))
 
 
+def _readout(variant: Variant, sums: np.ndarray, m: int, tau0: float) -> float:
+    """The FFI1, FFI2 or TDEV value at averaging factor m from its window sums, which it consumes.
+
+    The deviation is scaled by m**2 (FFI1) or m**4 (FFI2, TDEV); TDEV's is
+    then converted to seconds at tau = m * tau0.
+    """
+    if variant is Variant.FFI1:
+        return _deviation(sums, m * m)
+    deviation = _deviation(sums, m**4)
+    return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
+
+
+def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
+    """FFI1, FFI2 or TDEV at averaging factor m: window sums of y[k+m] - y[k], taken twice for FFI2 and TDEV."""
+    m = _validate_m(m)
+    y = series.samples
+    _check_length(variant, m, y.size)
+    sums = _window_sums(y[m:] - y[:-m], m)
+    if variant is not Variant.FFI1:
+        sums = _window_sums(sums, m)
+    return _readout(variant, sums, m, series.tau0)
+
+
 def ffi0(series: TimeSeriesY) -> float:
     """Two-sample deviation of adjacent samples (tau = tau0)."""
     y = series.samples
@@ -164,20 +193,12 @@ def ffi0(series: TimeSeriesY) -> float:
 
 def ffi1(series: TimeSeriesY, m: int) -> float:
     """Overlapping two-sample deviation at averaging factor m (tau = m*tau0)."""
-    m = _validate_m(m)
-    y = series.samples
-    _check_length("ffi1", m, 2 * m, y.size)
-    d = y[m:] - y[:-m]
-    return _deviation(_window_sums(d, m), m * m)
+    return _windowed(series, m, Variant.FFI1)
 
 
 def ffi2(series: TimeSeriesY, m: int) -> float:
     """Modified (double-averaged) deviation at averaging factor m."""
-    m = _validate_m(m)
-    y = series.samples
-    _check_length("ffi2", m, 3 * m - 1, y.size)
-    d = y[m:] - y[:-m]
-    return _deviation(_window_sums(_window_sums(d, m), m), m**4)
+    return _windowed(series, m, Variant.FFI2)
 
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
@@ -187,7 +208,7 @@ def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
 
 def tdev(series: TimeSeriesY, m: int) -> float:
     """Time deviation (seconds) at averaging factor m."""
-    return tdev_from_ffi2(ffi2(series, m), m * series.tau0)
+    return _windowed(series, m, Variant.TDEV)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +228,8 @@ def decimate(series: TimeSeriesY, m: int) -> TimeSeriesY:
 def _point_value(series: TimeSeriesY, m: int, variant: Variant) -> float:
     if variant is Variant.FFI0:
         return ffi0(decimate(series, m))
-    if variant is Variant.FFI1:
-        return ffi1(series, m)
-    if variant is Variant.FFI2:
-        return ffi2(series, m)
-    if variant is Variant.TDEV:
-        return tdev(series, m)
+    if variant in (Variant.FFI1, Variant.FFI2, Variant.TDEV):
+        return _windowed(series, m, variant)
     raise InvalidArgument(f"unknown variant {variant!r}")
 
 
@@ -223,7 +240,7 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
     and reads w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
     double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
     read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ffi1 and ffi2
-    build from cumulative sums, so the readout and the length checks are theirs.
+    build from cumulative sums, so both paths share ``_check_length`` and ``_readout``.
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums.
@@ -235,10 +252,7 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
 
     def value(m: int) -> float:
         nonlocal carried, carried_m, spare, busy
-        if is_ffi1:
-            _check_length("ffi1", m, 2 * m, y.size)
-        else:
-            _check_length("ffi2", m, 3 * m - 1, y.size)
+        _check_length(variant, m, y.size)
         while carried_m < m:
             k = carried_m
             if is_ffi1:
@@ -250,10 +264,7 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
             carried, carried_m = z, 2 * k
             spare, busy = busy, spare
         sums = np.subtract(carried[m:], carried[:-m], out=spare[: carried.size - m])
-        if is_ffi1:
-            return _deviation(sums, m * m)
-        deviation = _deviation(sums, m**4)
-        return tdev_from_ffi2(deviation, m * series.tau0) if variant is Variant.TDEV else deviation
+        return _readout(variant, sums, m, series.tau0)
 
     return value
 
@@ -286,10 +297,9 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
 
 def octave_m_values(length: int, variant: Variant = Variant.FFI2) -> list[int]:
     """Octave-spaced averaging factors valid for a series of the given length."""
-    need = (lambda m: 3 * m - 1) if variant in (Variant.FFI2, Variant.TDEV) else (lambda m: 2 * m)
     ms = []
     m = 1
-    while need(m) <= length:
+    while _min_length(variant, m) <= length:
         ms.append(m)
         m *= 2
     return ms

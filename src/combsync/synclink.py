@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
 from .quantum import EstimatorModel, SqueezedState, apply_loss, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -55,9 +55,7 @@ class GeometricParams:
 
     def __post_init__(self):
         for name in ("wavelength", "waist", "aperture_radius"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidArgument(f"{name} must be finite and positive, got {v}")
+            _positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,10 @@ class LinkModel:
     sigma_excess: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.distance_km) or self.distance_km <= 0.0:
-            raise InvalidArgument(f"distance_km must be positive, got {self.distance_km}")
+        _positive("distance_km", self.distance_km)
         for name in ("delay_ab", "delay_ba", "sigma_excess"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidArgument(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 <= self.eta_detector <= 1.0):
-            raise InvalidArgument(f"eta_detector must lie in [0, 1], got {self.eta_detector}")
+            _non_negative(name, getattr(self, name))
+        _unit_interval("eta_detector", self.eta_detector)
 
     def effective_delays(self) -> tuple[float, float]:
         """Per-direction delays including the troposphere contribution."""
@@ -163,8 +157,7 @@ def simulate_exchange(
     noise draw per clock, constant over the sub-second exchange); the
     timestamps carry no other noise.
     """
-    if not math.isfinite(true_offset):
-        raise InvalidArgument("true_offset must be finite")
+    _finite("true_offset", true_offset)
     seed = check_seed(seed)
     xa = _clock_phase(clock_a, seed, 1)
     xb = _clock_phase(clock_b, seed, 2)
@@ -186,9 +179,7 @@ def one_way_offset(record: ExchangeRecord, assumed_delay: float) -> float:
     Any unmodeled path delay (e.g. the troposphere) lands directly in the
     estimate.
     """
-    if not math.isfinite(assumed_delay):
-        raise InvalidArgument("assumed_delay must be finite")
-    return (record.t2 - record.t1) - assumed_delay
+    return (record.t2 - record.t1) - _finite("assumed_delay", assumed_delay)
 
 
 def link_efficiency(link: LinkModel) -> float:
@@ -219,10 +210,8 @@ class SyncCampaign:
     estimator: Optional[EstimatorModel] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.interval) or self.interval <= 0.0:
-            raise InvalidArgument(f"interval must be positive, got {self.interval}")
-        if not math.isfinite(self.true_offset):
-            raise InvalidArgument("true_offset must be finite")
+        _positive("interval", self.interval)
+        _finite("true_offset", self.true_offset)
 
 
 @dataclass(frozen=True)

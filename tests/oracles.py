@@ -6,7 +6,8 @@ noise synthesis as an alternative generation route, the recursive-filter
 synthesis with its first (full-length) FFT padding, flicker synthesis with
 a fresh filter transform at the package's padding, the octave sweep with
 fresh arrays at every step, a compensated running sum, textbook deviation
-levels for the three FM noise kinds, and a periodogram of a generated
+levels for the three FM noise kinds, the four timing scaling laws as
+separate closed forms, and a periodogram of a generated
 series.  None of it shares code with the
 package under test; the periodogram only raises the package's error type.
 """
@@ -251,6 +252,26 @@ def flicker_fm_adev(amplitude: float) -> float:
 
 def random_walk_fm_adev(amplitude: float, tau: float) -> float:
     return np.sqrt((2.0 * np.pi**2 / 3.0) * amplitude * tau)
+
+
+# ---------------------------------------------------------------------------
+# The four timing scaling laws, one closed form each (relative scale)
+
+
+def sigma_tof(n: float, t0: float) -> float:
+    return t0 / math.sqrt(n)
+
+
+def sigma_phase(n: float, nu0: float) -> float:
+    return 1.0 / (nu0 * math.sqrt(n))
+
+
+def sigma_tm(n: float, t0: float, nu0: float) -> float:
+    return 1.0 / math.sqrt(n * ((1.0 / t0) ** 2 + nu0**2))
+
+
+def sigma_tm_squeezed(n: float, t0: float, nu0: float, r: float) -> float:
+    return math.exp(-r) * sigma_tm(n, t0, nu0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from combsync.quantum import (
     EstimatorModel,
     SqueezedState,
     apply_loss,
+    model_sigma,
     monte_carlo_sigma,
     r_from_db,
     required_squeezing,
-    sigma_tm,
-    sigma_tm_squeezed,
 )
 from combsync.series import TimeSeriesY
 from combsync.stability import (
@@ -183,7 +182,11 @@ def test_criterion_6_hl_scaling():
 @criterion(7, 1.0, "1.5 dB squeezing turns 8.9e-23 s into 7.5e-23 s within 1%")
 def test_criterion_7_squeezing_ratio():
     r = r_from_db(1.5)
-    ratio = sigma_tm_squeezed(1.0, 1.3e-13, 2.5e11, r) / sigma_tm(1.0, 1.3e-13, 2.5e11)
+    squeezed, classical = (
+        model_sigma(EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=1.0, nu0=2.5e11, t0=1.3e-13, r=rr))
+        for rr in (r, 0.0)
+    )
+    ratio = squeezed / classical
     assert ratio == pytest.approx(math.exp(-r), rel=1e-12)
     assert 8.9e-23 * ratio == pytest.approx(7.5e-23, rel=0.01)
 

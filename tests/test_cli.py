@@ -196,6 +196,25 @@ def test_runtime_estimator_failure_exits_3(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+_GEOMETRY = "wavelength: 1.56e-6, aperture_radius: 0.3"
+
+
+@pytest.mark.parametrize("link,r,fault", [
+    ("{distance_km: 100.0, delay_ab: 3.0e-4, delay_ba: 3.0e-4, eta_detector: 1.0}", 400.0, "ZeroDivisionError"),
+    (f"{{distance_km: 100.0, delay_ab: 3.0e-4, delay_ba: 3.0e-4, geometric: {{{_GEOMETRY}, waist: 1.0e-300}}}}",
+     1.0, "ZeroDivisionError"),
+    (f"{{distance_km: 1.0e300, delay_ab: 3.0e-4, delay_ba: 3.0e-4, geometric: {{{_GEOMETRY}, waist: 0.16552}}}}",
+     1.0, "OverflowError"),
+], ids=["squeezed-deviation-underflows", "rayleigh-range-underflows", "beam-radius-overflows"])
+def test_float_range_fault_exits_3_with_one_named_line(link, r, fault, tmp_path, capsys):
+    config = tmp_path / "range.yaml"
+    config.write_text(f"command: advantage\nadvantage:\n  link: {link}\n"
+                      f"  estimator: {{method: temporal_mode, n: 1000.0, nu0: 1.92e14, t0: 1.0e-14, r: {r}}}\n")
+    assert run_cli("advantage", config, tmp_path) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"combsync: error: advantage: a result left the float range ({fault})"]
+
+
 def test_output_path_collision_exits_4(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")

@@ -165,7 +165,7 @@ class TestCombParams:
         assert all(type(n) is int for n in comb.n_range)
 
     def test_rejects_non_positive_pulse_duration(self):
-        with pytest.raises(InvalidArgument, match="pulse duration"):
+        with pytest.raises(InvalidArgument, match="t_0 must be finite and positive, got 0.0"):
             CombParams(f_r=100e6, f_0=0.0, t_0=0.0, n_range=(1, 10))
 
     def test_advisory_outside_photodetection_band(self):

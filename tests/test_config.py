@@ -133,7 +133,7 @@ CASES = [
     ("sync", ("sync", "trials"), 1.5, "'sync.trials' must be an integer, got 1.5"),
     ("sync", ("sync", "trails"), 128, "unknown key 'sync.trails'"),
     ("sync", ("sync", "interval"), "x", "'sync.interval' must be a number, got 'x'"),
-    ("sync", ("sync", "interval"), -1.0, "invalid 'sync': interval must be positive, got -1.0"),
+    ("sync", ("sync", "interval"), -1.0, "invalid 'sync': interval must be finite and positive, got -1.0"),
     ("sync", ("sync", "true_offset"), float("nan"), "'sync.true_offset' must be finite, got nan"),
     ("sync", ("sync", "turnaround"), 1.0e-3, "unknown key 'sync.turnaround'"),
     ("sync", ("sync", "clock_a"), DELETE, "missing required key 'sync.clock_a'"),
@@ -158,7 +158,7 @@ CASES = [
     ("sync", ("sync", "link"), DELETE, "missing required key 'sync.link'"),
     ("sync", ("sync", "link", "distance_km"), DELETE, "missing required key 'sync.link.distance_km'"),
     ("sync", ("sync", "link", "distance_km"), 0.0,
-     "invalid 'sync.link': distance_km must be positive, got 0.0"),
+     "invalid 'sync.link': distance_km must be finite and positive, got 0.0"),
     ("sync", ("sync", "link", "troposphere"), 1, "'sync.link.troposphere' must be a boolean, got 1"),
     ("sync", ("sync", "link", "troposphere_enabled"), True,
      "unknown key 'sync.link.troposphere_enabled'"),
@@ -457,7 +457,7 @@ def test_base_documents_run(base):
     ("sql", ("quantum_scaling", "n_values"), [100, float("nan")], "n must be finite and positive, got nan"),
     ("sql", ("quantum_scaling", "n_values"), [100, HUGE], "n must be finite and positive, got inf"),
     ("advantage", ("advantage", "estimator"), {**ESTIMATOR, "method": "phase", "n": 5e-324, "nu0": 5e-324},
-     "float division by zero"),
+     "advantage: a result left the float range (ZeroDivisionError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")

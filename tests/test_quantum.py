@@ -15,14 +15,14 @@ from combsync.quantum import (
     monte_carlo_sigma,
     r_from_db,
     required_squeezing,
-    sigma_phase,
-    sigma_tm,
-    sigma_tm_squeezed,
-    sigma_tof,
 )
+
+import oracles
 
 positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
 r_values = st.floats(0.0, 10.0, allow_nan=False)
+# Wide enough that exp(-r) times a law goes subnormal or to 0, narrow enough that no square overflows.
+wide = st.floats(1e-100, 1e100)
 
 
 class TestSqueezedState:
@@ -46,70 +46,92 @@ class TestSqueezedState:
         assert apply_loss(state, 0.9).variance_squeezed == 1.0 - 0.9
 
 
+def tof(n, t0):
+    return model_sigma(EstimatorModel(EstimatorMethod.TOF, n=n, nu0=1.0, t0=t0))
+
+
+def phase(n, nu0):
+    return model_sigma(EstimatorModel(EstimatorMethod.PHASE, n=n, nu0=nu0, t0=1.0))
+
+
+def tm(n, t0, nu0, r=0.0):
+    return model_sigma(EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=n, nu0=nu0, t0=t0, r=r))
+
+
 class TestScalingLaws:
     def test_tof_quadruple_photons_halves_sigma(self):
-        assert sigma_tof(4.0, 1e-14) == pytest.approx(sigma_tof(1.0, 1e-14) / 2.0, rel=1e-15)
+        assert tof(4.0, 1e-14) == pytest.approx(tof(1.0, 1e-14) / 2.0, rel=1e-15)
 
     def test_tof_unit_normalization(self):
-        assert sigma_tof(1.0, 1e-14) == 1e-14
+        assert tof(1.0, 1e-14) == 1e-14
 
     def test_tof_linear_in_t0(self):
-        assert sigma_tof(9.0, 5e-15) == pytest.approx(sigma_tof(9.0, 1e-14) / 2.0, rel=1e-15)
+        assert tof(9.0, 5e-15) == pytest.approx(tof(9.0, 1e-14) / 2.0, rel=1e-15)
 
     def test_phase_unit_case(self):
-        assert sigma_phase(1.0, 1.0) == 1.0
+        assert phase(1.0, 1.0) == 1.0
 
     def test_phase_halves_with_doubled_carrier(self):
-        assert sigma_phase(10.0, 2e14) == pytest.approx(sigma_phase(10.0, 1e14) / 2.0, rel=1e-15)
+        assert phase(10.0, 2e14) == pytest.approx(phase(10.0, 1e14) / 2.0, rel=1e-15)
 
     def test_phase_at_telecom_carrier(self):
-        assert sigma_phase(100.0, 1.92e14) == pytest.approx(5.2e-16, rel=2e-3)
+        assert phase(100.0, 1.92e14) == pytest.approx(5.2e-16, rel=2e-3)
 
     def test_tm_unit_case(self):
-        assert sigma_tm(1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert tm(1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
     def test_tm_degenerates_to_tof_without_carrier(self):
-        assert sigma_tm(5.0, 2e-14, 1e-6) == pytest.approx(sigma_tof(5.0, 2e-14), rel=1e-9)
+        assert tm(5.0, 2e-14, 1e-6) == pytest.approx(tof(5.0, 2e-14), rel=1e-9)
 
     def test_tm_degenerates_to_phase_for_long_pulses(self):
-        assert sigma_tm(5.0, 1e9, 1.92e14) == pytest.approx(sigma_phase(5.0, 1.92e14), rel=1e-9)
+        assert tm(5.0, 1e9, 1.92e14) == pytest.approx(phase(5.0, 1.92e14), rel=1e-9)
 
     @given(positive, positive, positive)
     def test_tm_dominates_both_single_observable_methods(self, n, t0, nu0):
-        tm = sigma_tm(n, t0, nu0)
-        assert tm <= sigma_tof(n, t0) * (1 + 1e-12)
-        assert tm <= sigma_phase(n, nu0) * (1 + 1e-12)
+        sigma = tm(n, t0, nu0)
+        assert sigma <= tof(n, t0) * (1 + 1e-12)
+        assert sigma <= phase(n, nu0) * (1 + 1e-12)
 
     def test_squeezed_reduces_to_classical_at_zero_r(self):
-        assert sigma_tm_squeezed(7.0, 1e-14, 1.9e14, 0.0) == sigma_tm(7.0, 1e-14, 1.9e14)
+        assert tm(7.0, 1e-14, 1.9e14, 0.0) == oracles.sigma_tm(7.0, 1e-14, 1.9e14)
 
     def test_published_1p5_db_reduction(self):
         r = r_from_db(1.5)
-        scale = sigma_tm_squeezed(1.0, 1e-13, 2.5e11, r) / sigma_tm(1.0, 1e-13, 2.5e11)
+        scale = tm(1.0, 1e-13, 2.5e11, r) / tm(1.0, 1e-13, 2.5e11)
         assert 8.9e-23 * scale == pytest.approx(7.5e-23, rel=0.01)
 
     def test_closed_form_heisenberg_exponent(self):
         rs = np.linspace(2.0, 8.0, 13)
         ns = np.sinh(rs) ** 2
-        sig = [sigma_tm_squeezed(n, 1e-14, 1.92e14, r) for n, r in zip(ns, rs)]
+        sig = [tm(n, 1e-14, 1.92e14, r) for n, r in zip(ns, rs)]
         slope = np.polyfit(np.log10(ns), np.log10(sig), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_hl_asymptote_sigma_times_n_constant(self):
         values = [
-            sigma_tm_squeezed(math.sinh(r) ** 2, 1e-14, 1.92e14, r) * math.sinh(r) ** 2
+            tm(math.sinh(r) ** 2, 1e-14, 1.92e14, r) * math.sinh(r) ** 2
             for r in np.linspace(3.0, 8.0, 11)
         ]
         assert (max(values) - min(values)) / values[-1] < 0.02
 
     def test_rejects_non_positive_arguments(self):
-        for bad in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        for n, t0 in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
             with pytest.raises(InvalidArgument):
-                sigma_tof(*bad)
+                tof(n, t0)
         with pytest.raises(InvalidArgument):
-            sigma_phase(1.0, -2.0)
+            phase(1.0, -2.0)
         with pytest.raises(InvalidArgument):
-            sigma_tm_squeezed(1.0, 1.0, 1.0, -0.5)
+            tm(1.0, 1.0, 1.0, -0.5)
+
+    @given(st.sampled_from(EstimatorMethod), wide, wide, wide, st.floats(0.0, 700.0))
+    def test_equals_the_separate_closed_forms_bit_for_bit(self, method, n, t0, nu0, r):
+        r = r if method is EstimatorMethod.TEMPORAL_MODE else 0.0
+        reference = {
+            EstimatorMethod.TOF: lambda: oracles.sigma_tof(n, t0),
+            EstimatorMethod.PHASE: lambda: oracles.sigma_phase(n, nu0),
+            EstimatorMethod.TEMPORAL_MODE: lambda: oracles.sigma_tm_squeezed(n, t0, nu0, r),
+        }[method]()
+        assert model_sigma(EstimatorModel(method, n=n, nu0=nu0, t0=t0, r=r)).hex() == reference.hex()
 
 
 class TestDbConversions:
@@ -233,11 +255,11 @@ class TestEstimatorModel:
 
     def test_model_sigma_dispatch(self):
         kwargs = dict(n=25.0, nu0=2e14, t0=1e-14)
-        assert model_sigma(EstimatorModel(EstimatorMethod.TOF, **kwargs)) == sigma_tof(25.0, 1e-14)
-        assert model_sigma(EstimatorModel(EstimatorMethod.PHASE, **kwargs)) == sigma_phase(25.0, 2e14)
+        assert model_sigma(EstimatorModel(EstimatorMethod.TOF, **kwargs)) == oracles.sigma_tof(25.0, 1e-14)
+        assert model_sigma(EstimatorModel(EstimatorMethod.PHASE, **kwargs)) == oracles.sigma_phase(25.0, 2e14)
         assert model_sigma(
             EstimatorModel(EstimatorMethod.TEMPORAL_MODE, r=1.0, **kwargs)
-        ) == sigma_tm_squeezed(25.0, 1e-14, 2e14, 1.0)
+        ) == oracles.sigma_tm_squeezed(25.0, 1e-14, 2e14, 1.0)
 
 
 class TestMonteCarloSigma:
