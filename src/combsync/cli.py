@@ -105,10 +105,10 @@ def _run_scaling(config: ExperimentConfig, outdir: Path) -> list[Path]:
         model = EstimatorModel(method=run.method, n=n, nu0=run.nu0, t0=run.t0, r=r)
         mean, std = monte_carlo_sigma(model, run.trials, derive_seed(config.seed, i))
         rows.append((n, r, model_sigma(model), mean, std))
-    log_n, log_std = np.log10([row[0] for row in rows]), np.log10([row[4] for row in rows])
+    log_n, stds = np.log10([row[0] for row in rows]), np.array([row[4] for row in rows])
     # The slope needs two distinct n, and a deviation that underflows to 0 has no logarithm.
-    fit = np.ptp(log_n) > 0 and np.isfinite(log_n).all() and np.isfinite(log_std).all()
-    exponent = float(np.polyfit(log_n, log_std, 1)[0]) if fit else float("nan")
+    fit = np.ptp(log_n) > 0 and (stds > 0.0).all()
+    exponent = float(np.polyfit(log_n, np.log10(stds), 1)[0]) if fit else float("nan")
     path = outdir / "scaling.csv"
     write_table(path, {**_file_header(config), "mode": run.mode, "fitted_exponent": exponent},
                 dict(zip(("n", "r", "sigma_model", "mc_mean", "mc_std"), zip(*rows))))
@@ -178,10 +178,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outdir = Path(config.output) if config.output else Path.cwd()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        # numpy's floating-point faults go to the INFO log, not stderr; an underflow to 0.0 is still written.
-        with np.errstate(all="call", call=lambda fault, _flag: log.info("numpy floating-point %s", fault)):
+        # A numpy overflow, nan or division by zero raises FloatingPointError, an ArithmeticError;
+        # an underflow goes to the INFO log, not stderr, and the 0.0 is still written.
+        with np.errstate(all="raise", under="call",
+                         call=lambda fault, _flag: log.info("numpy floating-point %s", fault)):
             written = _RUNNERS[config.command](config, outdir)
-    except ArithmeticError as exc:  # a float overflowed, or underflowed to 0.0 and was divided by
+    except ArithmeticError as exc:  # a float overflowed, turned nan, or underflowed to 0.0 and was divided by
         print(f"combsync: error: {config.command}: a result left the float range ({type(exc).__name__})",
               file=sys.stderr)
         return 3

@@ -23,23 +23,30 @@ only as a test oracle in the test suite.  A shaped series of ``n`` samples
 kinds the filter runs as one FFT convolution of the smallest power-of-two
 size at or above ``3n - 1``, the least size that keeps the emitted samples
 free of wrap-around.  That convolution runs in a private work set for
-its FFT size ``L``: the read-only filter spectrum of the draw count it
-was last used for, a buffer for the draws' spectrum (``L/2 + 1``
-complex) and one for the draws and the filtered series (``L`` floats).
-The draws, both transforms and the product write into those buffers,
-and each series is copied out into an array of its own, so every sample
-is bit for bit what fresh arrays give.  A series of another draw count
-reloads the spectrum; flicker series of one length made one after the
-other (both clocks of a campaign, a sweep over seeds) transform only
-their draws.  The work set keeps about ``24 L`` bytes alive (24 MiB at
-2**18 samples, 6 MiB at 2**16) until a flicker series of another FFT
-size replaces it, and a lock makes concurrent syntheses take turns.
-With no draw or spectrum array allocated per call, the peak resident
-memory falls although more stays resident.  Random-walk FM has every
-tap equal to 1, so its filter is the running sum of the draws.  That sum
-runs in blocks of about ``sqrt(n)`` draws: a sequential cumulative sum
-inside each block, on top of a pairwise sum of the warm-up draws and a
-cumulative sum of the block totals.  At ``n = 2**18`` it stays within about 6 eps of the largest
+its FFT size ``L``: two spectra of ``L/2 + 1`` complex, the read-only
+filter spectrum of the draw count it was last used for and the draws'
+spectrum, and a buffer for the draws and the filtered series (``L``
+floats).  The draws, the transforms and the product write into those
+buffers, and each series is copied out into an array of its own, so every
+sample is bit for bit what fresh arrays give.  Flicker series of one
+length made one after the other (both clocks of a campaign, a sweep over
+seeds) transform only their draws.  A series of another draw count
+reloads the filter spectrum: the taps and the draws go into two rows of
+the buffer and one two-row ``rfft`` transforms both.  numpy's FFT
+allocates a fresh scratch of ``2 L`` floats on every call, and mapping it
+in costs thousands of page faults at large ``L``; one call pays that once
+for both rows, each row bit for bit what a call of its own gives.  The
+work set keeps about ``24 L`` bytes alive (24 MiB at 2**18 samples, 6 MiB
+at 2**16), and its buffer grows to ``2 * total`` floats, at most about
+``L/3`` more, once the two rows of ``total`` draws exceed ``L``.  It stays
+until a flicker series of another FFT size replaces it, and a lock makes
+concurrent syntheses take turns.  With no draw or spectrum array
+allocated per call, the peak resident memory falls although more stays
+resident.  Random-walk FM has every tap equal to 1, so its filter is the
+running sum of the draws.  That sum runs in blocks of about ``sqrt(n)``
+draws: a sequential cumulative sum inside each block, on top of a
+pairwise sum of the warm-up draws and a cumulative sum of the block
+totals.  At ``n = 2**18`` it stays within about 6 eps of the largest
 exact sum, as the FFT convolution did; one sequential cumulative sum
 over all ``n`` draws strays by about 130 eps.
 """
@@ -171,42 +178,47 @@ def _flicker_fft_size(total: int) -> int:
 class _FlickerWorkSet:
     """Resident arrays of the flicker FFT convolution at one FFT size; used only under ``lock``.
 
-    ``response`` is the read-only filter spectrum of the first ``total``
-    taps (``total`` is 0 while none is loaded), ``spectrum`` the draws'
-    spectrum and ``signal`` the draws, then the filtered series.
+    ``spectra`` holds two spectra: row 0 is ``response``, the read-only
+    filter spectrum of the first ``total`` taps (``total`` is 0 while none
+    is loaded), and row 1 is ``spectrum``, the draws' spectrum.
+    ``signal`` holds the draws, then the filtered series.  A reload puts
+    the taps and the draws in two rows of ``signal`` and transforms both
+    in one call, so ``signal`` grows to ``2 * total`` floats when that
+    exceeds the FFT size.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.total = 0
-        self.response = np.empty(size // 2 + 1, dtype=complex)
+        self.spectra = np.empty((2, size // 2 + 1), dtype=complex)
+        self.response, self.spectrum = self.spectra
         self.response.flags.writeable = False
-        self.spectrum = np.empty(size // 2 + 1, dtype=complex)
         self.signal = np.empty(size)
         self.lock = threading.Lock()
-
-    def _load(self, total: int) -> None:
-        """Transform the first ``total`` flicker taps into ``response``, through ``signal``."""
-        self.total = 0  # cleared first, so a load that raises is never reused
-        self.signal[:total] = fractional_filter_coeffs(-1, total)
-        self.response.flags.writeable = True
-        try:
-            np.fft.rfft(self.signal[:total], self.size, out=self.response)
-        finally:
-            self.response.flags.writeable = False
-        self.total = total
 
     def synthesize(self, rng, scale: float, total: int) -> np.ndarray:
         """The last ``total // 2`` of ``total`` draws times ``scale``, flicker-filtered, in an array of their own."""
         with self.lock:
-            if self.total != total:
-                self._load(total)
-            draws = self.signal[:total]
+            reload = self.total != total
+            if reload:
+                self.total = 0  # cleared first, so a reload that raises is never reused
+                if 2 * total > self.signal.size:
+                    self.signal = np.empty(2 * total)
+                rows = self.signal[: 2 * total].reshape(2, total)
+                rows[0] = fractional_filter_coeffs(-1, total)
+                draws = rows[1]
+            else:
+                draws = self.signal[:total]
             rng.standard_normal(out=draws)
             draws *= scale
-            np.fft.rfft(draws, self.size, out=self.spectrum)
+            if reload:
+                # pocketfft allocates a fresh scratch on every call: one call for both rows pays it once.
+                np.fft.rfft(rows, self.size, axis=-1, out=self.spectra)
+                self.total = total
+            else:
+                np.fft.rfft(draws, self.size, out=self.spectrum)
             self.spectrum *= self.response
-            np.fft.irfft(self.spectrum, self.size, out=self.signal)
+            np.fft.irfft(self.spectrum, self.size, out=self.signal[: self.size])
             return self.signal[total // 2 : total].copy()
 
 

@@ -74,6 +74,8 @@ def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
 FIXTURE_SHA256 = [
     ("noise", "noise_flicker_fm.yaml", "noise.csv",
      "0da425724a428322f25b9816c3ba7421e629e853c6b39e99aaee022020357f75"),
+    ("noise", "noise_flicker_pm.yaml", "noise.csv",
+     "b26e89849fa90a635b8e2f7640e24caa91ca8c6dcab46dfc3879fbd184f78335"),
     ("noise", "noise_random_walk_fm.yaml", "noise.csv",
      "febf2928db343e2ac5c701fa80fc5779f384b91e5873d3bf7cb31554c9f3dc04"),
     ("stability", "stability_white_fm.yaml", "sigma_tau.csv",
@@ -386,7 +388,8 @@ def test_overflowing_squeezing_fails_with_one_stderr_line(tmp_path):
     proc = _run_module(tmp_path, "{mode: hl, trials: 100, method: temporal_mode, nu0: 1.92e14, "
                                  "t0: 1.0e-14, r_values: [1.0, 800.0]}")
     assert proc.returncode == 3
-    assert proc.stderr.splitlines() == ["combsync: error: n must be finite and positive, got inf"]
+    assert proc.stderr.splitlines() == [
+        "combsync: error: quantum-scaling: a result left the float range (FloatingPointError)"]
 
 
 def test_underflowing_deviation_succeeds_with_empty_stderr(tmp_path):
@@ -408,10 +411,13 @@ def test_unknown_log_level_exits_2_with_one_line(tmp_path):
 
 
 def test_floating_point_fault_is_logged_at_info(tmp_path):
-    proc = _run_module(tmp_path, "{mode: sql, method: tof, n_values: [1.0e300, 1.0e305], t0: 1.0e-300, "
+    # Draws near 1e-201 square to below the smallest float inside the sample deviation.
+    proc = _run_module(tmp_path, "{mode: sql, method: tof, n_values: [10, 100], t0: 1.0e-200, "
                                  "nu0: 1.92e14, trials: 100}", COMBSYNC_LOG="info")
     assert proc.returncode == 0
-    assert "INFO combsync: numpy floating-point divide by zero" in proc.stderr.splitlines()
+    assert "INFO combsync: numpy floating-point underflow" in proc.stderr.splitlines()
+    header, columns = _table(tmp_path / "scaling.csv")
+    assert (header["fitted_exponent"], columns["mc_std"]) == ("nan", ["0.0", "0.0"])
 
 
 def test_log_level_is_read_on_every_call(tmp_path, monkeypatch, caplog, capsys):

@@ -381,6 +381,7 @@ def _clock(seed, *extra):
 
 FIXTURE_PAYLOADS = {
     "noise_flicker_fm.yaml": SeriesSource(NoiseSpec(NoiseKind.FLICKER_FM, 1.0e-22, 0), count=4096, tau0=0.5),
+    "noise_flicker_pm.yaml": SeriesSource(NoiseSpec(NoiseKind.FLICKER_PM, 1.0e-22, 0), count=5119, tau0=0.5),
     "noise_random_walk_fm.yaml": SeriesSource(NoiseSpec(NoiseKind.RANDOM_WALK_FM, 1.0e-22, 0), count=4097,
                                               tau0=0.5),
     "stability_white_fm.yaml": StabilityRun(
@@ -458,6 +459,10 @@ def test_base_documents_run(base):
     ("sql", ("quantum_scaling", "n_values"), [100, HUGE], "n must be finite and positive, got inf"),
     ("advantage", ("advantage", "estimator"), {**ESTIMATOR, "method": "phase", "n": 5e-324, "nu0": 5e-324},
      "advantage: a result left the float range (ZeroDivisionError)"),
+    # Window sums of a random walk this large overflow in numpy at the octave m values.
+    ("stability", ("stability",), {"variant": "ffi1", "noise": {"kind": "random_walk_fm", "amplitude": 1.0e300,
+                                                                "count": 4096}},
+     "stability: a result left the float range (FloatingPointError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")

@@ -257,27 +257,29 @@ def _one_shot_noise(kind, count, seed, amplitude, tau0):
     return oracles.one_shot_flicker(rng, amplitude, count, tau0)
 
 
-FLICKER_SIZE_4096 = 16384  # FFT size of flicker FM at 4096 and 4097 and of flicker PM at 4096
+FLICKER_SIZE_4096 = 16384  # FFT size of flicker FM at 4096 and 4097 and of flicker PM at 4096 and 5119
 
 
-def _record_rfft_lengths(monkeypatch) -> list:
-    """Record the ``n`` of every ``np.fft.rfft`` call from now on."""
-    lengths = []
+def _record_rfft_calls(monkeypatch) -> list:
+    """Record the input shape and the ``n`` of every ``np.fft.rfft`` call from now on."""
+    calls = []
     real_rfft = np.fft.rfft
 
     def recording_rfft(a, n=None, *args, **kwargs):
-        lengths.append(n)
+        calls.append((np.shape(a), n))
         return real_rfft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
-    return lengths
+    return calls
 
 
 def test_flicker_work_set_keeps_samples_bit_identical(monkeypatch):
     # (kind, count, amplitude, tau0, reload): a flicker PM series of count n
     # filters n + 1 phase samples, so PM at 4096 shares its draw count with FM at 4097.
-    # All six share one FFT size, so one work set serves them; a reload transforms
-    # the taps and the draws, a reuse the draws alone.
+    # All eight share one FFT size, so one work set serves them; a reload transforms
+    # the taps and the draws as two rows of one call, a reuse the draws alone.
+    # Two rows outgrow the FFT size from PM at 4096 on (8194 draws each); PM at 5119
+    # (10240 draws) grows the buffer again, which then serves the shorter rows of FM at 4096.
     sequence = [
         (NoiseKind.FLICKER_PM, 4096, 1e-22, 0.5, True),
         (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, True),
@@ -285,16 +287,22 @@ def test_flicker_work_set_keeps_samples_bit_identical(monkeypatch):
         (NoiseKind.FLICKER_FM, 4097, 1e-22, 0.5, False),
         (NoiseKind.FLICKER_FM, 4096, 3e-26, 2.0, True),
         (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, False),
+        (NoiseKind.FLICKER_PM, 5119, 1e-22, 0.5, True),
+        (NoiseKind.FLICKER_FM, 4096, 1e-22, 0.5, True),
     ]
     _flicker_work_set.cache_clear()
-    lengths = _record_rfft_lengths(monkeypatch)
+    calls = _record_rfft_calls(monkeypatch)
+    longest = 0
     for seed, (kind, count, amplitude, tau0, reload) in enumerate(sequence):
-        lengths.clear()
+        total = 2 * (count + kind.is_pm)
+        longest = max(longest, total)
+        calls.clear()
         samples = generate_noise(NoiseSpec(kind, amplitude, seed=seed), count, tau0).samples
-        assert lengths == [FLICKER_SIZE_4096] * (2 if reload else 1)
+        assert calls == [((2, total) if reload else (total,), FLICKER_SIZE_4096)]
         assert np.array_equal(samples, _one_shot_noise(kind, count, seed, amplitude, tau0))
         work = _flicker_work_set(FLICKER_SIZE_4096)
-        assert work.total == 2 * (count + kind.is_pm)
+        assert work.total == total
+        assert work.signal.size == max(FLICKER_SIZE_4096, 2 * longest)
         assert not work.response.flags.writeable
     assert _flicker_work_set.cache_info().misses == 1
 
