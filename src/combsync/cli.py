@@ -26,11 +26,11 @@ import numpy as np
 
 from .artifacts import write_artifact, write_table
 from .config import COMMANDS, ConfigError, ExperimentConfig, load_config
-from .errors import CombsyncError
+from .errors import CombsyncError, InvalidArgument
 from .noisegen import generate_noise
 from .quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from .seeding import derive_seed
-from .stability import curve_to_csv, octave_m_values, stability_curve
+from .stability import octave_m_values, stability_curve
 from .synclink import advantage_report, run_sync_campaign
 from .clockmodel import comb_time_params
 
@@ -65,8 +65,14 @@ def _run_stability(config: ExperimentConfig, outdir: Path) -> list[Path]:
     series = generate_noise(spec, run.source.count, run.source.tau0)
     m_values = run.m_values or octave_m_values(len(series), run.variant)
     curve = stability_curve(series, m_values, run.variant)
+    points = curve.points
+    if not points:
+        raise InvalidArgument("cannot write an empty stability curve")
+    header = {**_file_header(config), **{f"warning_{i}": warning for i, warning in enumerate(curve.warnings)},
+              "source_length": len(series)}
     path = outdir / "sigma_tau.csv"
-    curve_to_csv(curve, path, _file_header(config))
+    write_table(path, header, {"tau_s": [p.tau for p in points], "value": [p.value for p in points],
+                               "m": [p.m for p in points], "variant": [p.variant.value for p in points]})
     return [path]
 
 

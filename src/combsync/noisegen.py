@@ -148,6 +148,8 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
     qd = coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1))
+    if not math.isfinite(qd):  # a Python float division overflows to inf without raising
+        raise OverflowError(f"innovation variance of coefficient {coefficient} at tau0={tau0} is {qd}")
     total = 2 * count
     if exponent == -1:
         return _flicker_work_set(_flicker_fft_size(total)).synthesize(rng, math.sqrt(qd), total)

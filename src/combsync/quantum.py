@@ -16,9 +16,10 @@ the squeezed law approaches the 1/n Heisenberg scaling, versus the
 1/sqrt(n) standard quantum limit of the unsqueezed laws.
 
 Squeezing magnitudes in dB follow the variance convention
-10*log10(exp(2r)).  Photonic loss acts on a single-mode squeezed state
-as beam-splitter admixture of vacuum, V -> eta*V + (1 - eta); the link
-budget in ``synclink`` reads the squeezed variance from ``apply_loss``.
+10*log10(exp(2r)).  Photonic loss acts on a quadrature variance as
+beam-splitter admixture of vacuum, V -> eta*V + (1 - eta) (``apply_loss``);
+the link budget in ``synclink`` applies it to the squeezed variance
+exp(-2r) of a ``SqueezedState``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class EstimatorMethod(Enum):
 class SqueezedState:
     """Pure single-mode squeezed state with parameter r (nepers).
 
-    Variances are normalized to the vacuum (SQL) level of 1.
+    Its squeezed quadrature variance is normalized to the vacuum (SQL) level of 1.
     """
 
     r: float
@@ -57,21 +58,6 @@ class SqueezedState:
     @property
     def variance_squeezed(self) -> float:
         return math.exp(-2.0 * self.r)
-
-    @property
-    def variance_antisqueezed(self) -> float:
-        try:
-            return math.exp(2.0 * self.r)
-        except OverflowError:  # exp(2r) leaves the float range above r ~ 354.9
-            return math.inf
-
-
-@dataclass(frozen=True)
-class QuadratureVariances:
-    """Squeezed and antisqueezed quadrature variances after a loss channel."""
-
-    variance_squeezed: float
-    variance_antisqueezed: float
 
 
 @dataclass(frozen=True)
@@ -126,19 +112,12 @@ def r_from_db(db: float) -> float:
     return _non_negative("db", db) * _LN10 / 20.0
 
 
-def apply_loss(state: Union[SqueezedState, QuadratureVariances], eta: float) -> QuadratureVariances:
-    """Beam-splitter loss: each variance V becomes eta*V + (1 - eta).
+def apply_loss(variance: float, eta: float) -> float:
+    """Beam-splitter loss of a quadrature variance V: eta*V + (1 - eta).
 
-    Composes multiplicatively in eta and drives both variances toward
-    the vacuum level 1.
+    Composes multiplicatively in eta and drives V toward the vacuum level 1.
     """
-    _unit_interval("eta", eta)
-    if eta == 0.0:  # pure vacuum; also keeps 0 * inf (r above ~354.9) from giving nan
-        return QuadratureVariances(1.0, 1.0)
-    return QuadratureVariances(
-        variance_squeezed=eta * state.variance_squeezed + (1.0 - eta),
-        variance_antisqueezed=eta * state.variance_antisqueezed + (1.0 - eta),
-    )
+    return _unit_interval("eta", eta) * variance + (1.0 - eta)
 
 
 def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[float]:

@@ -30,11 +30,10 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .artifacts import read_table, write_table
 from .errors import DegenerateInput, InsufficientData, InvalidArgument, _non_negative, _positive
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
@@ -73,7 +72,6 @@ class StabilityCurve:
     """
 
     points: tuple[StabilityPoint, ...]
-    source_length: Optional[int] = None
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -89,10 +87,6 @@ class StabilityCurve:
         taus = [p.tau for p in points]
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise InvalidArgument("curve points must be strictly increasing in tau")
-
-    @property
-    def variant(self) -> Optional[Variant]:
-        return self.points[0].variant if self.points else None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +286,7 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
             warnings.append(f"m={m}: {exc}")
             continue
         points.append(StabilityPoint(tau=m * series.tau0, value=value, m=m, variant=variant))
-    return StabilityCurve(points=tuple(points), source_length=len(series), warnings=tuple(warnings))
+    return StabilityCurve(points=tuple(points), warnings=tuple(warnings))
 
 
 def octave_m_values(length: int, variant: Variant = Variant.FFI2) -> list[int]:
@@ -355,53 +349,3 @@ def classify_noise(slope: float, variant: Variant) -> set[NoiseKind]:
     else:
         raise InvalidArgument(f"classify_noise accepts FFI0/FFI1/FFI2 curves, got {variant!r}")
     return {kind for kind, alpha in table.items() if abs(slope - alpha) <= CLASSIFY_TOLERANCE}
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-CURVE_CSV_FIELDS = ("tau_s", "value", "m", "variant")
-
-
-def curve_to_csv(curve: StabilityCurve, path, metadata: Optional[Mapping[str, object]] = None) -> None:
-    """Write a non-empty curve to ``path`` as CSV with ``tau_s,value,m,variant`` columns, sorted by tau.
-
-    Metadata key/value pairs, then the curve's warnings (``warning_<i>``)
-    and source length, go into leading ``#`` comment lines so the data
-    round-trips exactly.
-    """
-    if not curve.points:
-        raise InvalidArgument("cannot write an empty stability curve")
-    header = {**(metadata or {}), **{f"warning_{i}": warning for i, warning in enumerate(curve.warnings)}}
-    if curve.source_length is not None:
-        header["source_length"] = curve.source_length
-    rows = [(p.tau, p.value, p.m, p.variant.value) for p in sorted(curve.points, key=lambda p: p.tau)]
-    write_table(path, header, dict(zip(CURVE_CSV_FIELDS, zip(*rows))))
-
-
-def _parse_cells(name: str, cells: list[str], parse: Callable[[str], object]) -> list:
-    """Parse one column's cells; a cell ``parse`` rejects is reported with its column and data row."""
-    values = []
-    for row, cell in enumerate(cells, 1):
-        try:
-            values.append(parse(cell))
-        except ValueError:
-            raise InvalidArgument(f"cannot read {name} cell {cell!r} in data row {row}") from None
-    return values
-
-
-def curve_from_csv(stream: Iterable[str]) -> StabilityCurve:
-    """Read a curve previously written by :func:`curve_to_csv`."""
-    header, columns = read_table(stream)
-    if tuple(columns) != CURVE_CSV_FIELDS:
-        raise InvalidArgument(f"unexpected curve CSV header {list(columns)!r}")
-    source_length = header.get("source_length")
-    if source_length is not None and not source_length.isdecimal():
-        raise InvalidArgument(f"source_length must be a non-negative integer, got {source_length!r}")
-    # The columns follow StabilityPoint's field order: tau, value, m, variant.
-    parsed = [_parse_cells(name, columns[name], parse)
-              for name, parse in zip(CURVE_CSV_FIELDS, (float, float, int, Variant))]
-    points = tuple(StabilityPoint(*cells) for cells in zip(*parsed))
-    warnings = tuple(value for key, value in header.items() if key.startswith("warning_"))
-    return StabilityCurve(points=points, source_length=None if source_length is None else int(source_length),
-                          warnings=warnings)

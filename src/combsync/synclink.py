@@ -279,11 +279,12 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     eta_total combines geometric collection (1 when no geometry is
     configured) with detector efficiency.  The squeezed deviation is the
     classical one scaled by the square root of the squeezed variance
-    after loss, eta*exp(-2r) + 1 - eta (``apply_loss``).
+    after loss, eta*exp(-2r) + 1 - eta: ``apply_loss`` of
+    ``SqueezedState(r).variance_squeezed``.
     """
     eta_total = link.eta_detector if link.geometric is None else link_efficiency(link)
     sigma_classical = model_sigma(replace(model, r=0.0))
-    effective_variance = apply_loss(SqueezedState(model.r), eta_total).variance_squeezed
+    effective_variance = apply_loss(SqueezedState(model.r).variance_squeezed, eta_total)
     sigma_quantum = math.sqrt(effective_variance) * sigma_classical
     return AdvantageReport(
         eta_total=eta_total,

@@ -200,7 +200,7 @@ def test_criterion_8_loss_floor():
         assert required_squeezing(eta, 2.0) is None
     effective_db = []
     for r in (5.0, 10.0, 20.0):
-        variance = apply_loss(SqueezedState(r), 0.5).variance_squeezed
+        variance = apply_loss(SqueezedState(r).variance_squeezed, 0.5)
         effective_db.append(-10.0 * math.log10(variance))
     assert all(db <= 3.0103 + 1e-9 for db in effective_db)
     assert effective_db[-1] == pytest.approx(3.01, abs=0.01)

@@ -29,6 +29,7 @@ def test_blank_lines_skipped_and_header_only_table_has_empty_columns():
     "lines, match",
     [
         (["# seed=1\n"], "table has no column header line"),
+        ([], "table has no column header line"),
         (["x,y,x\n", "1,2,3\n"], "line 1 repeats a column name"),
         (["# seed=1\n", "x,y\n", "1,2\n", "3\n"], "line 4 has 1 cells, the column header has 2"),
         (["x,y\n", "1,2,3\n"], "line 2 has 3 cells, the column header has 2"),

@@ -14,7 +14,6 @@ from combsync.artifacts import read_table
 from combsync.cli import main
 from combsync.clockmodel import comb_time_params
 from combsync.config import load_config
-from combsync.errors import InvalidArgument
 from combsync.noisegen import generate_noise
 from combsync.quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from combsync.seeding import derive_seed
@@ -22,8 +21,6 @@ from combsync.stability import (
     StabilityCurve,
     StabilityPoint,
     Variant,
-    curve_from_csv,
-    curve_to_csv,
     fit_slope,
     octave_m_values,
     stability_curve,
@@ -110,17 +107,15 @@ def test_fixture_artifact_bytes_are_pinned(command, fixture, artifact, digest, t
 
 def test_white_fm_fixture_slope(tmp_path):
     assert run_cli("stability", CONFIGS / "stability_white_fm.yaml", tmp_path) == 0
-    with open(tmp_path / "sigma_tau.csv") as fh:
-        curve = curve_from_csv(fh)
-    assert curve.source_length == 65536
-    assert fit_slope(curve, (2.0, 2048.0)) == pytest.approx(-0.5, abs=0.1)
+    header, columns = _table(tmp_path / "sigma_tau.csv")
+    assert header["source_length"] == "65536"
+    assert fit_slope(_curve(columns), (2.0, 2048.0)) == pytest.approx(-0.5, abs=0.1)
 
 
 def test_white_pm_ffi2_fixture_slope_round_trip(tmp_path):
     assert run_cli("stability", CONFIGS / "stability_white_pm_ffi2.yaml", tmp_path) == 0
-    with open(tmp_path / "sigma_tau.csv") as fh:
-        curve = curve_from_csv(fh)
-    assert curve.variant is Variant.FFI2
+    curve = _curve(_table(tmp_path / "sigma_tau.csv")[1])
+    assert {p.variant for p in curve.points} == {Variant.FFI2}
     assert fit_slope(curve, (4.0, 1024.0)) == pytest.approx(-1.5, abs=0.15)
 
 
@@ -188,14 +183,82 @@ def test_seed_override_changes_output(tmp_path):
 
 def test_runtime_estimator_failure_exits_3(tmp_path, capsys):
     # Every requested averaging factor is too large for the series, so the
-    # curve comes out empty and writing it fails at run time.
+    # curve comes out empty and the CLI refuses it before opening sigma_tau.csv.
     config = tmp_path / "short.yaml"
     config.write_text(
         "command: stability\nseed: 1\nstability:\n  variant: ffi2\n  m_values: [64]\n"
         "  noise: {kind: white_fm, amplitude: 1.0, count: 16, tau0: 1.0}\n"
     )
     assert run_cli("stability", config, tmp_path) == 3
-    assert "empty" in capsys.readouterr().err
+    assert capsys.readouterr().err == "combsync: error: cannot write an empty stability curve\n"
+    assert not (tmp_path / "sigma_tau.csv").exists()
+
+
+def _stability_config(tmp_path, variant, m_values, count, tau0=1.0):
+    """A stability config on a white FM series of ``count`` samples, and its parsed form."""
+    path = tmp_path / "stability.yaml"
+    path.write_text(
+        f"command: stability\nseed: 1\nstability:\n  variant: {variant}\n  m_values: {list(m_values)}\n"
+        f"  noise: {{kind: white_fm, amplitude: 1.0, count: {count}, tau0: {tau0}}}\n"
+    )
+    return path, load_config(path, command="stability")
+
+
+def _expected_curve(config):
+    """The curve the CLI computes for a stability config."""
+    run = config.payload
+    spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
+    series = generate_noise(spec, run.source.count, run.source.tau0)
+    return stability_curve(series, run.m_values or octave_m_values(len(series), run.variant), run.variant)
+
+
+def test_emit_sigma_tau_single_point(tmp_path):
+    path, config = _stability_config(tmp_path, "ffi1", [1], 8, tau0=0.5)
+    assert run_cli("stability", path, tmp_path) == 0
+    (point,) = _expected_curve(config).points
+    lines = (tmp_path / "sigma_tau.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == [f"# config_sha256={hashlib.sha256(config.raw_bytes).hexdigest()}", "# seed=1",
+                     "# source_length=8", "tau_s,value,m,variant", f"0.5,{point.value!r},1,ffi1"]
+
+
+# The largest averaging factor a 16-sample series holds is 8 for FFI0/FFI1
+# (2m samples) and 5 for FFI2/TDEV (3m - 1 samples); one more empties the curve.
+@pytest.mark.parametrize("variant,m,written", [
+    ("ffi0", 8, True), ("ffi0", 9, False),
+    ("ffi1", 8, True), ("ffi1", 9, False),
+    ("ffi2", 5, True), ("ffi2", 6, False),
+    ("tdev", 5, True), ("tdev", 6, False),
+])
+def test_emit_sigma_tau_rejects_empty_curve(variant, m, written, tmp_path, capsys):
+    path, _ = _stability_config(tmp_path, variant, [m], 16)
+    if written:
+        assert run_cli("stability", path, tmp_path) == 0
+        _, columns = _table(tmp_path / "sigma_tau.csv")
+        assert (columns["m"], columns["variant"]) == ([str(m)], [variant])
+    else:
+        assert run_cli("stability", path, tmp_path) == 3
+        assert capsys.readouterr().err == "combsync: error: cannot write an empty stability curve\n"
+        assert not (tmp_path / "sigma_tau.csv").exists()
+
+
+def test_round_trip_exact(tmp_path):
+    # tau0 = 0.3 makes every tau = m * tau0 a float whose shortest repr must read back to the same bits.
+    path, config = _stability_config(tmp_path, "tdev", [1, 2, 4, 8, 16], 128, tau0=0.3)
+    assert run_cli("stability", path, tmp_path) == 0
+    curve = _curve(_table(tmp_path / "sigma_tau.csv")[1])
+    assert curve == _expected_curve(config)
+
+
+def test_warnings_round_trip(tmp_path):
+    path, config = _stability_config(tmp_path, "ffi1", [1, 64, 128], 16)
+    assert run_cli("stability", path, tmp_path) == 0
+    curve = _expected_curve(config)
+    assert len(curve.warnings) == 2
+    header, columns = _table(tmp_path / "sigma_tau.csv")
+    assert list(header) == ["config_sha256", "seed", "warning_0", "warning_1", "source_length"]
+    assert [header["warning_0"], header["warning_1"]] == list(curve.warnings)
+    assert "m=64" in header["warning_0"] and "m=128" in header["warning_1"]
+    assert columns["m"] == ["1"]
 
 
 _GEOMETRY = "wavelength: 1.56e-6, aperture_radius: 0.3"
@@ -224,22 +287,6 @@ def test_output_path_collision_exits_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_emit_sigma_tau_single_point(tmp_path):
-    curve = StabilityCurve(
-        points=(StabilityPoint(tau=1.0, value=2.0, m=1, variant=Variant.FFI1),),
-        source_length=8,
-    )
-    path = tmp_path / "single.csv"
-    curve_to_csv(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines == ["# source_length=8", "tau_s,value,m,variant", "1.0,2.0,1,ffi1"]
-
-
-def test_emit_sigma_tau_rejects_empty_curve(tmp_path):
-    with pytest.raises(InvalidArgument):
-        curve_to_csv(StabilityCurve(points=()), tmp_path / "x.csv")
-
-
 def test_scaling_hl_fixture_exponent(tmp_path):
     assert run_cli("quantum-scaling", CONFIGS / "scaling_hl.yaml", tmp_path) == 0
     header, _ = _table(tmp_path / "scaling.csv")
@@ -256,6 +303,13 @@ def test_advantage_fixture_reports_flag(tmp_path):
 def _table(path):
     with open(path, encoding="utf-8") as fh:
         return read_table(fh)
+
+
+def _curve(columns):
+    """The stability curve whose points are the cells of a sigma_tau.csv table."""
+    cells = zip(*(columns[name] for name in ("tau_s", "value", "m", "variant")))
+    return StabilityCurve(points=tuple(StabilityPoint(float(tau), float(value), int(m), Variant(variant))
+                                       for tau, value, m, variant in cells))
 
 
 def _bits(values):
@@ -310,16 +364,21 @@ def test_campaign_cells_parse_to_the_campaign_floats(tmp_path):
     assert _bits(t["value_s"] for t in tdev) == _bits(p.value for p in points)
 
 
-@pytest.mark.parametrize("fixture", ["stability_white_fm.yaml", "stability_white_pm_ffi2.yaml"])
+@pytest.mark.parametrize("fixture", ["stability_white_fm.yaml", "stability_white_pm_ffi2.yaml",
+                                     "stability_tdev_m_values.yaml"])
 def test_sigma_tau_cells_parse_to_the_curve_floats(fixture, tmp_path):
     config = load_config(CONFIGS / fixture, command="stability")
     assert run_cli("stability", CONFIGS / fixture, tmp_path) == 0
     run = config.payload
     spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
     series = generate_noise(spec, run.source.count, run.source.tau0)
-    curve = stability_curve(series, octave_m_values(len(series), run.variant), run.variant)
+    curve = stability_curve(series, run.m_values or octave_m_values(len(series), run.variant), run.variant)
     header, columns = _table(tmp_path / "sigma_tau.csv")
-    assert header["source_length"] == str(curve.source_length)
+    warnings = {f"warning_{i}": warning for i, warning in enumerate(curve.warnings)}
+    assert header == {"config_sha256": hashlib.sha256(config.raw_bytes).hexdigest(), "seed": str(config.seed),
+                      **warnings, "source_length": str(len(series))}
+    assert list(header) == ["config_sha256", "seed", *warnings, "source_length"]
+    assert list(columns) == ["tau_s", "value", "m", "variant"]
     assert _bits(columns["tau_s"]) == _bits(p.tau for p in curve.points)
     assert _bits(columns["value"]) == _bits(p.value for p in curve.points)
     assert columns["m"] == [str(p.m) for p in curve.points]

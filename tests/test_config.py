@@ -463,6 +463,9 @@ def test_base_documents_run(base):
     ("stability", ("stability",), {"variant": "ffi1", "noise": {"kind": "random_walk_fm", "amplitude": 1.0e300,
                                                                 "count": 4096}},
      "stability: a result left the float range (FloatingPointError)"),
+    # The innovation variance of this white FM series is a Python float past the float range.
+    ("noise", ("noise",), {"kind": "white_fm", "amplitude": 1.0e62, "count": 4, "tau0": 1.0e-300},
+     "noise: a result left the float range (OverflowError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")

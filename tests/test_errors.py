@@ -71,7 +71,7 @@ ARGUMENTS = [
     ("r", _non_negative, lambda v: EstimatorModel(**{**ESTIMATOR, "r": v})),
     ("r", _non_negative, db_from_r),
     ("db", _non_negative, r_from_db),
-    ("eta", _unit_interval, lambda v: apply_loss(SqueezedState(1.0), v)),
+    ("eta", _unit_interval, lambda v: apply_loss(1.0, v)),
     ("eta_total", _unit_interval, lambda v: required_squeezing(v, 2.0)),
     ("true_offset", _finite, lambda v: monte_carlo_sigma(EstimatorModel(**ESTIMATOR), 100, true_offset=v)),
     ("tau", _positive, lambda v: StabilityPoint(tau=v, value=1.0, m=1, variant=Variant.FFI1)),

@@ -27,23 +27,20 @@ wide = st.floats(1e-100, 1e100)
 
 class TestSqueezedState:
     def test_vacuum_limit(self):
-        s = SqueezedState(0.0)
-        assert s.variance_squeezed == 1.0
-        assert s.variance_antisqueezed == 1.0
+        assert SqueezedState(0.0).variance_squeezed == 1.0
 
     @given(r_values)
-    def test_purity_product(self, r):
-        s = SqueezedState(r)
-        assert s.variance_squeezed * s.variance_antisqueezed == pytest.approx(1.0, rel=1e-12)
+    def test_squeezed_variance_in_db_is_db_from_r(self, r):
+        assert -10.0 * math.log10(SqueezedState(r).variance_squeezed) == pytest.approx(db_from_r(r), abs=1e-9)
 
     def test_rejects_negative_r(self):
         with pytest.raises(InvalidArgument):
             SqueezedState(-0.1)
 
-    def test_antisqueezed_variance_past_float_range_is_inf(self):
-        state = SqueezedState(400.0)
-        assert state.variance_antisqueezed == math.inf
-        assert apply_loss(state, 0.9).variance_squeezed == 1.0 - 0.9
+    def test_squeezed_variance_underflows_to_zero(self):
+        variance = SqueezedState(400.0).variance_squeezed
+        assert variance == 0.0
+        assert apply_loss(variance, 0.9) == 1.0 - 0.9
 
 
 def tof(n, t0):
@@ -162,43 +159,43 @@ class TestDbConversions:
 
 class TestApplyLoss:
     def test_identity_channel(self):
-        out = apply_loss(SqueezedState(1.2), 1.0)
-        assert out.variance_squeezed == SqueezedState(1.2).variance_squeezed
-        assert out.variance_antisqueezed == SqueezedState(1.2).variance_antisqueezed
+        variance = SqueezedState(1.2).variance_squeezed
+        assert apply_loss(variance, 1.0) == variance
 
     def test_full_loss_gives_vacuum(self):
-        out = apply_loss(SqueezedState(3.0), 0.0)
-        assert out.variance_squeezed == 1.0
-        assert out.variance_antisqueezed == 1.0
+        assert apply_loss(SqueezedState(3.0).variance_squeezed, 0.0) == 1.0
 
-    def test_full_loss_of_overflowed_state_is_vacuum(self):
-        out = apply_loss(SqueezedState(400.0), 0.0)
-        assert out.variance_squeezed == 1.0
-        assert out.variance_antisqueezed == 1.0
+    def test_full_loss_of_underflowed_state_is_vacuum(self):
+        assert apply_loss(SqueezedState(400.0).variance_squeezed, 0.0) == 1.0
 
     def test_half_loss_caps_squeezing_at_3db(self):
-        out = apply_loss(SqueezedState(20.0), 0.5)
-        assert out.variance_squeezed == pytest.approx(0.5, rel=1e-8)
-        assert -10.0 * math.log10(out.variance_squeezed) == pytest.approx(3.01, abs=0.01)
+        variance = apply_loss(SqueezedState(20.0).variance_squeezed, 0.5)
+        assert variance == pytest.approx(0.5, rel=1e-8)
+        assert -10.0 * math.log10(variance) == pytest.approx(3.01, abs=0.01)
+
+    @given(st.floats(0.0, 1.0))
+    def test_loss_leaves_vacuum_at_vacuum(self, eta):
+        assert apply_loss(1.0, eta) == pytest.approx(1.0, rel=1e-15)
+
+    @given(r_values, st.floats(0.0, 1.0))
+    def test_loss_stays_between_state_and_vacuum(self, r, eta):
+        variance = SqueezedState(r).variance_squeezed
+        assert variance - 1e-15 <= apply_loss(variance, eta) <= 1.0 + 1e-15
 
     @given(r_values, st.floats(0.0, 1.0))
     def test_contractive_toward_vacuum(self, r, eta):
-        state = SqueezedState(r)
-        out = apply_loss(state, eta)
-        assert abs(out.variance_squeezed - 1.0) <= abs(state.variance_squeezed - 1.0) + 1e-15
-        assert abs(out.variance_antisqueezed - 1.0) <= abs(state.variance_antisqueezed - 1.0) + 1e-15
+        variance = SqueezedState(r).variance_squeezed
+        assert abs(apply_loss(variance, eta) - 1.0) <= abs(variance - 1.0) + 1e-15
 
     @given(r_values, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_composition_law(self, r, eta1, eta2):
-        state = SqueezedState(r)
-        twice = apply_loss(apply_loss(state, eta2), eta1)
-        once = apply_loss(state, eta1 * eta2)
-        assert twice.variance_squeezed == pytest.approx(once.variance_squeezed, rel=1e-12, abs=1e-12)
-        assert twice.variance_antisqueezed == pytest.approx(once.variance_antisqueezed, rel=1e-9)
+        variance = SqueezedState(r).variance_squeezed
+        twice = apply_loss(apply_loss(variance, eta2), eta1)
+        assert twice == pytest.approx(apply_loss(variance, eta1 * eta2), rel=1e-12, abs=1e-12)
 
     def test_rejects_eta_out_of_range(self):
         with pytest.raises(InvalidArgument):
-            apply_loss(SqueezedState(1.0), 1.0001)
+            apply_loss(SqueezedState(1.0).variance_squeezed, 1.0001)
 
 
 class TestRequiredSqueezing:

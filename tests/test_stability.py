@@ -1,4 +1,3 @@
-import io
 import math
 import re
 from fractions import Fraction
@@ -16,8 +15,6 @@ from combsync.stability import (
     StabilityPoint,
     Variant,
     classify_noise,
-    curve_from_csv,
-    curve_to_csv,
     decimate,
     ffi0,
     ffi1,
@@ -319,7 +316,6 @@ class TestStabilityCurve:
         curve = stability_curve(series, [1, 2, 8], Variant.FFI2)
         assert [p.m for p in curve.points] == [1, 2]
         assert len(curve.warnings) == 1 and "m=8" in curve.warnings[0]
-        assert curve.source_length == 10
 
     def test_curve_validation(self):
         p1 = StabilityPoint(tau=1.0, value=1.0, m=1, variant=Variant.FFI1)
@@ -436,57 +432,3 @@ class TestClassifyNoise:
         with pytest.raises(InvalidArgument):
             classify_noise(-1.0, Variant.TDEV)
 
-
-class TestCurveCsv:
-    def test_round_trip_exact(self, tmp_path):
-        series = random_series(77, length=128, tau0=0.3)
-        curve = stability_curve(series, [1, 2, 4, 8, 16], Variant.TDEV)
-        curve_to_csv(curve, tmp_path / "curve.csv", metadata={"seed": 7})
-        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
-            back = curve_from_csv(fh)
-        assert back.source_length == curve.source_length
-        assert len(back.points) == len(curve.points)
-        for a, b in zip(back.points, curve.points):
-            assert (a.tau, a.value, a.m, a.variant) == (b.tau, b.value, b.m, b.variant)
-
-    def test_round_trip_of_points_built_from_numpy_and_float_m(self, tmp_path):
-        # An m kept as 2.0 would be written as the cell "2.0", which the reader rejects.
-        points = (StabilityPoint(tau=2.0, value=1.0, m=2.0, variant=Variant.FFI1),
-                  StabilityPoint(tau=4.0, value=0.5, m=np.int64(4), variant=Variant.FFI1))
-        curve = StabilityCurve(points=points, source_length=16)
-        curve_to_csv(curve, tmp_path / "curve.csv")
-        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
-            assert curve_from_csv(fh) == curve
-
-    def test_header_line(self, tmp_path):
-        curve = stability_curve(random_series(1, length=16), [1], Variant.FFI0)
-        curve_to_csv(curve, tmp_path / "curve.csv")
-        lines = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# source_length=16"
-        assert lines[1] == "tau_s,value,m,variant"
-        assert len(lines) == 3
-
-    def test_warnings_round_trip(self, tmp_path):
-        curve = stability_curve(random_series(5, length=16), [1, 64, 128], Variant.FFI1)
-        assert len(curve.warnings) == 2
-        curve_to_csv(curve, tmp_path / "curve.csv", metadata={"seed": 5})
-        lines = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[:4] == ["# seed=5", f"# warning_0={curve.warnings[0]}", f"# warning_1={curve.warnings[1]}",
-                             "# source_length=16"]
-        with open(tmp_path / "curve.csv", encoding="utf-8") as fh:
-            assert curve_from_csv(fh).warnings == curve.warnings
-
-    @pytest.mark.parametrize("text,match", [
-        ("tau_s,value,m,variant\n1.0,2.0,1\n", "line 2 has 3 cells"),
-        ("tau_s,value,m,variant\n1.0,2.0,1,ffi1,x\n", "line 2 has 5 cells"),
-        ("# source_length=abc\ntau_s,value,m,variant\n1.0,2.0,1,ffi1\n", "source_length must be"),
-        ("", "no column header"),
-        ("tau_s,value,m,variant,variant\n1.0,2.0,1,ffi1,ffi1\n", "line 1 repeats a column name"),
-        ("tau_s,value,m,variant\nabc,2.0,1,ffi1\n", "cannot read tau_s cell 'abc' in data row 1"),
-        ("tau_s,value,m,variant\n1.0,2.0,1,ffi1\n2.0,x,2,ffi1\n", "cannot read value cell 'x' in data row 2"),
-        ("tau_s,value,m,variant\n1.0,2.0,1.5,ffi1\n", "cannot read m cell '1.5' in data row 1"),
-        ("tau_s,value,m,variant\n1.0,2.0,1,xx\n", "cannot read variant cell 'xx' in data row 1"),
-    ])
-    def test_malformed_file_raises_invalid_argument(self, text, match):
-        with pytest.raises(InvalidArgument, match=match):
-            curve_from_csv(io.StringIO(text))
