@@ -25,11 +25,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import write_artifact, write_table
-from .config import COMMANDS, ConfigError, ExperimentConfig, load_config
+from .config import COMMANDS, ConfigError, ExperimentConfig, SeriesSource, load_config
 from .errors import CombsyncError, InvalidArgument
 from .noisegen import generate_noise
 from .quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from .seeding import derive_seed
+from .series import TimeSeriesY
 from .stability import octave_m_values, stability_curve
 from .synclink import advantage_report, run_sync_campaign
 from .clockmodel import comb_time_params
@@ -44,14 +45,19 @@ def _file_header(config: ExperimentConfig) -> dict:
     }
 
 
+def _series(config: ExperimentConfig, source: SeriesSource) -> TimeSeriesY:
+    """The source's noise series, its spec's seed derived from the run's seed."""
+    spec = replace(source.spec, seed=derive_seed(config.seed, source.spec.seed))
+    return generate_noise(spec, source.count, source.tau0)
+
+
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns the list of files written.
 
 
 def _run_noise(config: ExperimentConfig, outdir: Path) -> list[Path]:
-    source = config.payload
-    spec = replace(source.spec, seed=derive_seed(config.seed, source.spec.seed))
-    series = generate_noise(spec, source.count, source.tau0)
+    spec = config.payload.spec
+    series = _series(config, config.payload)
     path = outdir / "noise.csv"
     write_table(path, {**_file_header(config), "kind": spec.kind.value, "amplitude": spec.amplitude,
                        "tau0_s": series.tau0},
@@ -61,8 +67,7 @@ def _run_noise(config: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_stability(config: ExperimentConfig, outdir: Path) -> list[Path]:
     run = config.payload
-    spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
-    series = generate_noise(spec, run.source.count, run.source.tau0)
+    series = _series(config, run.noise)
     m_values = run.m_values or octave_m_values(len(series), run.variant)
     curve = stability_curve(series, m_values, run.variant)
     points = curve.points
@@ -157,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {command} experiment")
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory (default: config or cwd)")
+        p.add_argument("--out", default=None, help="output directory (default: the working directory)")
     return parser
 
 
@@ -172,8 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     log.setLevel(level)
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, command=args.command,
-                             seed_override=args.seed, output_override=args.out)
+        config = load_config(args.config, command=args.command, seed_override=args.seed)
     except ConfigError as exc:
         print(f"combsync: config error: {exc}", file=sys.stderr)
         return 2
@@ -181,7 +185,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"combsync: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(config.output) if config.output else Path.cwd()
+    outdir = Path(args.out) if args.out else Path.cwd()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         # A numpy overflow, nan or division by zero raises FloatingPointError, an ArithmeticError;

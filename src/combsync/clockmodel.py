@@ -13,7 +13,6 @@ pulse train is synthesized, because every consumer works on x/y data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +21,6 @@ from .errors import InvalidArgument, _finite, _positive
 from .noisegen import NoiseSpec, generate_noise
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
-
-#: Photodetector-friendly repetition-rate band for comb sampling schemes.
-REP_RATE_BAND_HZ = (10e6, 1e9)
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,6 @@ class CombParams:
         if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
             raise InvalidArgument(f"n_range must be an integer interval with 1 <= lo <= hi, got {self.n_range}")
         object.__setattr__(self, "n_range", (int(lo), int(hi)))
-        if not (REP_RATE_BAND_HZ[0] <= self.f_r <= REP_RATE_BAND_HZ[1]):
-            warnings.warn(
-                f"repetition rate {self.f_r:g} Hz is outside the "
-                f"{REP_RATE_BAND_HZ[0]:g}-{REP_RATE_BAND_HZ[1]:g} Hz band of "
-                "off-the-shelf photodetection",
-                stacklevel=2,
-            )
 
 
 def ramp_phase(clock: ClockModel, t):
@@ -106,4 +95,7 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
 
 def comb_time_params(comb: CombParams) -> tuple[float, float]:
     """Pulse period t_r = 1/f_r and carrier-envelope phase slip 2*pi*f_0/f_r."""
-    return 1.0 / comb.f_r, 2.0 * math.pi * comb.f_0 / comb.f_r
+    t_r, slip = 1.0 / comb.f_r, 2.0 * math.pi * comb.f_0 / comb.f_r
+    if not (math.isfinite(t_r) and math.isfinite(slip)):  # Python float arithmetic overflows to inf silently
+        raise OverflowError(f"pulse period {t_r} or phase slip {slip} of {comb} is not finite")
+    return t_r, slip

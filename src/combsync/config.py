@@ -1,13 +1,15 @@
 """Strict YAML experiment configuration.
 
 One config file drives one run: a top-level ``command``/``seed`` pair
-plus a single parameter block named after the command.  Every key of a
-block is a field of the dataclass it builds, with that field's type and
-default; two are named differently: a link's ``troposphere_enabled`` is
-written ``troposphere`` and a stability run's ``source`` is ``noise``.
-Parsing is strict — unknown, missing, mistyped and repeated keys are
-rejected with the offending dotted key name so typos in physics
-parameters cannot pass silently.
+plus a single parameter block named after the command.  ``_build`` makes
+every block: each key is the name of a field of the dataclass it builds,
+with that field's type and default, and each rule on the values is the
+dataclass's own ``__post_init__`` (a quantum-scaling run's mode among
+them).  Parsing is strict — unknown, missing, mistyped and repeated keys
+are rejected with the offending dotted key name so typos in physics
+parameters cannot pass silently.  The output directory is not part of a
+config: it is the CLI's ``--out``, so that moving a run's output does not
+change the config hash its artifacts record.
 
 The YAML is parsed by PyYAML's libyaml binding (``yaml.CSafeLoader``;
 ``yaml.__with_libyaml__`` is true where it is built, as in the PyPI
@@ -32,15 +34,11 @@ from typing import Any, Container, Optional, Union
 import yaml
 
 from .clockmodel import CombParams
-from .errors import CombsyncError
+from .errors import CombsyncError, InvalidArgument
 from .noisegen import NoiseSpec
 from .quantum import EstimatorMethod, EstimatorModel
 from .stability import Variant
 from .synclink import LinkModel, SyncCampaign
-
-COMMANDS = ("noise", "stability", "sync", "quantum-scaling", "advantage")
-#: Commands that draw random numbers and therefore require a seed.
-STOCHASTIC_COMMANDS = ("noise", "stability", "sync", "quantum-scaling")
 
 
 class ConfigError(CombsyncError):
@@ -130,7 +128,7 @@ class SeriesSource:
 
 @dataclass(frozen=True)
 class StabilityRun:
-    source: SeriesSource
+    noise: SeriesSource
     variant: Variant
     m_values: Optional[tuple[int, ...]] = None
 
@@ -144,6 +142,8 @@ class SyncRun:
 
 @dataclass(frozen=True)
 class ScalingRun:
+    """The sql mode sweeps the photon budget n_values; the hl mode sweeps the squeezing r_values."""
+
     mode: str  # "sql" | "hl"
     trials: int
     nu0: float
@@ -152,6 +152,16 @@ class ScalingRun:
     n_values: tuple[float, ...] = ()
     r_values: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if self.mode not in ("sql", "hl"):
+            raise InvalidArgument(f"mode must be 'sql' or 'hl', got {self.mode!r}")
+        values, other, other_mode = (("n_values", "r_values", "hl") if self.mode == "sql"
+                                     else ("r_values", "n_values", "sql"))
+        if getattr(self, other):
+            raise InvalidArgument(f"{other} is only valid in {other_mode} mode")
+        if not getattr(self, values):
+            raise InvalidArgument(f"{self.mode} mode needs {values}")
+
 
 @dataclass(frozen=True)
 class AdvantageRun:
@@ -159,15 +169,22 @@ class AdvantageRun:
     estimator: EstimatorModel
 
 
+#: The payload dataclass each command's parameter block builds.
+COMMANDS = {"noise": SeriesSource, "stability": StabilityRun, "sync": SyncRun,
+            "quantum-scaling": ScalingRun, "advantage": AdvantageRun}
+#: Commands that draw random numbers and therefore require a seed.  No payload field says so:
+#: the seed sits at the top level, and an advantage run is deterministic and may omit it.
+STOCHASTIC_COMMANDS = ("noise", "stability", "sync", "quantum-scaling")
+
+
 # ---------------------------------------------------------------------------
 # The schema: dataclass fields plus the few facts the dataclasses do not hold
 
-#: YAML keys named differently from their fields.
-_KEYS = {(LinkModel, "troposphere_enabled"): "troposphere", (StabilityRun, "source"): "noise"}
-#: Fields whose keys sit in the enclosing block instead of under a key of their own.
+#: Fields whose keys sit in the enclosing block instead of under a key of their own.  This is the
+#: YAML layout: a noise spec's keys sit next to the series count, a campaign's next to the trials.
 _INLINE = {(SeriesSource, "spec"), (SyncRun, "campaign")}
 #: Defaults a dataclass cannot declare itself: t_0 and n_range follow CombParams.f_0,
-#: and callers build CombParams positionally.
+#: and callers build CombParams positionally.  This goes once CombParams loses t_0 and n_range.
 _DEFAULTS = {(CombParams, "f_0"): 0.0}
 
 #: Scalar types whose YAML value must have exactly that type.
@@ -182,18 +199,13 @@ _LISTS = {
 
 @functools.cache
 def _schema(cls) -> tuple[tuple, frozenset]:
-    """The (field name, YAML key or None if inline, type hint, default) rows of cls, and its keys."""
+    """The (field name, type hint, default, inline) rows of cls, and the keys of its block."""
     hints = typing.get_type_hints(cls)
     rows, keys = [], set()
     for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if (cls, f.name) in _INLINE:
-            rows.append((f.name, None, hint, None))
-            keys |= _schema(hint)[1]
-        else:
-            key = _KEYS.get((cls, f.name), f.name)
-            rows.append((f.name, key, hint, _DEFAULTS.get((cls, f.name), f.default)))
-            keys.add(key)
+        hint, inline = hints[f.name], (cls, f.name) in _INLINE
+        rows.append((f.name, hint, _DEFAULTS.get((cls, f.name), f.default), inline))
+        keys |= _schema(hint)[1] if inline else {f.name}
     return tuple(rows), frozenset(keys)
 
 
@@ -211,13 +223,13 @@ def _build(cls, node: Any, path: str):
     """An instance of the dataclass cls from the YAML mapping at the dotted key path."""
     node = _mapping(node, _schema(cls)[1], path)
     kwargs = {}
-    for name, key, hint, default in _schema(cls)[0]:
-        if key is None:
+    for name, hint, default, inline in _schema(cls)[0]:
+        if inline:
             kwargs[name] = _build(hint, {k: v for k, v in node.items() if k in _schema(hint)[1]}, path)
-        elif key in node:
-            kwargs[name] = _convert(hint, node[key], f"{path}.{key}")
+        elif name in node:
+            kwargs[name] = _convert(hint, node[name], f"{path}.{name}")
         elif default is dataclasses.MISSING:
-            raise ConfigError(f"missing required key '{path}.{key}'")
+            raise ConfigError(f"missing required key '{path}.{name}'")
         else:
             kwargs[name] = default
     try:
@@ -269,60 +281,30 @@ def _convert(hint, value: Any, path: str):
     return tuple(map(_float, value)) if args[0] is float else tuple(value)
 
 
-def _parse_scaling(node: Any, path: str) -> ScalingRun:
-    """The mode decides which one of n_values and r_values the block holds."""
-    node = _mapping(node, _schema(ScalingRun)[1], path)
-    mode = node.get("mode")
-    if mode not in ("sql", "hl"):
-        raise ConfigError(f"'{path}.mode' must be 'sql' or 'hl', got {mode!r}")
-    values, other, other_mode = (("n_values", "r_values", "hl") if mode == "sql"
-                                 else ("r_values", "n_values", "sql"))
-    if other in node:
-        raise ConfigError(f"'{path}.{other}' is only valid in {other_mode} mode")
-    # An absent list is reported like any other value that is not a non-empty list.
-    return _build(ScalingRun, {values: None, **node}, path)
-
-
-_BLOCK_PARSERS = {
-    "noise": functools.partial(_build, SeriesSource),
-    "stability": functools.partial(_build, StabilityRun),
-    "sync": functools.partial(_build, SyncRun),
-    "quantum-scaling": _parse_scaling,
-    "advantage": functools.partial(_build, AdvantageRun),
-}
-
-
 def _block_key(command: str) -> str:
     return command.replace("-", "_")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully validated run: command, seed, output dir, parameters."""
+    """One fully validated run: command, seed, parameters."""
 
     command: str
     seed: Optional[int]
-    output: Optional[str]
     payload: Any
     raw_bytes: bytes = field(repr=False, default=b"")
 
 
-def load_config(
-    path: str,
-    command: Optional[str] = None,
-    seed_override: Optional[int] = None,
-    output_override: Optional[str] = None,
-) -> ExperimentConfig:
+def load_config(path: str, command: Optional[str] = None, seed_override: Optional[int] = None) -> ExperimentConfig:
     """Parse and validate a config file.
 
     ``command`` (from the CLI) must agree with the file's command field
-    when both are given.  Seed and output directory overrides take
-    precedence over the file.
+    when both are given.  A seed override takes precedence over the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     root = _parse(raw)
-    keys = ("command", "seed", "output", *map(_block_key, COMMANDS))
+    keys = ("command", "seed", *map(_block_key, COMMANDS))
     root = _mapping(root if root is not None else {}, keys, "")
 
     file_command = root.get("command")
@@ -350,12 +332,6 @@ def load_config(
     if seed is None and resolved_command in STOCHASTIC_COMMANDS:
         raise ConfigError(f"command '{resolved_command}' is stochastic and requires a seed")
 
-    output = output_override if output_override is not None else root.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"'output' must be a string path, got {output!r}")
-
     key = _block_key(resolved_command)
-    payload = _BLOCK_PARSERS[resolved_command](root[key], key)
-    return ExperimentConfig(
-        command=resolved_command, seed=seed, output=output, payload=payload, raw_bytes=raw
-    )
+    payload = _build(COMMANDS[resolved_command], root[key], key)
+    return ExperimentConfig(command=resolved_command, seed=seed, payload=payload, raw_bytes=raw)

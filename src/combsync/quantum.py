@@ -92,10 +92,14 @@ class EstimatorModel:
 def model_sigma(model: EstimatorModel) -> float:
     """Closed-form deviation of the model's method, from its already validated fields (relative scale)."""
     if model.method is EstimatorMethod.TOF:
-        return model.t0 / math.sqrt(model.n)
-    if model.method is EstimatorMethod.PHASE:
-        return 1.0 / (model.nu0 * math.sqrt(model.n))
-    return math.exp(-model.r) * (1.0 / math.sqrt(model.n * ((1.0 / model.t0) ** 2 + model.nu0**2)))
+        sigma = model.t0 / math.sqrt(model.n)
+    elif model.method is EstimatorMethod.PHASE:
+        sigma = 1.0 / (model.nu0 * math.sqrt(model.n))
+    else:
+        sigma = math.exp(-model.r) * (1.0 / math.sqrt(model.n * ((1.0 / model.t0) ** 2 + model.nu0**2)))
+    if not math.isfinite(sigma):  # a Python float division overflows to inf without raising
+        raise OverflowError(f"deviation of {model} is {sigma}")
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class LinkModel:
     distance_km: float
     delay_ab: float
     delay_ba: float
-    troposphere_enabled: bool = False
+    troposphere: bool = False
     geometric: Optional[GeometricParams] = None
     eta_detector: float = 1.0
     sigma_excess: float = 0.0
@@ -83,7 +83,7 @@ class LinkModel:
 
     def effective_delays(self) -> tuple[float, float]:
         """Per-direction delays including the troposphere contribution."""
-        extra = TROPOSPHERE_DELAY_S_PER_KM * self.distance_km if self.troposphere_enabled else 0.0
+        extra = TROPOSPHERE_DELAY_S_PER_KM * self.distance_km if self.troposphere else 0.0
         return self.delay_ab + extra, self.delay_ba + extra
 
 

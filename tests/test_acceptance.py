@@ -224,7 +224,7 @@ def test_criterion_9_two_way():
         assert two_way_offset(rec) == pytest.approx(delta / 2.0, abs=1e-17)
 
     base = 100.0 / 299792.458
-    wet = LinkModel(distance_km=100.0, delay_ab=base, delay_ba=base, troposphere_enabled=True)
+    wet = LinkModel(distance_km=100.0, delay_ab=base, delay_ba=base, troposphere=True)
     rec = simulate_exchange(quiet, quiet, wet, 0.0, seed=8)
     assert one_way_offset(rec, base) == pytest.approx(100 * 1e-9, rel=1e-9)
 

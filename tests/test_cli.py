@@ -156,15 +156,12 @@ def test_command_mismatch_exits_2(tmp_path, capsys):
     assert "stability" in capsys.readouterr().err
 
 
-def test_config_output_field_used_without_out_flag(tmp_path):
-    target = tmp_path / "from-config"
+def test_working_directory_is_the_output_without_out_flag(tmp_path, monkeypatch, capsys):
     config = tmp_path / "cfg.yaml"
-    config.write_text(
-        f"command: noise\nseed: 2\noutput: {target}\n"
-        "noise: {kind: white_fm, amplitude: 1.0, count: 64, tau0: 1.0}\n"
-    )
+    config.write_text("command: noise\nseed: 2\nnoise: {kind: white_fm, amplitude: 1.0, count: 64, tau0: 1.0}\n")
+    monkeypatch.chdir(tmp_path)
     assert main(["noise", "--config", str(config)]) == 0
-    assert (target / "noise.csv").exists()
+    assert capsys.readouterr().out == f"{tmp_path / 'noise.csv'}\n"
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -207,8 +204,8 @@ def _stability_config(tmp_path, variant, m_values, count, tau0=1.0):
 def _expected_curve(config):
     """The curve the CLI computes for a stability config."""
     run = config.payload
-    spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
-    series = generate_noise(spec, run.source.count, run.source.tau0)
+    spec = replace(run.noise.spec, seed=derive_seed(config.seed, run.noise.spec.seed))
+    series = generate_noise(spec, run.noise.count, run.noise.tau0)
     return stability_curve(series, run.m_values or octave_m_values(len(series), run.variant), run.variant)
 
 
@@ -370,8 +367,8 @@ def test_sigma_tau_cells_parse_to_the_curve_floats(fixture, tmp_path):
     config = load_config(CONFIGS / fixture, command="stability")
     assert run_cli("stability", CONFIGS / fixture, tmp_path) == 0
     run = config.payload
-    spec = replace(run.source.spec, seed=derive_seed(config.seed, run.source.spec.seed))
-    series = generate_noise(spec, run.source.count, run.source.tau0)
+    spec = replace(run.noise.spec, seed=derive_seed(config.seed, run.noise.spec.seed))
+    series = generate_noise(spec, run.noise.count, run.noise.tau0)
     curve = stability_curve(series, run.m_values or octave_m_values(len(series), run.variant), run.variant)
     header, columns = _table(tmp_path / "sigma_tau.csv")
     warnings = {f"warning_{i}": warning for i, warning in enumerate(curve.warnings)}

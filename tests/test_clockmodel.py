@@ -168,10 +168,6 @@ class TestCombParams:
         with pytest.raises(InvalidArgument, match="t_0 must be finite and positive, got 0.0"):
             CombParams(f_r=100e6, f_0=0.0, t_0=0.0, n_range=(1, 10))
 
-    def test_advisory_outside_photodetection_band(self):
-        with pytest.warns(UserWarning, match="repetition rate"):
-            CombParams(f_r=5e6, f_0=0.0, t_0=1e-13, n_range=(1, 10))
-
 
 class TestCombTimeParams:
     def test_25_mhz_period_is_40_ns(self):
@@ -184,3 +180,8 @@ class TestCombTimeParams:
 
     def test_quarter_rate_offset_gives_half_pi(self):
         assert comb_time_params(comb_100mhz(f_0=25e6))[1] == pytest.approx(math.pi / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("f_r,f_0", [(5e-324, 0.0), (1.7e308, 1.6e308)])
+    def test_period_or_slip_past_the_float_range_raises(self, f_r, f_0):
+        with pytest.raises(OverflowError, match="is not finite"):
+            comb_time_params(CombParams(f_r=f_r, f_0=f_0, t_0=1e-13, n_range=(1, 10)))

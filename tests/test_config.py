@@ -5,18 +5,22 @@ documented domain boundaries."""
 import contextlib
 import copy
 import io
+import logging
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combsync import cli
+from combsync.artifacts import read_table
 from combsync.cli import main
 from combsync.clockmodel import ClockModel, CombParams
 from combsync.config import (
@@ -81,7 +85,7 @@ CASES = [
     ("noise", ("command",), "bogus",
      "'command' must be one of: noise, stability, sync, quantum-scaling, advantage; got 'bogus'"),
     ("noise", ("command",), DELETE, "no command given on the command line or in the config"),
-    ("noise", ("output",), 3, "'output' must be a string path, got 3"),
+    ("noise", ("output",), 3, "unknown key 'output'"),
     ("noise", ("bogus",), 1, "unknown key 'bogus'"),
     ("noise", ("noise",), DELETE, "missing parameter block 'noise'"),
     ("noise", ("stability",), {}, "unexpected parameter block 'stability' for command 'noise'"),
@@ -193,16 +197,16 @@ CASES = [
      "invalid 'sync.comb': n_range must be an integer interval with 1 <= lo <= hi, got (0, 3)"),
     ("sync", ("sync", "comb", "t0"), 1.0, "unknown key 'sync.comb.t0'"),
     # quantum-scaling: the mode decides which list is allowed
-    ("sql", ("quantum_scaling", "mode"), DELETE, "'quantum_scaling.mode' must be 'sql' or 'hl', got None"),
-    ("sql", ("quantum_scaling", "mode"), "SQL", "'quantum_scaling.mode' must be 'sql' or 'hl', got 'SQL'"),
+    ("sql", ("quantum_scaling", "mode"), DELETE, "missing required key 'quantum_scaling.mode'"),
+    ("sql", ("quantum_scaling", "mode"), "SQL", "invalid 'quantum_scaling': mode must be 'sql' or 'hl', got 'SQL'"),
+    ("sql", ("quantum_scaling", "mode"), 1, "'quantum_scaling.mode' must be a string, got 1"),
     ("sql", ("quantum_scaling", "mdoe"), "sql", "unknown key 'quantum_scaling.mdoe'"),
-    ("sql", ("quantum_scaling", "r_values"), [1.0], "'quantum_scaling.r_values' is only valid in hl mode"),
-    ("sql", ("quantum_scaling", "mode"), "hl", "'quantum_scaling.n_values' is only valid in sql mode"),
-    ("hl", ("quantum_scaling", "mode"), "sql", "'quantum_scaling.r_values' is only valid in hl mode"),
-    ("sql", ("quantum_scaling", "n_values"), DELETE,
-     "'quantum_scaling.n_values' must be a non-empty list of numbers"),
-    ("hl", ("quantum_scaling", "r_values"), DELETE,
-     "'quantum_scaling.r_values' must be a non-empty list of numbers"),
+    ("sql", ("quantum_scaling", "r_values"), [1.0],
+     "invalid 'quantum_scaling': r_values is only valid in hl mode"),
+    ("sql", ("quantum_scaling", "mode"), "hl", "invalid 'quantum_scaling': n_values is only valid in sql mode"),
+    ("hl", ("quantum_scaling", "mode"), "sql", "invalid 'quantum_scaling': r_values is only valid in hl mode"),
+    ("sql", ("quantum_scaling", "n_values"), DELETE, "invalid 'quantum_scaling': sql mode needs n_values"),
+    ("hl", ("quantum_scaling", "r_values"), DELETE, "invalid 'quantum_scaling': hl mode needs r_values"),
     ("sql", ("quantum_scaling", "n_values"), [],
      "'quantum_scaling.n_values' must be a non-empty list of numbers"),
     ("sql", ("quantum_scaling", "n_values"), [100, "a"],
@@ -430,15 +434,29 @@ def test_fixture_payload(name):
     assert repr(load_config(CONFIGS / name).payload) == repr(FIXTURE_PAYLOADS[name])
 
 
-def run_main(doc):
-    """Exit code and stderr of one in-process CLI run of the document."""
+def run_main(doc, inspect=None):
+    """Exit code and stderr of one in-process CLI run of the document.
+
+    The stderr is what a process of its own would print: its writes, one entry per Python warning
+    and per combsync log record.  ``inspect(out)`` sees the output directory before it is removed.
+    """
     err = io.StringIO()
+    logger, handler = logging.getLogger("combsync"), logging.StreamHandler(err)
     with tempfile.TemporaryDirectory() as out:
         path = write(out, doc)
         command = doc.get("command", "noise")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path), "--out", out])
-    return code, err.getvalue()
+        logger.addHandler(handler)
+        try:
+            with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(path), "--out", out])
+        finally:
+            logger.removeHandler(handler)
+        if inspect is not None:
+            inspect(Path(out))
+    return code, err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
 
 
 @pytest.mark.parametrize("base", sorted(BASE))
@@ -466,9 +484,21 @@ def test_base_documents_run(base):
     # The innovation variance of this white FM series is a Python float past the float range.
     ("noise", ("noise",), {"kind": "white_fm", "amplitude": 1.0e62, "count": 4, "tau0": 1.0e-300},
      "noise: a result left the float range (OverflowError)"),
+    # A time-of-flight deviation past the float range, from Python float arithmetic.
+    ("advantage", ("advantage", "estimator"), {"method": "tof", "n": 1.0e-300, "nu0": 1.92e14, "t0": 1.0e200},
+     "advantage: a result left the float range (OverflowError)"),
+    # A pulse period 1/f_r past the float range.
+    ("sync", ("sync", "comb"), {"f_r": 5e-324, "t_0": 1.0e-13, "n_range": [1, 2]},
+     "sync: a result left the float range (OverflowError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")
+
+
+def test_comb_outside_the_photodetection_band_adds_no_stderr_line():
+    doc = yaml.safe_load((CONFIGS / "sync_flicker_fm.yaml").read_text())
+    doc["sync"].update(trials=50, comb={**doc["sync"]["comb"], "f_r": 1.0e6, "f_0": 2.0e5})
+    assert run_main(doc) == (3, "combsync: error: trials must be >= 100 and < 2**53, got 50\n")
 
 
 def test_scaling_exponent_needs_two_distinct_n(tmp_path, capsys):
@@ -543,3 +573,97 @@ def test_boundary_documents_exit_cleanly(doc):
     assert "Traceback" not in err
     if code:
         assert len(err.splitlines()) == 1 and err.startswith("combsync: "), err
+
+
+# The config fuzz: numbers from the edges of the float range or spread over 600 decades, sizes small
+# enough that about 100 documents run in a second.
+FUZZ_FLOATS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+                        st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent))
+FUZZ_COUNTS = st.integers(0, 256)
+FUZZ_TRIALS = st.sampled_from([100, 128])
+
+fuzz_series = st.fixed_dictionaries({"kind": KIND, "amplitude": FUZZ_FLOATS, "seed": SEEDS, "count": FUZZ_COUNTS,
+                                     "tau0": FUZZ_FLOATS})
+fuzz_link = st.fixed_dictionaries({
+    "distance_km": FUZZ_FLOATS, "delay_ab": FUZZ_FLOATS, "delay_ba": FUZZ_FLOATS, "troposphere": st.booleans(),
+    "eta_detector": st.sampled_from([0.0, 0.5, 1.0]), "sigma_excess": FUZZ_FLOATS,
+}, optional={"geometric": st.fixed_dictionaries(
+    {"wavelength": FUZZ_FLOATS, "waist": FUZZ_FLOATS, "aperture_radius": FUZZ_FLOATS})})
+#: Squeezing only where the temporal-mode method takes it.
+fuzz_estimator = st.builds(lambda m, n, nu0, t0, r: {"method": m, "n": n, "nu0": nu0, "t0": t0,
+                                                     **({"r": r} if m == "temporal_mode" else {})},
+                           method, FUZZ_FLOATS, FUZZ_FLOATS, FUZZ_FLOATS, FUZZ_FLOATS)
+fuzz_clock = st.fixed_dictionaries({"nu0": FUZZ_FLOATS}, optional={
+    "frac_freq_offset": FUZZ_FLOATS, "drift": FUZZ_FLOATS,
+    "noise": st.lists(st.fixed_dictionaries({"kind": KIND, "amplitude": FUZZ_FLOATS, "seed": SEEDS}),
+                      max_size=2)})
+#: Repetition rates inside the 10 MHz - 1 GHz photodetection band and outside it, at both ends.
+fuzz_comb = st.builds(lambda f_r, share, t_0: {"f_r": f_r, "f_0": share * f_r, "t_0": t_0, "n_range": [1, 10]},
+                      st.one_of(st.sampled_from([1.0e6, 1.0e8, 1.0e10]), FUZZ_FLOATS),
+                      st.sampled_from([0.0, 0.25]), FUZZ_FLOATS)
+
+FUZZ_DOCUMENTS = st.one_of(
+    st.builds(lambda s, seed: {"command": "noise", "seed": seed, "noise": s}, fuzz_series, SEEDS),
+    st.builds(lambda s, v, m, seed: {"command": "stability", "seed": seed,
+                                     "stability": {"noise": s, "variant": v, **m}},
+              fuzz_series, st.sampled_from([v.value for v in Variant]),
+              st.one_of(st.just({}), st.builds(lambda m: {"m_values": m},
+                                               st.lists(st.integers(1, 8), min_size=1, max_size=4))),
+              SEEDS),
+    st.builds(lambda a, b, link, interval, offset, extra, trials, seed: {"command": "sync", "seed": seed, "sync": {
+        "trials": trials, "interval": interval, "true_offset": offset, "clock_a": a, "clock_b": b, "link": link,
+        **extra}},
+        fuzz_clock, fuzz_clock, fuzz_link, FUZZ_FLOATS, FUZZ_FLOATS,
+        st.fixed_dictionaries({}, optional={"estimator": fuzz_estimator, "comb": fuzz_comb}),
+        FUZZ_TRIALS, SEEDS),
+    st.builds(lambda mode, values, trials, m, nu0, t0, seed: {
+        "command": "quantum-scaling", "seed": seed, "quantum_scaling": {
+            "mode": mode, "trials": trials, "method": m, "nu0": nu0, "t0": t0,
+            ("n_values" if mode == "sql" else "r_values"): values}},
+        st.sampled_from(["sql", "hl"]), st.lists(FUZZ_FLOATS, min_size=1, max_size=3), FUZZ_TRIALS, method,
+        FUZZ_FLOATS, FUZZ_FLOATS, SEEDS),
+    st.builds(lambda link, e: {"command": "advantage", "advantage": {"link": link, "estimator": e}},
+              fuzz_link, fuzz_estimator),
+)
+
+
+def _artifact_values(path):
+    """(name, value) of every header entry, table cell and ``name = value`` or ``name=value`` field."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.suffix == ".csv":
+        header, columns = read_table(lines)
+        yield from header.items()
+        yield from ((name, cell) for name, cells in columns.items() for cell in cells)
+        return
+    for line in lines:
+        if line.startswith("#"):
+            yield line[1:].lstrip().partition("=")[::2]
+        elif line.startswith("tdev "):
+            yield from (field.partition("=")[::2] for field in line.split()[1:])
+        elif not line.startswith("warning: "):
+            yield line.partition(" = ")[::2]
+
+
+def _non_finite(value: str) -> bool:
+    try:
+        return not math.isfinite(float(value))
+    except ValueError:  # a word, not a number
+        return False
+
+
+@settings(max_examples=100, derandomize=True)
+@given(FUZZ_DOCUMENTS)
+def test_fuzzed_configs_exit_cleanly_with_finite_artifacts(doc):
+    non_finite = []
+
+    def inspect(out):
+        non_finite.extend((path.name, name, value) for path in sorted(out.iterdir()) if path.name != "config.yaml"
+                          for name, value in _artifact_values(path)
+                          if name not in ("config_sha256", "fitted_exponent") and _non_finite(value))
+
+    code, err = run_main(doc, inspect)
+    assert code in (0, 2, 3), err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("combsync: "), err
+    else:
+        assert (err, non_finite) == ("", [])

@@ -100,7 +100,6 @@ def test_rule_rejects_with_one_message_and_returns_what_it_accepts(rule):
         assert rule("arg", value) is value
 
 
-@pytest.mark.filterwarnings("ignore:repetition rate")  # f_r = 1 Hz is accepted with a band advisory
 @pytest.mark.parametrize("name,rule,call", ARGUMENTS, ids=[f"{i}-{row[0]}" for i, row in enumerate(ARGUMENTS)])
 def test_argument_is_checked_by_its_rule(name, rule, call):
     text, rejected, accepted = RULES[rule]

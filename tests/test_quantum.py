@@ -250,6 +250,12 @@ class TestEstimatorModel:
         with pytest.raises(InvalidArgument, match="r must be finite and >= 0"):
             EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14, r=-0.1)
 
+    @pytest.mark.parametrize("method,n,nu0,t0", [(EstimatorMethod.TOF, 1e-300, 1.92e14, 1e200),
+                                                 (EstimatorMethod.PHASE, 1e-300, 1e-160, 1e-14)])
+    def test_model_sigma_past_the_float_range_raises(self, method, n, nu0, t0):
+        with pytest.raises(OverflowError, match="deviation of .* is inf"):
+            model_sigma(EstimatorModel(method, n=n, nu0=nu0, t0=t0))
+
     def test_model_sigma_dispatch(self):
         kwargs = dict(n=25.0, nu0=2e14, t0=1e-14)
         assert model_sigma(EstimatorModel(EstimatorMethod.TOF, **kwargs)) == oracles.sigma_tof(25.0, 1e-14)

@@ -64,7 +64,7 @@ class TestSimulateExchange:
 
     def test_troposphere_adds_one_ns_per_km_each_way(self):
         link_dry = symmetric_link(0.0)
-        link_wet = symmetric_link(0.0, troposphere_enabled=True)
+        link_wet = symmetric_link(0.0, troposphere=True)
         dry = simulate_exchange(quiet_clock(), quiet_clock(), link_dry, 0.0, seed=3)
         wet = simulate_exchange(quiet_clock(), quiet_clock(), link_wet, 0.0, seed=3)
         assert (wet.t2 - wet.t1) - (dry.t2 - dry.t1) == pytest.approx(100e-9, abs=1e-18)
@@ -123,7 +123,7 @@ class TestOneWayOffset:
 
     def test_unmodeled_troposphere_error(self):
         d = 100.0 / C_KM_PER_S
-        link = symmetric_link(d, troposphere_enabled=True)
+        link = symmetric_link(d, troposphere=True)
         rec = simulate_exchange(quiet_clock(), quiet_clock(), link, 0.0, seed=10)
         assert one_way_offset(rec, d) == pytest.approx(100e-9, rel=1e-9)
 
@@ -265,7 +265,7 @@ RAMP = ClockModel(nu0=1.94e14, frac_freq_offset=3e-13, drift=2e-17)
 NOISY = ClockModel(nu0=1.94e14, noise=(NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=3),
                                        NoiseSpec(NoiseKind.FLICKER_PM, 1e-26, seed=4)))
 DRY = LinkModel(distance_km=300.0, delay_ab=1.0006e-3, delay_ba=1.0002e-3)
-WET = LinkModel(distance_km=300.0, delay_ab=1.0006e-3, delay_ba=1.0002e-3, troposphere_enabled=True)
+WET = LinkModel(distance_km=300.0, delay_ab=1.0006e-3, delay_ba=1.0002e-3, troposphere=True)
 
 PINNED_EXCHANGES = [
     ((quiet_clock(), quiet_clock(), DRY, 4.2e-6, 11), {},
