@@ -193,7 +193,8 @@ _SCALARS = {int: "an integer", bool: "a boolean", str: "a string"}
 _LISTS = {
     tuple[int, int]: ("a two-integer list [lo, hi]", lambda v: type(v) is int),
     tuple[int, ...]: ("a non-empty list of positive integers", lambda v: type(v) is int and v >= 1),
-    tuple[float, ...]: ("a non-empty list of numbers", lambda v: type(v) in (int, float)),
+    tuple[float, ...]: ("a non-empty list of finite numbers",
+                        lambda v: type(v) in (int, float) and math.isfinite(_float(v))),
 }
 
 

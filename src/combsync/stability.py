@@ -3,24 +3,26 @@
 Three deviation statistics over averaged fractional-frequency samples,
 plus the time deviation derived from the third:
 
-    ffi0  -- two-sample deviation of adjacent samples
+    ffi0  -- two-sample deviation of adjacent, non-overlapping m-sample blocks
     ffi1  -- overlapping form with averaging factor m
     ffi2  -- modified form (double-averaged differences), the only one
              that separates white PM from flicker PM
     tdev  -- (tau / sqrt(3)) * ffi2
 
-A single-m estimator evaluates its overlapping sums through cumulative
+All four read one kind of window sums: ffi1 squares the differences
+Y_m[k+m] - Y_m[k] of the m-sample window sums Y_m at every k, ffi0 at
+every m-th k (adjacent blocks), and ffi2 and tdev take the window sums
+once more.  A single-m estimator evaluates them through cumulative
 windows of the raw sample differences, which is algebraically the
 phase-domain (second/third difference) form evaluated without building
-large phase partial sums.  A curve over octave averaging factors
-(every m a power of two) is swept instead: one array of window sums is
-carried from m to 2m by adding two (ffi1) or three (ffi2, tdev) shifted
-copies of itself, so no long running sum is formed at all; the sums
-of every octave and their readouts go into two work arrays of the
-series' length, allocated once per curve.  These are
-the octave-spaced overlapping estimators of Riley, Handbook of Frequency
-Stability Analysis, NIST SP 1065 (2008).  The literal nested sums remain
-the test oracle.
+large phase partial sums.  A curve over octave averaging factors (every
+m a power of two) is swept instead: one array of window sums is carried
+from m to 2m by adding two (ffi0, ffi1) or three (ffi2, tdev) shifted
+copies of itself, so no long running sum is formed at all; the sums of
+every octave and their readouts go into two work arrays of the series'
+length, allocated once per curve.  These are the octave-spaced
+estimators of Riley, Handbook of Frequency Stability Analysis, NIST SP
+1065 (2008).  The literal nested sums remain the test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -46,6 +47,10 @@ class Variant(Enum):
     FFI1 = "ffi1"
     FFI2 = "ffi2"
     TDEV = "tdev"
+
+
+#: The variants that take the window sums twice; FFI0 and FFI1 take them once.
+_DOUBLE = (Variant.FFI2, Variant.TDEV)
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,14 @@ def _validate_m(m: int) -> int:
 
 def _min_length(variant: Variant, m: int) -> int:
     """Fewest samples a point at averaging factor m needs: 2m for FFI0 and FFI1, 3m - 1 for FFI2 and TDEV."""
-    return 3 * m - 1 if variant in (Variant.FFI2, Variant.TDEV) else 2 * m
+    return 3 * m - 1 if variant in _DOUBLE else 2 * m
 
 
 def _check_length(variant: Variant, m: int, size: int) -> None:
     """Raise InsufficientData for too few samples; a TDEV point is reported as the FFI2 it reads."""
     need = _min_length(variant, m)
     if size < need:
-        name = "ffi1" if variant is Variant.FFI1 else "ffi2"
+        name = "ffi2" if variant in _DOUBLE else variant.value
         raise InsufficientData(f"{name} with m={m} needs at least {need} samples, got {size}")
 
 
@@ -155,34 +160,32 @@ def _deviation(sums: np.ndarray, scale: int) -> float:
 
 
 def _readout(variant: Variant, sums: np.ndarray, m: int, tau0: float) -> float:
-    """The FFI1, FFI2 or TDEV value at averaging factor m from its window sums, which it consumes.
+    """The value at averaging factor m from its window sums, which it consumes.
 
-    The deviation is scaled by m**2 (FFI1) or m**4 (FFI2, TDEV); TDEV's is
-    then converted to seconds at tau = m * tau0.
+    FFI0 reads FFI1's sums at every m-th start, the differences of adjacent
+    blocks.  The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2,
+    TDEV); TDEV's is then converted to seconds at tau = m * tau0.
     """
-    if variant is Variant.FFI1:
-        return _deviation(sums, m * m)
+    if variant not in _DOUBLE:
+        return _deviation(sums[::m] if variant is Variant.FFI0 else sums, m * m)
     deviation = _deviation(sums, m**4)
     return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
 
 
 def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
-    """FFI1, FFI2 or TDEV at averaging factor m: window sums of y[k+m] - y[k], taken twice for FFI2 and TDEV."""
+    """The value at averaging factor m: window sums of y[k+m] - y[k], taken twice for FFI2 and TDEV."""
     m = _validate_m(m)
     y = series.samples
     _check_length(variant, m, y.size)
     sums = _window_sums(y[m:] - y[:-m], m)
-    if variant is not Variant.FFI1:
+    if variant in _DOUBLE:
         sums = _window_sums(sums, m)
     return _readout(variant, sums, m, series.tau0)
 
 
 def ffi0(series: TimeSeriesY) -> float:
     """Two-sample deviation of adjacent samples (tau = tau0)."""
-    y = series.samples
-    if y.size < 2:
-        raise InsufficientData(f"ffi0 needs at least 2 samples, got {y.size}")
-    return _deviation(np.diff(y), 1)
+    return _windowed(series, 1, Variant.FFI0)
 
 
 def ffi1(series: TimeSeriesY, m: int) -> float:
@@ -197,7 +200,10 @@ def ffi2(series: TimeSeriesY, m: int) -> float:
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
     """Time deviation in seconds from a modified deviation at integration time tau."""
-    return tau / math.sqrt(3.0) * ffi2_value
+    value = tau / math.sqrt(3.0) * ffi2_value
+    if not math.isfinite(value):  # a Python float product overflows to inf, and inf * 0 is nan, without raising
+        raise OverflowError(f"tdev of {ffi2_value} at tau={tau} is {value}")
+    return value
 
 
 def tdev(series: TimeSeriesY, m: int) -> float:
@@ -209,38 +215,20 @@ def tdev(series: TimeSeriesY, m: int) -> float:
 # Curves
 
 
-def decimate(series: TimeSeriesY, m: int) -> TimeSeriesY:
-    """Block-average m consecutive samples; the trailing remainder is dropped."""
-    m = _validate_m(m)
-    n_blocks = series.samples.size // m
-    if n_blocks < 1:
-        raise InsufficientData(f"cannot decimate {series.samples.size} samples by m={m}")
-    blocks = series.samples[: n_blocks * m].reshape(n_blocks, m)
-    return TimeSeriesY(series.tau0 * m, blocks.mean(axis=1))
-
-
-def _point_value(series: TimeSeriesY, m: int, variant: Variant) -> float:
-    if variant is Variant.FFI0:
-        return ffi0(decimate(series, m))
-    if variant in (Variant.FFI1, Variant.FFI2, Variant.TDEV):
-        return _windowed(series, m, variant)
-    raise InvalidArgument(f"unknown variant {variant!r}")
-
-
 def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], float]:
     """Point values for increasing powers of two m, from one array carried across the octaves.
 
-    FFI1 carries the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
-    and reads w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
+    FFI0 and FFI1 carry the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
+    and read w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
     double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
-    read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ffi1 and ffi2
-    build from cumulative sums, so both paths share ``_check_length`` and ``_readout``.
+    read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ``_windowed``
+    builds from cumulative sums, so both paths share ``_check_length`` and ``_readout``.
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums.
     """
     y = series.samples
-    is_ffi1 = variant is Variant.FFI1
+    double = variant in _DOUBLE
     carried, carried_m = y, 1
     spare, busy = np.empty(y.size), np.empty(y.size)
 
@@ -249,12 +237,12 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
         _check_length(variant, m, y.size)
         while carried_m < m:
             k = carried_m
-            if is_ffi1:
-                z = np.add(carried[:-k], carried[k:], out=spare[: carried.size - k])
-            else:
+            if double:
                 z = np.multiply(carried[k:-k], 2.0, out=spare[: carried.size - 2 * k])
                 z += carried[: -2 * k]
                 z += carried[2 * k :]
+            else:
+                z = np.add(carried[:-k], carried[k:], out=spare[: carried.size - k])
             carried, carried_m = z, 2 * k
             spare, busy = busy, spare
         sums = np.subtract(carried[m:], carried[:-m], out=spare[: carried.size - m])
@@ -266,26 +254,31 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
 def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Variant) -> StabilityCurve:
     """Evaluate one statistic over several averaging factors.
 
-    FFI1, FFI2 and TDEV curves whose averaging factors are all powers of
-    two are swept octave by octave; FFI0 and other sets of m evaluate each
-    point on its own.  Averaging factors the series is too short for are
-    skipped and noted in the returned curve's ``warnings`` instead of
-    failing the curve.
+    A curve whose averaging factors are all powers of two is swept octave
+    by octave; any other set of m evaluates each point on its own.
+    Averaging factors the series is too short for are skipped and noted in
+    the returned curve's ``warnings`` instead of failing the curve.  A tau
+    = m * tau0 or a TDEV value past the float range raises OverflowError.
     """
+    if not isinstance(variant, Variant):
+        raise InvalidArgument(f"unknown variant {variant!r}")
     ms = sorted({_validate_m(m) for m in m_values})
-    if variant in (Variant.FFI1, Variant.FFI2, Variant.TDEV) and all(m & (m - 1) == 0 for m in ms):
+    if all(m & (m - 1) == 0 for m in ms):
         point_value = _octave_sweep(series, variant)
     else:
-        point_value = partial(_point_value, series, variant=variant)
+        point_value = lambda m: _windowed(series, m, variant)
     points = []
     warnings = []
     for m in ms:
+        tau = m * series.tau0
+        if math.isinf(tau):  # a Python float product overflows to inf without raising
+            raise OverflowError(f"tau of m={m} at tau0={series.tau0} is {tau}")
         try:
             value = point_value(m)
         except InsufficientData as exc:
             warnings.append(f"m={m}: {exc}")
             continue
-        points.append(StabilityPoint(tau=m * series.tau0, value=value, m=m, variant=variant))
+        points.append(StabilityPoint(tau=tau, value=value, m=m, variant=variant))
     return StabilityCurve(points=tuple(points), warnings=tuple(warnings))
 
 

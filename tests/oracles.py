@@ -112,6 +112,19 @@ def exact_ffi1(y: np.ndarray, m: int) -> Fraction:
     return _sqrt_fraction(total, 2 * m**2 * terms * den**2)
 
 
+def exact_ffi0(y: np.ndarray, m: int) -> Fraction:
+    """ffi0 at averaging factor m of float samples y as a Fraction within 2**-100 relative of the exact value.
+
+    The sums of adjacent m-sample blocks j and j + 1 differ by
+    d_j = P_{(j+2)m} - 2 P_{(j+1)m} + P_{jm}; a trailing partial block is dropped.
+    """
+    ints, den = _common_integers(y)
+    p = list(accumulate(ints, initial=0))
+    terms = len(ints) // m - 1
+    total = sum((p[(j + 2) * m] - 2 * p[(j + 1) * m] + p[j * m]) ** 2 for j in range(terms))
+    return _sqrt_fraction(total, 2 * m**2 * terms * den**2)
+
+
 def exact_ffi2(y: np.ndarray, m: int) -> Fraction:
     """ffi2 of float samples y as a Fraction within 2**-100 relative of the exact value.
 
@@ -130,21 +143,22 @@ def exact_ffi2(y: np.ndarray, m: int) -> Fraction:
 
 
 def octave_sweep_reference(y: np.ndarray, tau0: float, m_values, variant: str) -> dict:
-    """Octave-sweep values {m: value} of ``variant`` ("ffi1", "ffi2" or "tdev") at the powers of two in m_values.
+    """Octave-sweep values {m: value} of ``variant`` at the powers of two in m_values.
 
-    The carried sums, each readout and its squares are new arrays at every
-    step; an m that ``y`` is too short for is left out, and the sweep carries
-    on without it.
+    ``variant`` is "ffi0", "ffi1", "ffi2" or "tdev"; ffi0 reads the ffi1
+    differences at every m-th start.  The carried sums, each readout and its
+    squares are new arrays at every step.  An m that ``y`` is too short for
+    is left out, and the sweep carries on without it.
     """
-    is_ffi1 = variant == "ffi1"
+    single = variant in ("ffi0", "ffi1")
     carried, carried_m = y, 1
     values = {}
     for m in sorted(m_values):
-        if y.size < (2 * m if is_ffi1 else 3 * m - 1):
+        if y.size < (2 * m if single else 3 * m - 1):
             continue
         while carried_m < m:
             k = carried_m
-            if is_ffi1:
+            if single:
                 carried = carried[:-k] + carried[k:]
             else:
                 z = carried[k:-k] * 2.0
@@ -153,7 +167,9 @@ def octave_sweep_reference(y: np.ndarray, tau0: float, m_values, variant: str) -
                 carried = z
             carried_m = 2 * k
         sums = carried[m:] - carried[:-m]
-        scale = m * m if is_ffi1 else m**4
+        if variant == "ffi0":
+            sums = sums[::m]
+        scale = m * m if single else m**4
         value = float(np.sqrt(np.sum(sums * sums) / (2.0 * scale * sums.size)))
         if variant == "tdev":
             value = m * tau0 / math.sqrt(3.0) * value

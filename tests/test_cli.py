@@ -14,13 +14,14 @@ from combsync.artifacts import read_table
 from combsync.cli import main
 from combsync.clockmodel import comb_time_params
 from combsync.config import load_config
-from combsync.noisegen import generate_noise
+from combsync.noisegen import NoiseKind, generate_noise
 from combsync.quantum import EstimatorModel, model_sigma, monte_carlo_sigma
 from combsync.seeding import derive_seed
 from combsync.stability import (
     StabilityCurve,
     StabilityPoint,
     Variant,
+    classify_noise,
     fit_slope,
     octave_m_values,
     stability_curve,
@@ -81,6 +82,8 @@ FIXTURE_SHA256 = [
      "30f041ff0a624c392b8afa33b92be4e9df63ac825dc9538c75abdd53a9c1b1a2"),
     ("stability", "stability_tdev_m_values.yaml", "sigma_tau.csv",
      "bcc0e9dec7ee1cb8164000bb52c0a64c0265ab765f31cc50acd6dcfb7f635cb4"),
+    ("stability", "stability_flicker_pm_ffi0.yaml", "sigma_tau.csv",
+     "8c7a7a8797936bf9faffe0ec881f77fe64ee06f834c2d021ec6a6553f70146a0"),
     ("sync", "sync_white_pm.yaml", "campaign.csv",
      "a16aa9c8106dc9b4be0f8c8af34b265bcbb8995f475ba8376a3bfa417dd41795"),
     ("sync", "sync_white_pm.yaml", "campaign_summary.txt",
@@ -117,6 +120,15 @@ def test_white_pm_ffi2_fixture_slope_round_trip(tmp_path):
     curve = _curve(_table(tmp_path / "sigma_tau.csv")[1])
     assert {p.variant for p in curve.points} == {Variant.FFI2}
     assert fit_slope(curve, (4.0, 1024.0)) == pytest.approx(-1.5, abs=0.15)
+
+
+def test_flicker_pm_ffi0_fixture_slope(tmp_path):
+    # FFI0 reads a slope near -1 for both PM kinds and cannot tell them apart.
+    assert run_cli("stability", CONFIGS / "stability_flicker_pm_ffi0.yaml", tmp_path) == 0
+    curve = _curve(_table(tmp_path / "sigma_tau.csv")[1])
+    assert {p.variant for p in curve.points} == {Variant.FFI0}
+    slope = fit_slope(curve, (2.0, 1024.0))
+    assert classify_noise(slope, Variant.FFI0) == {NoiseKind.WHITE_PM, NoiseKind.FLICKER_PM}
 
 
 def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):

@@ -208,13 +208,19 @@ CASES = [
     ("sql", ("quantum_scaling", "n_values"), DELETE, "invalid 'quantum_scaling': sql mode needs n_values"),
     ("hl", ("quantum_scaling", "r_values"), DELETE, "invalid 'quantum_scaling': hl mode needs r_values"),
     ("sql", ("quantum_scaling", "n_values"), [],
-     "'quantum_scaling.n_values' must be a non-empty list of numbers"),
+     "'quantum_scaling.n_values' must be a non-empty list of finite numbers"),
     ("sql", ("quantum_scaling", "n_values"), [100, "a"],
-     "'quantum_scaling.n_values' must be a non-empty list of numbers"),
+     "'quantum_scaling.n_values' must be a non-empty list of finite numbers"),
     ("hl", ("quantum_scaling", "r_values"), [True],
-     "'quantum_scaling.r_values' must be a non-empty list of numbers"),
+     "'quantum_scaling.r_values' must be a non-empty list of finite numbers"),
     ("hl", ("quantum_scaling", "r_values"), 1.0,
-     "'quantum_scaling.r_values' must be a non-empty list of numbers"),
+     "'quantum_scaling.r_values' must be a non-empty list of finite numbers"),
+    ("sql", ("quantum_scaling", "n_values"), [100, float("nan")],
+     "'quantum_scaling.n_values' must be a non-empty list of finite numbers"),
+    ("sql", ("quantum_scaling", "n_values"), [100, HUGE],
+     "'quantum_scaling.n_values' must be a non-empty list of finite numbers"),
+    ("hl", ("quantum_scaling", "r_values"), [1.0, float("inf")],
+     "'quantum_scaling.r_values' must be a non-empty list of finite numbers"),
     ("sql", ("quantum_scaling", "trials"), DELETE, "missing required key 'quantum_scaling.trials'"),
     ("sql", ("quantum_scaling", "trials"), "many", "'quantum_scaling.trials' must be an integer, got 'many'"),
     ("sql", ("quantum_scaling", "method"), "tdc",
@@ -394,6 +400,9 @@ FIXTURE_PAYLOADS = {
     "stability_white_pm_ffi2.yaml": StabilityRun(
         SeriesSource(NoiseSpec(NoiseKind.WHITE_PM, 1.0e-24, 0), count=65536, tau0=1.0),
         variant=Variant.FFI2, m_values=None),
+    "stability_flicker_pm_ffi0.yaml": StabilityRun(
+        SeriesSource(NoiseSpec(NoiseKind.FLICKER_PM, 1.0e-24, 0), count=8192, tau0=1.0),
+        variant=Variant.FFI0, m_values=None),
     "stability_tdev_m_values.yaml": StabilityRun(
         SeriesSource(NoiseSpec(NoiseKind.FLICKER_PM, 1.0e-24, 0), count=4096, tau0=1.0),
         variant=Variant.TDEV, m_values=(1, 3, 10, 30, 100, 2000)),
@@ -473,8 +482,6 @@ def test_base_documents_run(base):
     ("sync", ("sync", "trials"), 99, "trials must be >= 100 and < 2**53, got 99"),
     ("sync", ("sync", "trials"), 10**20, f"trials must be >= 100 and < 2**53, got {10**20}"),
     ("sql", ("quantum_scaling", "trials"), 2**53, f"trials must be >= 100 and < 2**53, got {2**53}"),
-    ("sql", ("quantum_scaling", "n_values"), [100, float("nan")], "n must be finite and positive, got nan"),
-    ("sql", ("quantum_scaling", "n_values"), [100, HUGE], "n must be finite and positive, got inf"),
     ("advantage", ("advantage", "estimator"), {**ESTIMATOR, "method": "phase", "n": 5e-324, "nu0": 5e-324},
      "advantage: a result left the float range (ZeroDivisionError)"),
     # Window sums of a random walk this large overflow in numpy at the octave m values.
@@ -487,6 +494,17 @@ def test_base_documents_run(base):
     # A time-of-flight deviation past the float range, from Python float arithmetic.
     ("advantage", ("advantage", "estimator"), {"method": "tof", "n": 1.0e-300, "nu0": 1.92e14, "t0": 1.0e200},
      "advantage: a result left the float range (OverflowError)"),
+    # tau = m * tau0 past the float range: the FFI1 point would store it, TDEV multiply it by a zero deviation.
+    ("stability", ("stability",), {"variant": "ffi1", "m_values": [2], "noise": {
+        "kind": "white_fm", "amplitude": 1.0e-24, "count": 64, "tau0": 1.0e308}},
+     "stability: a result left the float range (OverflowError)"),
+    ("stability", ("stability",), {"variant": "tdev", "m_values": [1, 2], "noise": {
+        "kind": "white_fm", "amplitude": 1.0, "count": 64, "tau0": 1.0e308}},
+     "stability: a result left the float range (OverflowError)"),
+    # A TDEV value tau / sqrt(3) * ffi2 past the float range, at a finite tau.
+    ("stability", ("stability",), {"variant": "tdev", "m_values": [1, 2, 4], "noise": {
+        "kind": "flicker_fm", "amplitude": 1.0e200, "count": 64, "tau0": 1.0e300}},
+     "stability: a result left the float range (OverflowError)"),
     # A pulse period 1/f_r past the float range.
     ("sync", ("sync", "comb"), {"f_r": 5e-324, "t_0": 1.0e-13, "n_range": [1, 2]},
      "sync: a result left the float range (OverflowError)"),

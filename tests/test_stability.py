@@ -15,7 +15,6 @@ from combsync.stability import (
     StabilityPoint,
     Variant,
     classify_noise,
-    decimate,
     ffi0,
     ffi1,
     ffi2,
@@ -40,6 +39,12 @@ finite_samples = hnp.arrays(
 def random_series(seed, length=32, tau0=1.0):
     rng = np.random.default_rng(seed)
     return TimeSeriesY(tau0, rng.normal(0.0, 1.0, length))
+
+
+def brute_ffi0(samples, m):
+    """The literal two-sample deviation of the means of adjacent m-sample blocks."""
+    blocks = [sum(samples[i * m:(i + 1) * m].tolist()) / m for i in range(samples.size // m)]
+    return oracles.brute_ffi0_y(np.array(blocks))
 
 
 class TestConversions:
@@ -123,7 +128,7 @@ class TestFfi1:
     def test_rejects_bad_m(self):
         # Every entry point that takes an averaging factor validates it the same way.
         series = random_series(1)
-        calls = (ffi1, ffi2, decimate, lambda s, m: stability_curve(s, [1, m], Variant.FFI1))
+        calls = (ffi1, ffi2, tdev, lambda s, m: stability_curve(s, [1, m], Variant.FFI0))
         for call in calls:
             for m in (0, -2, 2.5, True, False, float("nan"), float("inf"), float("-inf"), "3", None, 2 + 0j):
                 with pytest.raises(InvalidArgument, match=re.escape(f"got {m!r}")):
@@ -159,6 +164,12 @@ class TestTdev:
 
     def test_constant_series_zero(self):
         assert tdev(TimeSeriesY(1.0, np.full(16, 4.2)), 2) == 0.0
+
+    def test_past_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            tdev_from_ffi2(1.0e10, 1.0e300)
+        with pytest.raises(OverflowError):  # tau = 2 * 1e308 is inf, and the deviation is 0
+            tdev(TimeSeriesY(1.0e308, np.zeros(64)), 2)
 
     def test_consistency_with_ffi2(self):
         series = random_series(9, length=40, tau0=0.5)
@@ -231,23 +242,36 @@ class TestStabilityCurve:
     def test_points_equal_single_m_calls(self, variant):
         series = random_series(31, length=64)
         lookup = {
-            Variant.FFI0: lambda m: ffi0(decimate(series, m)),
             Variant.FFI1: lambda m: ffi1(series, m),
             Variant.FFI2: lambda m: ffi2(series, m),
             Variant.TDEV: lambda m: tdev(series, m),
-        }[variant]
+        }.get(variant)
+        scale = 1.0 + np.abs(series.samples).max()
         for m_values in ([1, 2, 4, 8], [1, 2, 3, 8]):
             curve = stability_curve(series, m_values, variant)
-            # Octave FFI1/FFI2/TDEV curves are swept, which rounds differently
-            # from the single-m window sums; every other curve calls them.
-            swept = variant is not Variant.FFI0 and m_values == [1, 2, 4, 8]
+            # Octave curves are swept, which rounds differently from the
+            # single-m window sums; every other curve calls them.
+            swept = m_values == [1, 2, 4, 8]
             assert [p.m for p in curve.points] == m_values
             for p in curve.points:
-                if swept:
+                if lookup is None:  # FFI0 has no single-m call: compare with the literal block form
+                    assert p.value == pytest.approx(brute_ffi0(series.samples, p.m), rel=1e-12, abs=1e-12 * scale)
+                elif swept:
                     assert p.value == pytest.approx(lookup(p.m), rel=1e-13, abs=0.0)
                 else:
                     assert p.value == lookup(p.m)
                 assert p.tau == p.m * series.tau0
+
+    @pytest.mark.parametrize("m_values", [[1, 2], [1, 3]])
+    def test_rejects_a_variant_that_is_not_a_variant(self, m_values):
+        with pytest.raises(InvalidArgument, match="unknown variant 'ffi1'"):
+            stability_curve(random_series(4), m_values, "ffi1")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_tau_past_the_float_range_raises(self, variant):
+        # m = 1 fits; tau at m = 2 is inf, which TDEV would multiply by the zero deviation.
+        with pytest.raises(OverflowError):
+            stability_curve(TimeSeriesY(1.0e308, np.zeros(64)), [1, 2], variant)
 
     @pytest.mark.parametrize("variant", [Variant.FFI1, Variant.FFI2, Variant.TDEV])
     def test_sweep_skips_like_single_m_calls(self, variant):
@@ -275,9 +299,10 @@ class TestStabilityCurve:
         st.integers(2, 5000),
         st.integers(0, 2**32 - 1),
         st.sets(st.sampled_from([2**j for j in range(13)]), min_size=1),
-        st.sampled_from([Variant.FFI1, Variant.FFI2, Variant.TDEV]),
+        st.sampled_from(list(Variant)),
     )
     @example(5000, 0, {2**j for j in range(13)}, Variant.FFI2)
+    @example(5000, 0, {2**j for j in range(13)}, Variant.FFI0)
     @example(2, 0, {1, 2}, Variant.FFI1)
     def test_sweep_equals_the_allocating_reference(self, length, seed, m_values, variant):
         series = random_series(seed, length, tau0=0.25)
@@ -299,8 +324,7 @@ class TestStabilityCurve:
         for p in curve.points:
             m = p.m
             if variant is Variant.FFI0:
-                blocks = [sum(samples[i * m:(i + 1) * m].tolist()) / m for i in range(samples.size // m)]
-                brute = oracles.brute_ffi0_y(np.array(blocks))
+                brute = brute_ffi0(samples, m)
             elif variant is Variant.FFI1:
                 brute = oracles.brute_ffi1_y(samples, m)
             else:
@@ -342,7 +366,8 @@ class TestOctaveSweepAccuracy:
     Over every octave m > 1 with at least 64 terms, the sweep's worst
     relative error is no worse than the single-m window form's (or 2 eps,
     where both are at the rounding floor), and strictly better on the FM
-    kinds, whose window form subtracts long running sums.
+    kinds, whose window form subtracts long running sums.  FFI0 stays
+    within 4 eps on both paths.
     """
 
     @staticmethod
@@ -370,6 +395,19 @@ class TestOctaveSweepAccuracy:
             assert swept <= max(window, 2 * eps), (variant, window, swept)
             if kind in (NoiseKind.WHITE_FM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM):
                 assert swept < window, (variant, window, swept)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda kind: kind.value)
+    def test_ffi0_within_4_eps(self, kind):
+        # Both paths: the octave m are swept, the others read per-m cumulative windows.
+        series = generate_noise(NoiseSpec(kind, 1e-22, seed=0), 2**14, 1.0)
+        eps = np.finfo(float).eps
+        for m_values in (octave_m_values(len(series), Variant.FFI0), [3, 5, 10, 30, 100, 200]):
+            m_values = [m for m in m_values if m > 1 and len(series) // m - 1 >= 64]
+            curve = stability_curve(series, m_values, Variant.FFI0)
+            assert [p.m for p in curve.points] == m_values
+            for p in curve.points:
+                ref = oracles.exact_ffi0(series.samples, p.m)
+                assert float(abs(Fraction(p.value) - ref) / ref) <= 4 * eps, (m_values, p.m)
 
 
 class TestFitSlope:
