@@ -18,8 +18,8 @@ the squeezed law approaches the 1/n Heisenberg scaling, versus the
 Squeezing magnitudes in dB follow the variance convention
 10*log10(exp(2r)).  Photonic loss acts on a quadrature variance as
 beam-splitter admixture of vacuum, V -> eta*V + (1 - eta) (``apply_loss``);
-the link budget in ``synclink`` applies it to the squeezed variance
-exp(-2r) of a ``SqueezedState``.
+the link budget in ``synclink`` applies it to the squeezed quadrature
+variance exp(-2r), normalized to the vacuum (SQL) level of 1.
 """
 
 from __future__ import annotations
@@ -41,23 +41,6 @@ class EstimatorMethod(Enum):
     TOF = "tof"
     PHASE = "phase"
     TEMPORAL_MODE = "temporal_mode"
-
-
-@dataclass(frozen=True)
-class SqueezedState:
-    """Pure single-mode squeezed state with parameter r (nepers).
-
-    Its squeezed quadrature variance is normalized to the vacuum (SQL) level of 1.
-    """
-
-    r: float
-
-    def __post_init__(self):
-        _non_negative("r", self.r)
-
-    @property
-    def variance_squeezed(self) -> float:
-        return math.exp(-2.0 * self.r)
 
 
 @dataclass(frozen=True)

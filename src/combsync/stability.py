@@ -215,6 +215,20 @@ def tdev(series: TimeSeriesY, m: int) -> float:
 # Curves
 
 
+def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y - c written into out if every sample lies between c/2 and 2c, c = y[0] != 0; else y.
+
+    Each such difference is exact (Sterbenz), and no statistic changes
+    under a shift, but the octave sums of y would carry its mean and their
+    readouts keep its rounding.  Zero-mean noise is never shifted.
+    """
+    c = float(y[0]) if y.size else 0.0
+    lo, hi = sorted((c / 2.0, 2.0 * c))
+    if c != 0.0 and math.isfinite(c) and lo <= y.min() and y.max() <= hi:
+        return np.subtract(y, c, out=out)
+    return y
+
+
 def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], float]:
     """Point values for increasing powers of two m, from one array carried across the octaves.
 
@@ -225,12 +239,12 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
     builds from cumulative sums, so both paths share ``_check_length`` and ``_readout``.
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
-    carried sums.
+    carried sums, which start as y or as its exact shift (``_shifted_exactly``).
     """
     y = series.samples
     double = variant in _DOUBLE
-    carried, carried_m = y, 1
     spare, busy = np.empty(y.size), np.empty(y.size)
+    carried, carried_m = _shifted_exactly(y, busy), 1
 
     def value(m: int) -> float:
         nonlocal carried, carried_m, spare, busy

@@ -31,7 +31,7 @@ import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
-from .quantum import EstimatorModel, SqueezedState, apply_loss, model_sigma, required_squeezing
+from .quantum import EstimatorModel, apply_loss, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
@@ -186,11 +186,12 @@ def link_efficiency(link: LinkModel) -> float:
     """Composite transmissivity: geometric collection x detector efficiency.
 
     Geometric collection is the encircled power of the diffracted
-    Gaussian beam on the receive aperture.
+    Gaussian beam on the receive aperture; a link without geometry
+    collects everything and passes ``eta_detector`` alone.
     """
     g = link.geometric
     if g is None:
-        raise InvalidArgument("link_efficiency requires the link's geometric parameters")
+        return link.eta_detector
     distance_m = link.distance_km * 1e3
     rayleigh = math.pi * g.waist**2 / g.wavelength
     beam_radius = g.waist * math.sqrt(1.0 + (distance_m / rayleigh) ** 2)
@@ -276,15 +277,14 @@ class AdvantageReport:
 def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     """Deterministic link-budget summary of the squeezing advantage.
 
-    eta_total combines geometric collection (1 when no geometry is
-    configured) with detector efficiency.  The squeezed deviation is the
-    classical one scaled by the square root of the squeezed variance
-    after loss, eta*exp(-2r) + 1 - eta: ``apply_loss`` of
-    ``SqueezedState(r).variance_squeezed``.
+    eta_total is ``link_efficiency(link)``.  The squeezed deviation is the
+    classical one scaled by the square root of the squeezed quadrature
+    variance exp(-2r), relative to the vacuum level 1, after loss:
+    ``apply_loss(exp(-2r), eta_total)`` = eta*exp(-2r) + 1 - eta.
     """
-    eta_total = link.eta_detector if link.geometric is None else link_efficiency(link)
+    eta_total = link_efficiency(link)
     sigma_classical = model_sigma(replace(model, r=0.0))
-    effective_variance = apply_loss(SqueezedState(model.r).variance_squeezed, eta_total)
+    effective_variance = apply_loss(math.exp(-2.0 * model.r), eta_total)
     sigma_quantum = math.sqrt(effective_variance) * sigma_classical
     return AdvantageReport(
         eta_total=eta_total,

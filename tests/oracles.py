@@ -148,9 +148,13 @@ def octave_sweep_reference(y: np.ndarray, tau0: float, m_values, variant: str) -
     ``variant`` is "ffi0", "ffi1", "ffi2" or "tdev"; ffi0 reads the ffi1
     differences at every m-th start.  The carried sums, each readout and its
     squares are new arrays at every step.  An m that ``y`` is too short for
-    is left out, and the sweep carries on without it.
+    is left out, and the sweep carries on without it.  A series whose
+    samples all lie within a factor of two of y[0] is swept minus y[0].
     """
     single = variant in ("ffi0", "ffi1")
+    c = float(y[0])
+    if c != 0.0 and min(c / 2.0, 2.0 * c) <= y.min() and y.max() <= max(c / 2.0, 2.0 * c):
+        y = y - c
     carried, carried_m = y, 1
     values = {}
     for m in sorted(m_values):

@@ -19,7 +19,6 @@ from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
-    SqueezedState,
     apply_loss,
     model_sigma,
     monte_carlo_sigma,
@@ -200,7 +199,7 @@ def test_criterion_8_loss_floor():
         assert required_squeezing(eta, 2.0) is None
     effective_db = []
     for r in (5.0, 10.0, 20.0):
-        variance = apply_loss(SqueezedState(r).variance_squeezed, 0.5)
+        variance = apply_loss(math.exp(-2.0 * r), 0.5)
         effective_db.append(-10.0 * math.log10(variance))
     assert all(db <= 3.0103 + 1e-9 for db in effective_db)
     assert effective_db[-1] == pytest.approx(3.01, abs=0.01)

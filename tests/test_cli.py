@@ -31,40 +31,9 @@ from test_config import YAML_FAULTS
 
 CONFIGS = Path(__file__).parent / "configs"
 
-ALL_FIXTURES = [
-    ("noise", "noise_flicker_fm.yaml", ["noise.csv"]),
-    ("noise", "noise_random_walk_fm.yaml", ["noise.csv"]),
-    ("stability", "stability_white_fm.yaml", ["sigma_tau.csv"]),
-    ("sync", "sync_white_pm.yaml", ["campaign.csv", "campaign_summary.txt"]),
-    ("sync", "sync_flicker_fm.yaml", ["campaign.csv", "campaign_summary.txt"]),
-    ("quantum-scaling", "scaling_sql.yaml", ["scaling.csv"]),
-    ("advantage", "advantage_leo.yaml", ["advantage.txt"]),
-    ("stability", "stability_tdev_m_values.yaml", ["sigma_tau.csv"]),
-]
-
 
 def run_cli(command, config, out, extra=()):
     return main([command, "--config", str(config), "--out", str(out), *extra])
-
-
-@pytest.mark.parametrize("command,fixture,artifacts", ALL_FIXTURES)
-def test_end_to_end_fixture(command, fixture, artifacts, tmp_path, capsys):
-    assert run_cli(command, CONFIGS / fixture, tmp_path) == 0
-    for name in artifacts:
-        path = tmp_path / name
-        assert path.exists(), name
-        head = path.read_text().splitlines()
-        assert head[0].startswith("# config_sha256=")
-        assert head[1].startswith("# seed=")
-
-
-@pytest.mark.parametrize("command,fixture,artifacts", ALL_FIXTURES)
-def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(command, CONFIGS / fixture, out1) == 0
-    assert run_cli(command, CONFIGS / fixture, out2) == 0
-    for name in artifacts:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 #: sha256 of every fixture artifact, so that a change meant to keep the artifacts
@@ -99,6 +68,36 @@ FIXTURE_SHA256 = [
     ("advantage", "advantage_leo.yaml", "advantage.txt",
      "cfdeb4b5809ea634a9cc60760882dfef76989ed691f2cb0f0fb17cfc5281c8a1"),
 ]
+
+
+#: (command, config, the artifacts pinned for it) of every fixture config.
+ALL_FIXTURES = [(command, fixture, [artifact for _, f, artifact, _ in FIXTURE_SHA256 if f == fixture])
+                for command, fixture in dict.fromkeys((command, fixture) for command, fixture, _, _ in FIXTURE_SHA256)]
+FIXTURE_IDS = [fixture for _, fixture, _ in ALL_FIXTURES]
+
+
+def test_every_fixture_config_is_pinned():
+    assert sorted(path.name for path in CONFIGS.glob("*.yaml")) == sorted(FIXTURE_IDS)
+
+
+@pytest.mark.parametrize("command,fixture,artifacts", ALL_FIXTURES, ids=FIXTURE_IDS)
+def test_end_to_end_fixture(command, fixture, artifacts, tmp_path):
+    # Exit 0 means the command is the config's own: a mismatch exits 2.
+    assert run_cli(command, CONFIGS / fixture, tmp_path) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(artifacts)
+    for name in artifacts:
+        head = (tmp_path / name).read_text().splitlines()
+        assert head[0].startswith("# config_sha256=")
+        assert head[1].startswith("# seed=")
+
+
+@pytest.mark.parametrize("command,fixture,artifacts", ALL_FIXTURES, ids=FIXTURE_IDS)
+def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(command, CONFIGS / fixture, out1) == 0
+    assert run_cli(command, CONFIGS / fixture, out2) == 0
+    for name in artifacts:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command,fixture,artifact,digest", FIXTURE_SHA256,

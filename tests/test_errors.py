@@ -18,7 +18,6 @@ from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
-    SqueezedState,
     apply_loss,
     db_from_r,
     monte_carlo_sigma,
@@ -32,6 +31,7 @@ from combsync.synclink import (
     GeometricParams,
     LinkModel,
     SyncCampaign,
+    advantage_report,
     one_way_offset,
     simulate_exchange,
 )
@@ -65,7 +65,7 @@ ARGUMENTS = [
     ("drift", _finite, lambda v: ClockModel(nu0=1e14, drift=v)),
     ("f_r", _positive, lambda v: CombParams(**{**COMB, "f_r": v})),
     ("t_0", _positive, lambda v: CombParams(**{**COMB, "t_0": v})),
-    ("r", _non_negative, lambda v: SqueezedState(v)),
+    ("r", _non_negative, lambda v: advantage_report(LINK, EstimatorModel(**{**ESTIMATOR, "r": v}))),
     *((name, _positive, lambda v, name=name: EstimatorModel(**{**ESTIMATOR, name: v}))
       for name in ("n", "nu0", "t0")),
     ("r", _non_negative, lambda v: EstimatorModel(**{**ESTIMATOR, "r": v})),

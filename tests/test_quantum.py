@@ -8,7 +8,6 @@ from combsync.errors import InvalidArgument
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
-    SqueezedState,
     apply_loss,
     db_from_r,
     model_sigma,
@@ -16,6 +15,7 @@ from combsync.quantum import (
     r_from_db,
     required_squeezing,
 )
+from combsync.synclink import LinkModel, advantage_report
 
 import oracles
 
@@ -25,22 +25,32 @@ r_values = st.floats(0.0, 10.0, allow_nan=False)
 wide = st.floats(1e-100, 1e100)
 
 
-class TestSqueezedState:
+def squeezed_report(r, eta_detector=1.0):
+    """The advantage report of a temporal-mode estimate squeezed by r over a bare link."""
+    link = LinkModel(distance_km=100.0, delay_ab=1e-3, delay_ba=1e-3, eta_detector=eta_detector)
+    return advantage_report(link, EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14, r=r))
+
+
+class TestSqueezedVariance:
+    """The squeezed quadrature variance exp(-2r) that an advantage report degrades by loss."""
+
     def test_vacuum_limit(self):
-        assert SqueezedState(0.0).variance_squeezed == 1.0
+        report = squeezed_report(0.0)
+        assert report.sigma_quantum == report.sigma_classical
 
     @given(r_values)
     def test_squeezed_variance_in_db_is_db_from_r(self, r):
-        assert -10.0 * math.log10(SqueezedState(r).variance_squeezed) == pytest.approx(db_from_r(r), abs=1e-9)
+        report = squeezed_report(r)
+        variance = (report.sigma_quantum / report.sigma_classical) ** 2
+        assert -10.0 * math.log10(variance) == pytest.approx(db_from_r(r), abs=1e-9)
 
     def test_rejects_negative_r(self):
         with pytest.raises(InvalidArgument):
-            SqueezedState(-0.1)
+            squeezed_report(-0.1)
 
     def test_squeezed_variance_underflows_to_zero(self):
-        variance = SqueezedState(400.0).variance_squeezed
-        assert variance == 0.0
-        assert apply_loss(variance, 0.9) == 1.0 - 0.9
+        report = squeezed_report(400.0, eta_detector=0.9)
+        assert report.sigma_quantum == math.sqrt(1.0 - 0.9) * report.sigma_classical
 
 
 def tof(n, t0):
@@ -159,17 +169,17 @@ class TestDbConversions:
 
 class TestApplyLoss:
     def test_identity_channel(self):
-        variance = SqueezedState(1.2).variance_squeezed
+        variance = math.exp(-2.0 * 1.2)
         assert apply_loss(variance, 1.0) == variance
 
     def test_full_loss_gives_vacuum(self):
-        assert apply_loss(SqueezedState(3.0).variance_squeezed, 0.0) == 1.0
+        assert apply_loss(math.exp(-2.0 * 3.0), 0.0) == 1.0
 
     def test_full_loss_of_underflowed_state_is_vacuum(self):
-        assert apply_loss(SqueezedState(400.0).variance_squeezed, 0.0) == 1.0
+        assert apply_loss(math.exp(-2.0 * 400.0), 0.0) == 1.0
 
     def test_half_loss_caps_squeezing_at_3db(self):
-        variance = apply_loss(SqueezedState(20.0).variance_squeezed, 0.5)
+        variance = apply_loss(math.exp(-2.0 * 20.0), 0.5)
         assert variance == pytest.approx(0.5, rel=1e-8)
         assert -10.0 * math.log10(variance) == pytest.approx(3.01, abs=0.01)
 
@@ -179,23 +189,23 @@ class TestApplyLoss:
 
     @given(r_values, st.floats(0.0, 1.0))
     def test_loss_stays_between_state_and_vacuum(self, r, eta):
-        variance = SqueezedState(r).variance_squeezed
+        variance = math.exp(-2.0 * r)
         assert variance - 1e-15 <= apply_loss(variance, eta) <= 1.0 + 1e-15
 
     @given(r_values, st.floats(0.0, 1.0))
     def test_contractive_toward_vacuum(self, r, eta):
-        variance = SqueezedState(r).variance_squeezed
+        variance = math.exp(-2.0 * r)
         assert abs(apply_loss(variance, eta) - 1.0) <= abs(variance - 1.0) + 1e-15
 
     @given(r_values, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_composition_law(self, r, eta1, eta2):
-        variance = SqueezedState(r).variance_squeezed
+        variance = math.exp(-2.0 * r)
         twice = apply_loss(apply_loss(variance, eta2), eta1)
         assert twice == pytest.approx(apply_loss(variance, eta1 * eta2), rel=1e-12, abs=1e-12)
 
     def test_rejects_eta_out_of_range(self):
         with pytest.raises(InvalidArgument):
-            apply_loss(SqueezedState(1.0).variance_squeezed, 1.0001)
+            apply_loss(math.exp(-2.0 * 1.0), 1.0001)
 
 
 class TestRequiredSqueezing:

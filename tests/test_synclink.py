@@ -12,7 +12,8 @@ from combsync.errors import InvalidArgument
 from combsync.noisegen import NoiseKind, NoiseSpec
 from combsync.quantum import EstimatorMethod, EstimatorModel, r_from_db
 from combsync.seeding import derive_seed
-from combsync.stability import fit_slope
+from combsync.series import TimeSeriesX
+from combsync.stability import fit_slope, tdev_from_ffi2, y_from_x
 from combsync.synclink import (
     AdvantageReport,
     ExchangeRecord,
@@ -26,6 +27,8 @@ from combsync.synclink import (
     simulate_exchange,
     two_way_offset,
 )
+
+import oracles
 
 C_KM_PER_S = 299792.458
 
@@ -144,9 +147,12 @@ class TestLinkEfficiency:
         link = LinkModel(distance_km=1.0, delay_ab=0.0, delay_ba=0.0, geometric=geometry)
         assert link_efficiency(link) == 1.0
 
-    def test_requires_geometry(self):
-        with pytest.raises(InvalidArgument):
-            link_efficiency(symmetric_link(0.0))
+    @pytest.mark.parametrize("geometric", [None, default_leo_geometry()], ids=["bare", "geometric"])
+    def test_is_the_eta_total_of_the_advantage_report(self, geometric):
+        link = symmetric_link(1e-3, geometric=geometric, eta_detector=0.9)
+        assert advantage_report(link, tm_estimator(r=1.0)).eta_total == link_efficiency(link)
+        if geometric is None:
+            assert link_efficiency(link) == 0.9
 
     def test_monotone_in_distance(self):
         geometry = default_leo_geometry()
@@ -185,6 +191,17 @@ class TestRunSyncCampaign:
                                 link=symmetric_link(1e-3), estimator=tm_estimator())
         result = run_sync_campaign(campaign, 4096, seed=3)
         assert fit_slope(result.tdev_curve, (1.0, 128.0)) == pytest.approx(-0.5, abs=0.15)
+
+    def test_frequency_offset_keeps_the_tdev_curve_exact(self):
+        # The residual y carries clock A's 1e-9 offset as a mean, a million times its spread.
+        campaign = SyncCampaign(clock_a=ClockModel(nu0=1.94e14, frac_freq_offset=1e-9), clock_b=quiet_clock(),
+                                link=symmetric_link(1e-3), estimator=tm_estimator())
+        result = run_sync_campaign(campaign, 4096, seed=3)
+        y = y_from_x(TimeSeriesX(campaign.interval, result.residuals)).samples
+        assert [p.m for p in result.tdev_curve.points] == [2**j for j in range(11)]
+        for p in result.tdev_curve.points:
+            exact = tdev_from_ffi2(float(oracles.exact_ffi2(y, p.m)), p.tau)
+            assert abs(p.value - exact) <= 2 * np.finfo(float).eps * exact, p.m
 
     def test_doubling_photons_shrinks_sigma_by_sqrt2(self):
         link = symmetric_link(1e-3)
