@@ -8,6 +8,8 @@ of the config file and the resolved seed, and the same (config, seed)
 pair always reproduces byte-identical artifacts.  Exit codes: 0 success,
 2 config error, 3 estimator/runtime error (a result outside the float
 range or a size too large to allocate included), 4 output I/O error.
+No artifact of an exit-0 run holds a non-finite number: every float
+value passes one gate before the run's first file is opened.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -51,6 +54,28 @@ def _series(config: ExperimentConfig, source: SeriesSource) -> TimeSeriesY:
     return generate_noise(spec, source.count, source.tau0)
 
 
+def _require_finite(*values) -> None:
+    """The gate before a write: each float, and each float array in one ``np.isfinite`` pass, must be finite.
+
+    Other values (ints, strings, ranges) pass.  A violation raises
+    FloatingPointError, which exits 3 with the float-range line.
+    """
+    for value in values:
+        if isinstance(value, np.ndarray):
+            finite = value.dtype.kind != "f" or np.isfinite(value).all()
+        else:
+            finite = not isinstance(value, float) or math.isfinite(value)
+        if not finite:
+            raise FloatingPointError(f"a non-finite value would be written: {value!r}")
+
+
+def _write_table(path: Path, header: dict, columns: dict) -> None:
+    """``write_table`` behind the gate; a float column comes as an array and is checked before it is listed."""
+    _require_finite(*header.values(), *columns.values())
+    write_table(path, header, {name: cells.tolist() if isinstance(cells, np.ndarray) else cells
+                               for name, cells in columns.items()})
+
+
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns the list of files written.
 
@@ -59,9 +84,9 @@ def _run_noise(config: ExperimentConfig, outdir: Path) -> list[Path]:
     spec = config.payload.spec
     series = _series(config, config.payload)
     path = outdir / "noise.csv"
-    write_table(path, {**_file_header(config), "kind": spec.kind.value, "amplitude": spec.amplitude,
-                       "tau0_s": series.tau0},
-                {"k": range(len(series)), "y": series.samples.tolist()})
+    _write_table(path, {**_file_header(config), "kind": spec.kind.value, "amplitude": spec.amplitude,
+                        "tau0_s": series.tau0},
+                 {"k": range(len(series)), "y": series.samples})
     return [path]
 
 
@@ -76,8 +101,9 @@ def _run_stability(config: ExperimentConfig, outdir: Path) -> list[Path]:
     header = {**_file_header(config), **{f"warning_{i}": warning for i, warning in enumerate(curve.warnings)},
               "source_length": len(series)}
     path = outdir / "sigma_tau.csv"
-    write_table(path, header, {"tau_s": [p.tau for p in points], "value": [p.value for p in points],
-                               "m": [p.m for p in points], "variant": [p.variant.value for p in points]})
+    _write_table(path, header, {"tau_s": np.array([p.tau for p in points]),
+                                "value": np.array([p.value for p in points]),
+                                "m": [p.m for p in points], "variant": [p.variant.value for p in points]})
     return [path]
 
 
@@ -85,18 +111,18 @@ def _run_sync(config: ExperimentConfig, outdir: Path) -> list[Path]:
     run = config.payload
     result = run_sync_campaign(run.campaign, run.trials, config.seed)
     header = _file_header(config)
-
-    data_path = outdir / "campaign.csv"
-    write_table(data_path, header, {"trial": range(run.trials), "estimate_s": result.estimates.tolist(),
-                                    "truth_s": [result.truth] * run.trials,
-                                    "residual_s": result.residuals.tolist()})
-
     summary = {"trials": run.trials, "mean_offset_s": result.mean_offset,
                "sigma_delta_t_s": result.sigma_delta_t, "sigma_excess_s": run.campaign.link.sigma_excess}
     if run.comb is not None:
         summary["comb_t_r_s"], summary["comb_delta_phi_ceo_rad"] = comb_time_params(run.comb)
     points = result.tdev_curve.points
     summary["tdev_points"] = len(points)
+    _require_finite(*summary.values(), *(value for p in points for value in (p.tau, p.value)))
+
+    data_path = outdir / "campaign.csv"
+    _write_table(data_path, header, {"trial": range(run.trials), "estimate_s": result.estimates,
+                                     "truth_s": np.full(run.trials, result.truth),
+                                     "residual_s": result.residuals})
     summary_path = outdir / "campaign_summary.txt"
     write_artifact(summary_path, header, [
         *(f"{key} = {value}\n" for key, value in summary.items()),
@@ -119,10 +145,11 @@ def _run_scaling(config: ExperimentConfig, outdir: Path) -> list[Path]:
     log_n, stds = np.log10([row[0] for row in rows]), np.array([row[4] for row in rows])
     # The slope needs two distinct n, and a deviation that underflows to 0 has no logarithm.
     fit = np.ptp(log_n) > 0 and (stds > 0.0).all()
-    exponent = float(np.polyfit(log_n, np.log10(stds), 1)[0]) if fit else float("nan")
+    # Without a fit the exponent is the declared word nan, not a float, so the gate lets it through.
+    exponent = float(np.polyfit(log_n, np.log10(stds), 1)[0]) if fit else "nan"
     path = outdir / "scaling.csv"
-    write_table(path, {**_file_header(config), "mode": run.mode, "fitted_exponent": exponent},
-                dict(zip(("n", "r", "sigma_model", "mc_mean", "mc_std"), zip(*rows))))
+    _write_table(path, {**_file_header(config), "mode": run.mode, "fitted_exponent": exponent},
+                 dict(zip(("n", "r", "sigma_model", "mc_mean", "mc_std"), np.array(rows).T)))
     return [path]
 
 
@@ -133,6 +160,7 @@ def _run_advantage(config: ExperimentConfig, outdir: Path) -> list[Path]:
     summary = {"eta_total": report.eta_total, "sigma_classical_s": report.sigma_classical,
                "sigma_quantum_s": report.sigma_quantum, "advantage_ratio": report.advantage_ratio,
                "required_db_for_2x": required}
+    _require_finite(*summary.values())
     path = outdir / "advantage.txt"
     write_artifact(path, _file_header(config), [f"{key} = {value}\n" for key, value in summary.items()])
     return [path]

@@ -18,14 +18,17 @@ the squeezed law approaches the 1/n Heisenberg scaling, versus the
 Squeezing magnitudes in dB follow the variance convention
 10*log10(exp(2r)).  Photonic loss acts on a quadrature variance as
 beam-splitter admixture of vacuum, V -> eta*V + (1 - eta) (``apply_loss``);
-the link budget in ``synclink`` applies it to the squeezed quadrature
-variance exp(-2r), normalized to the vacuum (SQL) level of 1.
+``lossy_sigma`` applies it to the squeezed quadrature variance exp(-2r),
+normalized to the vacuum (SQL) level of 1, and scales the unsqueezed
+deviation by its square root.  The link budget in ``synclink`` (the
+advantage report and a campaign's timestamp noise) reads its deviation
+there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -105,6 +108,17 @@ def apply_loss(variance: float, eta: float) -> float:
     Composes multiplicatively in eta and drives V toward the vacuum level 1.
     """
     return _unit_interval("eta", eta) * variance + (1.0 - eta)
+
+
+def lossy_sigma(model: EstimatorModel, eta: float) -> float:
+    """The model's deviation after loss eta: sigma(r = 0) * sqrt(apply_loss(exp(-2r), eta)).
+
+    At r = 0 and eta = 1 the factor is exactly 1.0, so the deviation is
+    ``model_sigma(model)`` bit for bit; once exp(-2r) underflows to 0 at
+    eta = 1 the deviation is 0.
+    """
+    effective_variance = apply_loss(math.exp(-2.0 * model.r), eta)
+    return math.sqrt(effective_variance) * model_sigma(replace(model, r=0.0))
 
 
 def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[float]:

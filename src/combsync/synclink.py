@@ -11,9 +11,18 @@ A single exchange is noiseless apart from the clocks, whose phase it
 reads at t = 1 s.  A campaign repeats exchanges on a fixed schedule,
 adds the estimator's timestamp noise, feeds the residuals to the
 stability estimators, and reports sigma_dt as the configured excess
-bias plus the sample deviation of the residuals.  The advantage report
-degrades squeezing by the link's efficiency: Gaussian-beam collection on
-the receive aperture times the detector efficiency.
+bias plus the sample deviation of the residuals.  The campaign's
+timestamp noise and the advantage report degrade squeezing by the same
+link efficiency (Gaussian-beam collection on the receive aperture times
+the detector efficiency), through ``quantum.lossy_sigma``.
+
+A campaign draws its timestamp noise, a stream of its own (sub-seed 3)
+that neither clock path reads, on one helper thread while the calling
+thread samples the two clock paths; numpy's generator fills without
+holding the interpreter lock, so the draw runs on a second core.  The
+helper runs in a copy of the caller's context (numpy's error state
+included) and is joined before the timestamps are formed, so every
+sample and artifact byte is that of a serial run.
 
 One kernel computes the quartet and one formula the offset, on Python
 floats (one exchange) or arrays (a campaign).  A clock without an active
@@ -23,7 +32,9 @@ and one exchange reads its phase off ``ramp_phase`` with no sample path.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -31,7 +42,7 @@ import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
-from .quantum import EstimatorModel, apply_loss, model_sigma, required_squeezing
+from .quantum import EstimatorModel, lossy_sigma, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
@@ -227,24 +238,70 @@ class CampaignResult:
     tdev_curve: StabilityCurve
 
 
+class _Helper(threading.Thread):
+    """Runs fn(*args) on its own thread, in a copy of the starting thread's context.
+
+    ``result()`` joins the thread, then returns fn's value or re-raises
+    its exception, whose type is unchanged.
+    """
+
+    def __init__(self, fn, *args):
+        super().__init__(name=f"combsync{fn.__name__}")
+        self._call = contextvars.copy_context().run
+        self._fn, self._args = fn, args
+        self._value = self._error = None
+
+    def run(self):
+        try:
+            self._value = self._call(self._fn, *self._args)
+        except BaseException as exc:  # handed to the thread that waits in result()
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _timestamp_noise(seed: int, sigma: float, trials: int) -> np.ndarray:
+    """The estimator's (trials, 4) timestamp deviations, from sub-seed 3 of the campaign's seed."""
+    return np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma, (trials, 4))
+
+
 def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> CampaignResult:
     """Run trials exchanges spaced config.interval apart and analyze residuals.
 
     Each clock's phase error evolves along one continuous sampled path;
     both timestamps a clock contributes within an exchange share its
-    error at that epoch.  sigma_delta_t is the link's sigma_excess plus
-    the sample deviation of (estimate - true_offset).
+    error at that epoch.  Each timestamp adds the estimator's noise, of
+    deviation ``lossy_sigma(estimator, link_efficiency(link))``; a
+    campaign without an estimator, or whose deviation is 0, draws none.
+    sigma_delta_t is the link's sigma_excess plus the sample deviation of
+    (estimate - true_offset).
+
+    The timestamp noise is drawn on one helper thread, in a copy of the
+    caller's context, while this thread samples the clock paths; it is
+    always joined before this call returns or raises.  A clock path's
+    exception wins over the draw's.  The samples, and so every result,
+    are those of a serial draw.
     """
     if not 100 <= trials < 2**53:
         raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
     seed = check_seed(seed)
-    xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
-    xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
-    sigma_m = model_sigma(config.estimator) if config.estimator is not None else 0.0
-    if sigma_m > 0.0:
-        eps = np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma_m, (trials, 4)).T
-    else:
-        eps = [0.0] * 4
+    estimator = config.estimator
+    sigma_m = 0.0 if estimator is None else lossy_sigma(estimator, link_efficiency(config.link))
+    draw = None
+    if sigma_m != 0.0:
+        draw = _Helper(_timestamp_noise, seed, sigma_m, trials)
+        draw.start()
+    try:
+        xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
+        xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
+    finally:
+        if draw is not None:
+            draw.join()
+    eps = [0.0] * 4 if draw is None else draw.result().T
     estimates = _two_way(*_timestamps(xa, xb, *eps, *config.link.effective_delays(), config.true_offset))
     residuals = estimates - config.true_offset
     residual_series = TimeSeriesX(config.interval, residuals)
@@ -277,15 +334,15 @@ class AdvantageReport:
 def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     """Deterministic link-budget summary of the squeezing advantage.
 
-    eta_total is ``link_efficiency(link)``.  The squeezed deviation is the
-    classical one scaled by the square root of the squeezed quadrature
-    variance exp(-2r), relative to the vacuum level 1, after loss:
-    ``apply_loss(exp(-2r), eta_total)`` = eta*exp(-2r) + 1 - eta.
+    eta_total is ``link_efficiency(link)``.  The squeezed deviation is
+    ``lossy_sigma(model, eta_total)``: the classical one scaled by the
+    square root of the squeezed quadrature variance exp(-2r), relative to
+    the vacuum level 1, after loss: eta*exp(-2r) + 1 - eta.  A campaign
+    over the link draws its timestamp noise with the same deviation.
     """
     eta_total = link_efficiency(link)
     sigma_classical = model_sigma(replace(model, r=0.0))
-    effective_variance = apply_loss(math.exp(-2.0 * model.r), eta_total)
-    sigma_quantum = math.sqrt(effective_variance) * sigma_classical
+    sigma_quantum = lossy_sigma(model, eta_total)
     return AdvantageReport(
         eta_total=eta_total,
         sigma_classical=sigma_classical,

@@ -7,8 +7,9 @@ synthesis with its first (full-length) FFT padding, flicker synthesis with
 a fresh filter transform at the package's padding, the octave sweep with
 fresh arrays at every step, a compensated running sum, textbook deviation
 levels for the three FM noise kinds, the four timing scaling laws as
-separate closed forms, and a periodogram of a generated
-series.  None of it shares code with the
+separate closed forms, a campaign's two-way estimates with its
+timestamp noise drawn serially after both clock paths, and a periodogram
+of a generated series.  None of it shares code with the
 package under test; the periodogram only raises the package's error type.
 """
 
@@ -292,6 +293,27 @@ def sigma_tm(n: float, t0: float, nu0: float) -> float:
 
 def sigma_tm_squeezed(n: float, t0: float, nu0: float, r: float) -> float:
     return math.exp(-r) * sigma_tm(n, t0, nu0)
+
+
+# ---------------------------------------------------------------------------
+# A campaign's two-way estimates, every stream drawn on the calling thread
+
+
+def serial_two_way_estimates(xa: np.ndarray, xb: np.ndarray, sigma: float, noise_seed: int,
+                             delays: tuple[float, float], true_offset: float, turnaround: float) -> np.ndarray:
+    """((t2 - t1) - (t4 - t3)) / 2 of each exchange, from clock paths sampled before this call.
+
+    The four timestamp deviations of each exchange are one row of a
+    (trials, 4) normal draw from ``noise_seed``, made here, after both
+    paths; times run from each exchange's start, as in ``synclink``.
+    """
+    e1, e2, e3, e4 = np.random.default_rng(noise_seed).normal(0.0, sigma, (len(xa), 4)).T
+    d_ab, d_ba = delays
+    t1 = xa + e1
+    t2 = d_ab + true_offset + xb + e2
+    t3 = d_ab + turnaround + true_offset + xb + e3
+    t4 = d_ab + turnaround + d_ba + xa + e4
+    return ((t2 - t1) - (t4 - t3)) / 2.0
 
 
 # ---------------------------------------------------------------------------

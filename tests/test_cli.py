@@ -1,15 +1,18 @@
 import hashlib
 import logging
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import combsync
+from combsync import cli
 from combsync.artifacts import read_table
 from combsync.cli import main
 from combsync.clockmodel import comb_time_params
@@ -286,6 +289,46 @@ def test_float_range_fault_exits_3_with_one_named_line(link, r, fault, tmp_path,
     assert run_cli("advantage", config, tmp_path) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"combsync: error: advantage: a result left the float range ({fault})"]
+
+
+def _spoiled(name, spoil):
+    """``cli.<name>`` with ``spoil`` applied to what the real function returns."""
+    real = getattr(cli, name)
+    return lambda *args, **kwargs: spoil(real(*args, **kwargs))
+
+
+def _set(array, index, value):
+    array[index] = value
+    return array
+
+
+# Each case hands the writer one non-finite float: a column cell, a header or summary value, a curve value.
+NON_FINITE = {
+    "noise-sample": ("noise", "noise_random_walk_fm.yaml", "generate_noise",
+                     lambda series: replace(series, samples=_set(series.samples, 7, np.nan))),
+    "campaign-estimate": ("sync", "sync_white_pm.yaml", "run_sync_campaign",
+                          lambda result: replace(result, estimates=_set(result.estimates, 0, np.inf))),
+    "campaign-summary": ("sync", "sync_white_pm.yaml", "run_sync_campaign",
+                         lambda result: replace(result, sigma_delta_t=math.inf)),
+    "curve-value": ("stability", "stability_white_pm_ffi2.yaml", "stability_curve",
+                    lambda curve: SimpleNamespace(points=[SimpleNamespace(**{**vars(p), "value": math.nan})
+                                                          for p in curve.points], warnings=curve.warnings)),
+    "monte-carlo-mean": ("quantum-scaling", "scaling_sql.yaml", "monte_carlo_sigma",
+                         lambda draw: (-math.inf, draw[1])),
+    "advantage-ratio": ("advantage", "advantage_leo.yaml", "advantage_report",
+                        lambda report: replace(report, advantage_ratio=math.nan)),
+}
+
+
+@pytest.mark.parametrize("command,fixture,name,spoil", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_value_exits_3_and_writes_no_artifact(command, fixture, name, spoil, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(cli, name, _spoiled(name, spoil))
+    out = tmp_path / "out"
+    assert run_cli(command, CONFIGS / fixture, out) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"combsync: error: {command}: a result left the float range (FloatingPointError)"]
+    assert list(out.iterdir()) == []
 
 
 def test_output_path_collision_exits_4(tmp_path, capsys):

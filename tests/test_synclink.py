@@ -1,5 +1,7 @@
 import hashlib
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +246,115 @@ class TestRunSyncCampaign:
         assert result.truth == 2e-6
         assert result.estimates.shape == result.residuals.shape == (256,)
         np.testing.assert_allclose(result.residuals, result.estimates - 2e-6, atol=0.0)
+
+
+class TestCampaignLinkBudget:
+    # Quiet clocks: each residual is (e2 - e1 + e3 - e4) / 2, whose deviation is the per-timestamp one.
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.01])
+    def test_residual_deviation_is_the_advantage_reports_sigma_quantum(self, eta):
+        trials = 20_000
+        link = symmetric_link(1e-3, eta_detector=eta)
+        estimator = tm_estimator(n=1000.0, r=2.0)
+        campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(), link=link, estimator=estimator)
+        result = run_sync_campaign(campaign, trials, seed=7)
+        expected = advantage_report(link, estimator).sigma_quantum
+        # Five standard errors of a sample deviation of `trials` normal draws.
+        assert result.sigma_delta_t == pytest.approx(expected, rel=5.0 / math.sqrt(2.0 * (trials - 1)), abs=0.0)
+
+    def test_squeezing_that_underflows_on_a_lossless_link_draws_no_noise(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a campaign whose timestamp deviation is 0 must start no helper thread")
+
+        monkeypatch.setattr(synclink, "_Helper", forbidden)
+        campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(), link=symmetric_link(1e-3),
+                                estimator=tm_estimator(r=400.0))
+        result = run_sync_campaign(campaign, 256, seed=8)
+        assert result.sigma_delta_t == 0.0
+
+
+class DrawFailed(Exception):
+    pass
+
+
+class ClockFailed(Exception):
+    pass
+
+
+class TestTimestampNoiseThread:
+    CAMPAIGN = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(), link=symmetric_link(1e-3),
+                            estimator=tm_estimator())
+
+    @pytest.mark.parametrize("error", [DrawFailed, MemoryError, FloatingPointError])
+    def test_draw_exception_reaches_the_caller_unchanged(self, monkeypatch, error):
+        def failing(*args):
+            raise error("draw")
+
+        monkeypatch.setattr(synclink, "_timestamp_noise", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="^draw$"):
+            run_sync_campaign(self.CAMPAIGN, 128, seed=1)
+        assert threading.active_count() == before
+
+    def test_clock_path_exception_wins_after_the_draw_is_joined(self, monkeypatch):
+        finished = []
+
+        def slow_failing_draw(*args):
+            time.sleep(0.2)
+            finished.append(threading.current_thread().name)
+            raise DrawFailed("draw")
+
+        def failing_clock(*args, **kwargs):
+            raise ClockFailed("clock")
+
+        monkeypatch.setattr(synclink, "_timestamp_noise", slow_failing_draw)
+        monkeypatch.setattr(synclink, "sample_clock", failing_clock)
+        before = threading.active_count()
+        with pytest.raises(ClockFailed):
+            run_sync_campaign(SyncCampaign(NOISY, NOISY, DRY, estimator=tm_estimator()), 128, seed=1)
+        assert len(finished) == 1 and finished[0] != threading.current_thread().name
+        assert threading.active_count() == before
+
+    def test_draw_runs_in_the_callers_numpy_error_state(self, monkeypatch):
+        seen = []
+        draw = synclink._timestamp_noise
+
+        def recording(*args):
+            seen.append((np.geterr(), threading.current_thread() is threading.main_thread()))
+            return draw(*args)
+
+        monkeypatch.setattr(synclink, "_timestamp_noise", recording)
+        with np.errstate(all="raise", under="ignore"):
+            expected = np.geterr()
+            run_sync_campaign(self.CAMPAIGN, 128, seed=1)
+        assert expected != np.geterr()
+        assert seen == [(expected, False)]
+
+    # The benchmark's campaigns: white PM clocks, then white PM, flicker FM and random-walk FM ones.
+    @pytest.mark.parametrize("mixed", [False, True], ids=["white", "mixed"])
+    def test_estimates_equal_a_serial_draw(self, mixed):
+        def clock(seed):
+            noise = [NoiseSpec(NoiseKind.WHITE_PM, 3e-24, seed=seed)]
+            if mixed:
+                noise += [NoiseSpec(NoiseKind.FLICKER_FM, 2e-27, seed=seed + 1),
+                          NoiseSpec(NoiseKind.RANDOM_WALK_FM, 5e-31, seed=seed + 2)]
+            return ClockModel(nu0=1.94e14, noise=tuple(noise))
+
+        trials, seed, distance = 2**16, 2301, 700.0
+        link = symmetric_link(distance / C_KM_PER_S)
+        campaign = SyncCampaign(clock(10), clock(20), link, true_offset=4e-4,
+                                estimator=EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14,
+                                                         t0=1e-14))
+        result = run_sync_campaign(campaign, trials, seed=seed)
+        xa = sample_clock(campaign.clock_a, trials, campaign.interval, derive_seed(seed, 1)).samples
+        xb = sample_clock(campaign.clock_b, trials, campaign.interval, derive_seed(seed, 2)).samples
+        estimates = oracles.serial_two_way_estimates(
+            xa, xb, advantage_report(link, campaign.estimator).sigma_quantum, derive_seed(seed, 3),
+            link.effective_delays(), campaign.true_offset, synclink.TURNAROUND_S)
+
+        def digest(estimates, residuals):
+            return hashlib.sha256(estimates.tobytes() + residuals.tobytes()).hexdigest()
+
+        assert digest(result.estimates, result.residuals) == digest(estimates, estimates - campaign.true_offset)
 
 
 class TestAdvantageReport:
