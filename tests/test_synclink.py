@@ -339,11 +339,9 @@ class TestTimestampNoiseThread:
                           NoiseSpec(NoiseKind.RANDOM_WALK_FM, 5e-31, seed=seed + 2)]
             return ClockModel(nu0=1.94e14, noise=tuple(noise))
 
-        trials, seed, distance = 2**16, 2301, 700.0
-        link = symmetric_link(distance / C_KM_PER_S)
-        campaign = SyncCampaign(clock(10), clock(20), link, true_offset=4e-4,
-                                estimator=EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14,
-                                                         t0=1e-14))
+        trials, seed = 2**16, 2301
+        link = symmetric_link(700.0 / C_KM_PER_S)
+        campaign = SyncCampaign(clock(10), clock(20), link, true_offset=4e-4, estimator=tm_estimator())
         result = run_sync_campaign(campaign, trials, seed=seed)
         xa = sample_clock(campaign.clock_a, trials, campaign.interval, derive_seed(seed, 1)).samples
         xb = sample_clock(campaign.clock_b, trials, campaign.interval, derive_seed(seed, 2)).samples
