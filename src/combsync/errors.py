@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, and the range rules its inputs are checked against.
 
 Each rule is one helper: finite, finite and positive, finite and >= 0,
-in [0, 1].  A helper returns the value it is given or raises
+in [0, 1], and a count from a minimum up to 2**53 (past which a float
+no longer counts exactly).  A helper returns the value it is given or raises
 ``InvalidArgument`` with the rule's one message, which names the
 argument; NaN fails every rule.
 """
@@ -46,4 +47,10 @@ def _non_negative(name: str, value):
 def _unit_interval(name: str, value):
     if not 0.0 <= value <= 1.0:
         raise InvalidArgument(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _count(name: str, value, minimum: int):
+    if not minimum <= value < 2**53:
+        raise InvalidArgument(f"{name} must be >= {minimum} and < 2**53, got {value}")
     return value

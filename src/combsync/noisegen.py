@@ -61,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument, _non_negative, _positive
+from .errors import InvalidArgument, _count, _non_negative, _positive
 from .seeding import check_seed
 from .series import TimeSeriesY
 
@@ -236,8 +236,7 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     Deterministic for a fixed (spec, count, tau0); zero amplitude yields
     an identically-zero series.
     """
-    if not 2 <= count < 2**53:
-        raise InvalidArgument(f"count must be >= 2 and < 2**53, got {count}")
+    _count("count", count, 2)
     tau0 = _positive("tau0", float(tau0))
     if spec.amplitude == 0.0:
         return TimeSeriesY(tau0, np.zeros(count))

@@ -21,7 +21,7 @@ beam-splitter admixture of vacuum, V -> eta*V + (1 - eta) (``apply_loss``);
 ``lossy_sigma`` applies it to the squeezed quadrature variance exp(-2r),
 normalized to the vacuum (SQL) level of 1, and scales the unsqueezed
 deviation by its square root.  The link budget in ``synclink`` (the
-advantage report and a campaign's timestamp noise) reads its deviation
+advantage report and a campaign's estimator error) reads its deviation
 there.
 """
 
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
+from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
 from .seeding import check_seed
 
 _LN10 = math.log(10.0)
@@ -148,8 +148,7 @@ def monte_carlo_sigma(
     Each trial draws one Gaussian estimate around true_offset with the
     closed-form deviation of the model.
     """
-    if not 100 <= trials < 2**53:
-        raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
+    _count("trials", trials, 100)
     _finite("true_offset", true_offset)
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))

@@ -9,20 +9,14 @@ exactly; asymmetry delta between the directions biases it by delta/2.
 
 A single exchange is noiseless apart from the clocks, whose phase it
 reads at t = 1 s.  A campaign repeats exchanges on a fixed schedule,
-adds the estimator's timestamp noise, feeds the residuals to the
-stability estimators, and reports sigma_dt as the configured excess
-bias plus the sample deviation of the residuals.  The campaign's
-timestamp noise and the advantage report degrade squeezing by the same
-link efficiency (Gaussian-beam collection on the receive aperture times
-the detector efficiency), through ``quantum.lossy_sigma``.
-
-A campaign draws its timestamp noise, a stream of its own (sub-seed 3)
-that neither clock path reads, on one helper thread while the calling
-thread samples the two clock paths; numpy's generator fills without
-holding the interpreter lock, so the draw runs on a second core.  The
-helper runs in a copy of the caller's context (numpy's error state
-included) and is joined before the timestamps are formed, so every
-sample and artifact byte is that of a serial run.
+adds the estimator's error to each two-way estimate, feeds the
+residuals to the stability estimators, and reports sigma_dt as the
+configured excess bias plus the sample deviation of the residuals.  The
+estimator error is one normal draw per estimate, from a stream of its
+own (sub-seed 3) that neither clock path reads.  Its deviation and the
+advantage report's squeezed deviation degrade squeezing by the same link
+efficiency (Gaussian-beam collection on the receive aperture times the
+detector efficiency), through ``quantum.lossy_sigma``.
 
 One kernel computes the quartet and one formula the offset, on Python
 floats (one exchange) or arrays (a campaign).  A clock without an active
@@ -32,16 +26,14 @@ and one exchange reads its phase off ``ramp_phase`` with no sample path.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
-from .errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
+from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
 from .quantum import EstimatorModel, lossy_sigma, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -135,8 +127,8 @@ def _clock_phase(clock: ClockModel, seed: int, stream: int) -> float:
     return float(ramp_phase(clock, 1.0))
 
 
-def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, true_offset):
-    """Quartet (t1, t2, t3, t4) from clock errors xa, xb and timestamp deviations e1..e4.
+def _timestamps(xa, xb, d_ab, d_ba, true_offset):
+    """Quartet (t1, t2, t3, t4) from clock errors xa, xb, the two path delays and B's offset.
 
     Times run from the exchange's start: a common epoch cancels in both
     estimators and would otherwise quantize away sub-femtosecond noise
@@ -144,10 +136,10 @@ def _timestamps(xa, xb, e1, e2, e3, e4, d_ab, d_ba, true_offset):
     """
     time_b_tx = d_ab + TURNAROUND_S
     return (
-        xa + e1,
-        d_ab + true_offset + xb + e2,
-        time_b_tx + true_offset + xb + e3,
-        time_b_tx + d_ba + xa + e4,
+        xa,
+        d_ab + true_offset + xb,
+        time_b_tx + true_offset + xb,
+        time_b_tx + d_ba + xa,
     )
 
 
@@ -172,7 +164,7 @@ def simulate_exchange(
     seed = check_seed(seed)
     xa = _clock_phase(clock_a, seed, 1)
     xb = _clock_phase(clock_b, seed, 2)
-    return ExchangeRecord(*_timestamps(xa, xb, 0.0, 0.0, 0.0, 0.0, *link.effective_delays(), true_offset))
+    return ExchangeRecord(*_timestamps(xa, xb, *link.effective_delays(), true_offset))
 
 
 def two_way_offset(record: ExchangeRecord) -> float:
@@ -238,35 +230,9 @@ class CampaignResult:
     tdev_curve: StabilityCurve
 
 
-class _Helper(threading.Thread):
-    """Runs fn(*args) on its own thread, in a copy of the starting thread's context.
-
-    ``result()`` joins the thread, then returns fn's value or re-raises
-    its exception, whose type is unchanged.
-    """
-
-    def __init__(self, fn, *args):
-        super().__init__(name=f"combsync{fn.__name__}")
-        self._call = contextvars.copy_context().run
-        self._fn, self._args = fn, args
-        self._value = self._error = None
-
-    def run(self):
-        try:
-            self._value = self._call(self._fn, *self._args)
-        except BaseException as exc:  # handed to the thread that waits in result()
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-def _timestamp_noise(seed: int, sigma: float, trials: int) -> np.ndarray:
-    """The estimator's (trials, 4) timestamp deviations, from sub-seed 3 of the campaign's seed."""
-    return np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma, (trials, 4))
+def _estimator_error(seed: int, sigma: float, trials: int) -> np.ndarray:
+    """The estimator's error of each of trials estimates, from sub-seed 3 of the campaign's seed."""
+    return np.random.default_rng(derive_seed(seed, 3)).normal(0.0, sigma, trials)
 
 
 def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> CampaignResult:
@@ -274,35 +240,21 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
 
     Each clock's phase error evolves along one continuous sampled path;
     both timestamps a clock contributes within an exchange share its
-    error at that epoch.  Each timestamp adds the estimator's noise, of
-    deviation ``lossy_sigma(estimator, link_efficiency(link))``; a
+    error at that epoch.  Each two-way estimate adds one estimator error
+    of deviation ``lossy_sigma(estimator, link_efficiency(link))``; a
     campaign without an estimator, or whose deviation is 0, draws none.
     sigma_delta_t is the link's sigma_excess plus the sample deviation of
     (estimate - true_offset).
-
-    The timestamp noise is drawn on one helper thread, in a copy of the
-    caller's context, while this thread samples the clock paths; it is
-    always joined before this call returns or raises.  A clock path's
-    exception wins over the draw's.  The samples, and so every result,
-    are those of a serial draw.
     """
-    if not 100 <= trials < 2**53:
-        raise InvalidArgument(f"trials must be >= 100 and < 2**53, got {trials}")
+    _count("trials", trials, 100)
     seed = check_seed(seed)
     estimator = config.estimator
     sigma_m = 0.0 if estimator is None else lossy_sigma(estimator, link_efficiency(config.link))
-    draw = None
+    xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
+    xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
+    estimates = _two_way(*_timestamps(xa, xb, *config.link.effective_delays(), config.true_offset))
     if sigma_m != 0.0:
-        draw = _Helper(_timestamp_noise, seed, sigma_m, trials)
-        draw.start()
-    try:
-        xa = _clock_path(config.clock_a, trials, config.interval, seed, 1)
-        xb = _clock_path(config.clock_b, trials, config.interval, seed, 2)
-    finally:
-        if draw is not None:
-            draw.join()
-    eps = [0.0] * 4 if draw is None else draw.result().T
-    estimates = _two_way(*_timestamps(xa, xb, *eps, *config.link.effective_delays(), config.true_offset))
+        estimates += _estimator_error(seed, sigma_m, trials)
     residuals = estimates - config.true_offset
     residual_series = TimeSeriesX(config.interval, residuals)
     curve = stability_curve(
@@ -338,7 +290,7 @@ def advantage_report(link: LinkModel, model: EstimatorModel) -> AdvantageReport:
     ``lossy_sigma(model, eta_total)``: the classical one scaled by the
     square root of the squeezed quadrature variance exp(-2r), relative to
     the vacuum level 1, after loss: eta*exp(-2r) + 1 - eta.  A campaign
-    over the link draws its timestamp noise with the same deviation.
+    over the link draws its estimator error with the same deviation.
     """
     eta_total = link_efficiency(link)
     sigma_classical = model_sigma(replace(model, r=0.0))

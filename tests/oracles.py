@@ -296,24 +296,23 @@ def sigma_tm_squeezed(n: float, t0: float, nu0: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# A campaign's two-way estimates, every stream drawn on the calling thread
+# A campaign's two-way estimates, each with one estimator error added
 
 
-def serial_two_way_estimates(xa: np.ndarray, xb: np.ndarray, sigma: float, noise_seed: int,
-                             delays: tuple[float, float], true_offset: float, turnaround: float) -> np.ndarray:
-    """((t2 - t1) - (t4 - t3)) / 2 of each exchange, from clock paths sampled before this call.
+def serial_two_way_estimates(xa: np.ndarray, xb: np.ndarray, delays: tuple[float, float], true_offset: float,
+                             turnaround: float, sigma: float, noise_seed: int) -> np.ndarray:
+    """((t2 - t1) - (t4 - t3)) / 2 of each exchange plus its N(0, sigma**2) estimator error.
 
-    The four timestamp deviations of each exchange are one row of a
-    (trials, 4) normal draw from ``noise_seed``, made here, after both
-    paths; times run from each exchange's start, as in ``synclink``.
+    The clock paths are sampled before this call; the errors are one
+    normal draw per estimate from ``noise_seed``.  Times run from each
+    exchange's start, as in ``synclink``.
     """
-    e1, e2, e3, e4 = np.random.default_rng(noise_seed).normal(0.0, sigma, (len(xa), 4)).T
     d_ab, d_ba = delays
-    t1 = xa + e1
-    t2 = d_ab + true_offset + xb + e2
-    t3 = d_ab + turnaround + true_offset + xb + e3
-    t4 = d_ab + turnaround + d_ba + xa + e4
-    return ((t2 - t1) - (t4 - t3)) / 2.0
+    t1 = xa
+    t2 = d_ab + true_offset + xb
+    t3 = d_ab + turnaround + true_offset + xb
+    t4 = d_ab + turnaround + d_ba + xa
+    return ((t2 - t1) - (t4 - t3)) / 2.0 + np.random.default_rng(noise_seed).normal(0.0, sigma, len(xa))
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,14 @@ def test_criterion_7_squeezing_ratio():
         for rr in (r, 0.0)
     )
     ratio = squeezed / classical
-    assert ratio == pytest.approx(math.exp(-r), rel=1e-12)
-    assert 8.9e-23 * ratio == pytest.approx(7.5e-23, rel=0.01)
+    assert ratio == pytest.approx(math.exp(-r), rel=1e-12, abs=0.0)
+    assert 8.9e-23 * ratio == pytest.approx(7.5e-23, rel=0.01, abs=0.0)
 
 
 @criterion(8, 1.0, "loss floor: 6.02 dB at eta=1, unattainable at eta<=0.75, 3.01 dB cap")
 def test_criterion_8_loss_floor():
     lossless = required_squeezing(1.0, 2.0)
-    assert lossless == pytest.approx(10.0 * math.log10(4.0), rel=1e-12)
+    assert lossless == pytest.approx(10.0 * math.log10(4.0), rel=1e-12, abs=0.0)
     assert round(lossless, 2) == 6.02
     for eta in (0.75, 0.7, 0.6, 0.5):
         assert required_squeezing(eta, 2.0) is None
@@ -225,7 +225,7 @@ def test_criterion_9_two_way():
     base = 100.0 / 299792.458
     wet = LinkModel(distance_km=100.0, delay_ab=base, delay_ba=base, troposphere=True)
     rec = simulate_exchange(quiet, quiet, wet, 0.0, seed=8)
-    assert one_way_offset(rec, base) == pytest.approx(100 * 1e-9, rel=1e-9)
+    assert one_way_offset(rec, base) == pytest.approx(100 * 1e-9, rel=1e-9, abs=0.0)
 
 
 @criterion(10, 120.0, "white-PM campaign residual TDEV slope -1/2 +- 0.15 over two decades")

@@ -57,13 +57,13 @@ FIXTURE_SHA256 = [
     ("stability", "stability_flicker_pm_ffi0.yaml", "sigma_tau.csv",
      "8c7a7a8797936bf9faffe0ec881f77fe64ee06f834c2d021ec6a6553f70146a0"),
     ("sync", "sync_white_pm.yaml", "campaign.csv",
-     "a16aa9c8106dc9b4be0f8c8af34b265bcbb8995f475ba8376a3bfa417dd41795"),
+     "a0ced7bcd273b362b6c8343c54b1da5cd3261f88132788010703bdcb7ea428b0"),
     ("sync", "sync_white_pm.yaml", "campaign_summary.txt",
-     "48f1bc3bc8bede237b6ff274da324e33c1368235bbd7eb3ee2824682b5559ce0"),
+     "e5f887da1ba0629fd5c3d649297ee075f98d2855266c381d159f0054a7ddb3d6"),
     ("sync", "sync_flicker_fm.yaml", "campaign.csv",
-     "76f2b396c5d840fb985a3793bada08955b78ea1e8a1209ea266f8b320ba15eed"),
+     "911231c671ae8671edaf7ed16bbf028aaa5ec3bda4b2833aecaee61452154c7b"),
     ("sync", "sync_flicker_fm.yaml", "campaign_summary.txt",
-     "a229fce5845d7bacd8977a19a72b70f459a264778e6719f0d7b13839fdc4cf55"),
+     "9d4aff6499cc5e36f557a11d99e49d446a90a39f1179aaa2cc29a6185825c073"),
     ("quantum-scaling", "scaling_sql.yaml", "scaling.csv",
      "fc048f79c62f7ad1da676a61c36fd2ac280fdba176c298d3240f9d682848f508"),
     ("quantum-scaling", "scaling_hl.yaml", "scaling.csv",

@@ -31,7 +31,7 @@ class TestSampleClock:
 
     def test_constant_offset_ramp(self):
         x = sample_clock(quiet_clock(frac_freq_offset=1e-9), 4, 1.0)
-        assert x.samples == pytest.approx([0.0, 1e-9, 2e-9, 3e-9], rel=1e-15)
+        assert x.samples == pytest.approx([0.0, 1e-9, 2e-9, 3e-9], rel=1e-15, abs=0.0)
 
     def test_pure_drift_is_quadratic(self):
         d, tau0 = 2.5e-12, 0.5
@@ -55,7 +55,7 @@ class TestSampleClock:
         offset = 3.2e-10
         x = sample_clock(quiet_clock(frac_freq_offset=offset), 32, 2.0)
         y = y_from_x(x)
-        assert y.samples == pytest.approx(np.full(31, offset), rel=1e-12)
+        assert y.samples == pytest.approx(np.full(31, offset), rel=1e-12, abs=0.0)
 
     def test_tdev_blind_to_constant_offset(self):
         offset = 5e-9
@@ -96,7 +96,7 @@ class TestSampleClock:
         clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_PM, amplitude, seed=6),))
         x = sample_clock(clock, 10_000, tau0, seed=7)
         assert x.samples[0] == 0.0
-        assert x.samples[1:].std(ddof=1) == pytest.approx(sigma_t, rel=0.1)
+        assert x.samples[1:].std(ddof=1) == pytest.approx(sigma_t, rel=0.1, abs=0.0)
 
     def test_identical_sources_draw_separate_streams(self):
         spec = NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4)
@@ -173,13 +173,13 @@ class TestCombTimeParams:
     def test_25_mhz_period_is_40_ns(self):
         comb = CombParams(f_r=25e6, f_0=0.0, t_0=3.5e-13, n_range=(1, 10**7))
         t_r, _ = comb_time_params(comb)
-        assert t_r == pytest.approx(40e-9, rel=1e-15)
+        assert t_r == pytest.approx(40e-9, rel=1e-15, abs=0.0)
 
     def test_zero_offset_zero_slip(self):
         assert comb_time_params(comb_100mhz(f_0=0.0))[1] == 0.0
 
     def test_quarter_rate_offset_gives_half_pi(self):
-        assert comb_time_params(comb_100mhz(f_0=25e6))[1] == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert comb_time_params(comb_100mhz(f_0=25e6))[1] == pytest.approx(math.pi / 2.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("f_r,f_0", [(5e-324, 0.0), (1.7e308, 1.6e308)])
     def test_period_or_slip_past_the_float_range_raises(self, f_r, f_0):

@@ -138,7 +138,7 @@ class TestGenerateNoise:
             series = generate_noise(NoiseSpec(kind, amplitude, seed=seed), 2**16, tau0)
             curve = stability_curve(series, [m], Variant.FFI1)
             values.append(curve.points[0].value)
-        assert np.mean(values) == pytest.approx(level(amplitude, m * tau0), rel=0.12)
+        assert np.mean(values) == pytest.approx(level(amplitude, m * tau0), rel=0.12, abs=0.0)
 
     @pytest.mark.parametrize("kind", [NoiseKind.WHITE_FM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM])
     def test_filter_route_matches_spectral_synthesis_oracle(self, kind):
@@ -152,7 +152,7 @@ class TestGenerateNoise:
             ours.append(stability_curve(series, [m], Variant.FFI1).points[0].value)
             alt = oracles.spectral_noise(kind.beta, amplitude, 2**15, 1.0, rng)
             theirs.append(stability_curve(TimeSeriesY(1.0, alt), [m], Variant.FFI1).points[0].value)
-        assert np.mean(ours) == pytest.approx(np.mean(theirs), rel=0.15)
+        assert np.mean(ours) == pytest.approx(np.mean(theirs), rel=0.15, abs=0.0)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_spectral_fidelity_central_decade(self, kind):
@@ -198,7 +198,7 @@ class TestPsdEstimate:
         freqs, density = oracles.psd_estimate(series)
         df = freqs[1] - freqs[0]
         variance = series.samples.var()
-        assert density.sum() * df == pytest.approx(variance, rel=0.05)
+        assert density.sum() * df == pytest.approx(variance, rel=0.05, abs=0.0)
 
 
 SHAPED_KINDS = [NoiseKind.FLICKER_PM, NoiseKind.FLICKER_FM, NoiseKind.RANDOM_WALK_FM]

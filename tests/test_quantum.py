@@ -67,31 +67,31 @@ def tm(n, t0, nu0, r=0.0):
 
 class TestScalingLaws:
     def test_tof_quadruple_photons_halves_sigma(self):
-        assert tof(4.0, 1e-14) == pytest.approx(tof(1.0, 1e-14) / 2.0, rel=1e-15)
+        assert tof(4.0, 1e-14) == pytest.approx(tof(1.0, 1e-14) / 2.0, rel=1e-15, abs=0.0)
 
     def test_tof_unit_normalization(self):
         assert tof(1.0, 1e-14) == 1e-14
 
     def test_tof_linear_in_t0(self):
-        assert tof(9.0, 5e-15) == pytest.approx(tof(9.0, 1e-14) / 2.0, rel=1e-15)
+        assert tof(9.0, 5e-15) == pytest.approx(tof(9.0, 1e-14) / 2.0, rel=1e-15, abs=0.0)
 
     def test_phase_unit_case(self):
         assert phase(1.0, 1.0) == 1.0
 
     def test_phase_halves_with_doubled_carrier(self):
-        assert phase(10.0, 2e14) == pytest.approx(phase(10.0, 1e14) / 2.0, rel=1e-15)
+        assert phase(10.0, 2e14) == pytest.approx(phase(10.0, 1e14) / 2.0, rel=1e-15, abs=0.0)
 
     def test_phase_at_telecom_carrier(self):
-        assert phase(100.0, 1.92e14) == pytest.approx(5.2e-16, rel=2e-3)
+        assert phase(100.0, 1.92e14) == pytest.approx(5.2e-16, rel=2e-3, abs=0.0)
 
     def test_tm_unit_case(self):
-        assert tm(1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert tm(1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_tm_degenerates_to_tof_without_carrier(self):
-        assert tm(5.0, 2e-14, 1e-6) == pytest.approx(tof(5.0, 2e-14), rel=1e-9)
+        assert tm(5.0, 2e-14, 1e-6) == pytest.approx(tof(5.0, 2e-14), rel=1e-9, abs=0.0)
 
     def test_tm_degenerates_to_phase_for_long_pulses(self):
-        assert tm(5.0, 1e9, 1.92e14) == pytest.approx(phase(5.0, 1.92e14), rel=1e-9)
+        assert tm(5.0, 1e9, 1.92e14) == pytest.approx(phase(5.0, 1.92e14), rel=1e-9, abs=0.0)
 
     @given(positive, positive, positive)
     def test_tm_dominates_both_single_observable_methods(self, n, t0, nu0):
@@ -105,7 +105,7 @@ class TestScalingLaws:
     def test_published_1p5_db_reduction(self):
         r = r_from_db(1.5)
         scale = tm(1.0, 1e-13, 2.5e11, r) / tm(1.0, 1e-13, 2.5e11)
-        assert 8.9e-23 * scale == pytest.approx(7.5e-23, rel=0.01)
+        assert 8.9e-23 * scale == pytest.approx(7.5e-23, rel=0.01, abs=0.0)
 
     def test_closed_form_heisenberg_exponent(self):
         rs = np.linspace(2.0, 8.0, 13)
@@ -153,8 +153,8 @@ class TestDbConversions:
         # a 5x amplitude reduction needs exp(-r) = 1/sqrt(5), and
         # 10*log10(5) is just under 7 dB in the variance convention
         r = r_from_db(10.0 * math.log10(5.0))
-        assert math.exp(-r) == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
-        assert r_from_db(7.0) == pytest.approx(r, rel=2e-3)
+        assert math.exp(-r) == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12, abs=0.0)
+        assert r_from_db(7.0) == pytest.approx(r, rel=2e-3, abs=0.0)
 
     @given(st.floats(0.0, 40.0))
     def test_round_trip_identity(self, db):
@@ -180,12 +180,12 @@ class TestApplyLoss:
 
     def test_half_loss_caps_squeezing_at_3db(self):
         variance = apply_loss(math.exp(-2.0 * 20.0), 0.5)
-        assert variance == pytest.approx(0.5, rel=1e-8)
+        assert variance == pytest.approx(0.5, rel=1e-8, abs=0.0)
         assert -10.0 * math.log10(variance) == pytest.approx(3.01, abs=0.01)
 
     @given(st.floats(0.0, 1.0))
     def test_loss_leaves_vacuum_at_vacuum(self, eta):
-        assert apply_loss(1.0, eta) == pytest.approx(1.0, rel=1e-15)
+        assert apply_loss(1.0, eta) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     @given(r_values, st.floats(0.0, 1.0))
     def test_loss_stays_between_state_and_vacuum(self, r, eta):
@@ -210,7 +210,7 @@ class TestApplyLoss:
 
 class TestRequiredSqueezing:
     def test_lossless_two_x(self):
-        assert required_squeezing(1.0, 2.0) == pytest.approx(10.0 * math.log10(4.0), rel=1e-12)
+        assert required_squeezing(1.0, 2.0) == pytest.approx(10.0 * math.log10(4.0), rel=1e-12, abs=0.0)
 
     def test_unattainable_at_quarter_floor(self):
         for eta in (0.75, 0.6, 0.5):
@@ -226,7 +226,7 @@ class TestRequiredSqueezing:
         db = required_squeezing(0.9, 1.5)
         r = r_from_db(db)
         reduction = math.sqrt(0.9 * math.exp(-2.0 * r) + 0.1)
-        assert reduction == pytest.approx(1.0 / 1.5, rel=1e-12)
+        assert reduction == pytest.approx(1.0 / 1.5, rel=1e-12, abs=0.0)
 
     def test_total_loss_is_unattainable(self):
         assert required_squeezing(0.0, 2.0) is None

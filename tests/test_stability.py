@@ -60,7 +60,7 @@ class TestConversions:
     def test_linear_x_gives_constant_rate(self):
         c, tau0 = 3.25e-9, 2.0
         x = TimeSeriesX(tau0, c * np.arange(12) * tau0)
-        assert y_from_x(x).samples == pytest.approx(np.full(11, c), rel=1e-12)
+        assert y_from_x(x).samples == pytest.approx(np.full(11, c), rel=1e-12, abs=0.0)
 
     def test_y_from_x_rejects_single_sample(self):
         with pytest.raises(InvalidArgument):
@@ -95,7 +95,7 @@ class TestFfi0:
     def test_linear_ramp(self):
         c = 0.7
         series = TimeSeriesY(1.0, c * np.arange(20))
-        assert ffi0(series) == pytest.approx(abs(c) / math.sqrt(2.0), rel=1e-12)
+        assert ffi0(series) == pytest.approx(abs(c) / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_rejects_single_sample(self):
         with pytest.raises(InsufficientData):
@@ -112,7 +112,7 @@ class TestFfi1:
 
     def test_matches_brute_force_double_sum(self):
         series = random_series(16, length=16)
-        assert ffi1(series, 3) == pytest.approx(oracles.brute_ffi1_y(series.samples, 3), rel=1e-13)
+        assert ffi1(series, 3) == pytest.approx(oracles.brute_ffi1_y(series.samples, 3), rel=1e-13, abs=0.0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -121,7 +121,7 @@ class TestFfi1:
     def test_single_outer_term_boundary(self):
         # M = 2m leaves exactly one outer term
         series = TimeSeriesY(1.0, [0.5, -0.25, 1.0, 2.0])
-        assert ffi1(series, 2) == pytest.approx(oracles.brute_ffi1_y(series.samples, 2), rel=1e-13)
+        assert ffi1(series, 2) == pytest.approx(oracles.brute_ffi1_y(series.samples, 2), rel=1e-13, abs=0.0)
         with pytest.raises(InsufficientData):
             ffi1(TimeSeriesY(1.0, [1.0, 2.0, 3.0]), 2)
 
@@ -149,7 +149,7 @@ class TestFfi2:
 
     def test_matches_brute_force_triple_sum(self):
         series = random_series(20, length=20)
-        assert ffi2(series, 2) == pytest.approx(oracles.brute_ffi2_y(series.samples, 2), rel=1e-13)
+        assert ffi2(series, 2) == pytest.approx(oracles.brute_ffi2_y(series.samples, 2), rel=1e-13, abs=0.0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -159,8 +159,8 @@ class TestFfi2:
 class TestTdev:
     def test_eq_10_spot_values(self):
         # Terrestrial-experiment sanity: 1e-18 at tau = 1e3 s and 1e2 s
-        assert tdev_from_ffi2(1e-18, 1e3) == pytest.approx(5.8e-16, rel=0.01)
-        assert tdev_from_ffi2(1e-18, 1e2) == pytest.approx(5.8e-17, rel=0.01)
+        assert tdev_from_ffi2(1e-18, 1e3) == pytest.approx(5.8e-16, rel=0.01, abs=0.0)
+        assert tdev_from_ffi2(1e-18, 1e2) == pytest.approx(5.8e-17, rel=0.01, abs=0.0)
 
     def test_constant_series_zero(self):
         assert tdev(TimeSeriesY(1.0, np.full(16, 4.2)), 2) == 0.0
@@ -216,14 +216,14 @@ class TestInvariants:
             series = random_series(seed, length=24, tau0=0.75)
             x = x_from_y(series).samples
             assert ffi0(series) == pytest.approx(
-                oracles.brute_ffi0_x(x, series.tau0), rel=1e-12
+                oracles.brute_ffi0_x(x, series.tau0), rel=1e-12, abs=0.0
             )
             for m in (1, 2, 3):
                 assert ffi1(series, m) == pytest.approx(
-                    oracles.brute_ffi1_x(x, m, series.tau0), rel=1e-12
+                    oracles.brute_ffi1_x(x, m, series.tau0), rel=1e-12, abs=0.0
                 )
                 assert ffi2(series, m) == pytest.approx(
-                    oracles.brute_ffi2_x(x, m, series.tau0), rel=1e-12
+                    oracles.brute_ffi2_x(x, m, series.tau0), rel=1e-12, abs=0.0
                 )
 
 
