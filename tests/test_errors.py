@@ -3,7 +3,9 @@
 Each rule rejects NaN, both infinities and the values just past its
 excluded bound, with one message that names the argument.  Each row of
 ``ARGUMENTS`` sets one constructor field or function argument to each of
-its rule's rejected values in an otherwise valid call.
+its rule's rejected values in an otherwise valid call.  The count rule
+takes a minimum, so it and the counts checked against it have their own
+tables, ``COUNT_MINIMA`` and ``COUNTS``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import pytest
 
 from combsync.clockmodel import ClockModel, CombParams, sample_clock
-from combsync.errors import InvalidArgument, _finite, _non_negative, _positive, _unit_interval
+from combsync.errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
 from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
 from combsync.quantum import (
     EstimatorMethod,
@@ -33,6 +35,7 @@ from combsync.synclink import (
     SyncCampaign,
     advantage_report,
     one_way_offset,
+    run_sync_campaign,
     simulate_exchange,
 )
 
@@ -88,6 +91,20 @@ ARGUMENTS = [
     ("true_offset", _finite, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, true_offset=v)),
 ]
 
+COUNT_MINIMA = (2, 100)
+
+#: (argument name, minimum, call with the count set to a value)
+COUNTS = [
+    ("count", 2, lambda v: generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), v, 1.0)),
+    ("trials", 100, lambda v: monte_carlo_sigma(EstimatorModel(**ESTIMATOR), v)),
+    ("trials", 100, lambda v: run_sync_campaign(SyncCampaign(CLOCK, CLOCK, LINK), v)),
+]
+
+
+def count_rejected(minimum):
+    """Below the minimum, at and past 2**53, and every non-finite value."""
+    return (minimum - 1, -1, 2**53, 2**53 + 1, 10**20, *NON_FINITE)
+
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
 def test_rule_rejects_with_one_message_and_returns_what_it_accepts(rule):
@@ -108,3 +125,22 @@ def test_argument_is_checked_by_its_rule(name, rule, call):
             call(value)
         assert str(info.value) == f"{name} {text}, got {value}"
     call(accepted[1])
+
+
+@pytest.mark.parametrize("minimum", COUNT_MINIMA)
+def test_count_rule_rejects_with_one_message_and_returns_what_it_accepts(minimum):
+    for value in count_rejected(minimum):
+        with pytest.raises(InvalidArgument) as info:
+            _count("arg", value, minimum)
+        assert str(info.value) == f"arg must be >= {minimum} and < 2**53, got {value}"
+    for value in (minimum, minimum + 1, 2**53 - 1):
+        assert _count("arg", value, minimum) is value
+
+
+@pytest.mark.parametrize("name,minimum,call", COUNTS, ids=[f"{i}-{row[0]}" for i, row in enumerate(COUNTS)])
+def test_count_is_checked_by_the_count_rule(name, minimum, call):
+    for value in count_rejected(minimum):
+        with pytest.raises(InvalidArgument) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be >= {minimum} and < 2**53, got {value}"
+    call(minimum)
