@@ -1,13 +1,14 @@
 """Exception types shared across the toolkit, and the range rules its inputs are checked against.
 
 Each rule is one helper: finite, finite and positive, finite and >= 0,
-in [0, 1], and a count from a minimum up to 2**53 (past which a float
-no longer counts exactly).  A helper returns the value it is given or raises
-``InvalidArgument`` with the rule's one message, which names the
-argument; NaN fails every rule.
+in [0, 1], and a count, an integer from a minimum up to 2**53 (past
+which a float no longer counts exactly).  A helper returns the value it
+is given or raises ``InvalidArgument`` with the rule's one message,
+which names the argument; NaN fails every rule.
 """
 
 import math
+from numbers import Integral
 
 
 class CombsyncError(Exception):
@@ -51,6 +52,6 @@ def _unit_interval(name: str, value):
 
 
 def _count(name: str, value, minimum: int):
-    if not minimum <= value < 2**53:
+    if not (isinstance(value, Integral) and minimum <= value < 2**53):
         raise InvalidArgument(f"{name} must be >= {minimum} and < 2**53, got {value}")
     return value

@@ -106,14 +106,6 @@ def y_from_x(series: TimeSeriesX) -> TimeSeriesY:
     return TimeSeriesY(series.tau0, np.diff(x) / series.tau0)
 
 
-def x_from_y(series: TimeSeriesY) -> TimeSeriesX:
-    """Cumulative inverse of :func:`y_from_x`, starting at phase deviation 0."""
-    y = series.samples
-    if y.size < 1:
-        raise InvalidArgument("x_from_y needs at least 1 sample")
-    return TimeSeriesX(series.tau0, np.concatenate(([0.0], np.cumsum(y) * series.tau0)))
-
-
 # ---------------------------------------------------------------------------
 # Estimators
 

@@ -19,16 +19,18 @@ efficiency (Gaussian-beam collection on the receive aperture times the
 detector efficiency), through ``quantum.lossy_sigma``.
 
 One kernel computes the quartet and one formula the offset, on Python
-floats (one exchange) or arrays (a campaign).  A clock without an active
-noise source draws no random stream, so its sub-seed is never derived,
-and one exchange reads its phase off ``ramp_phase`` with no sample path.
+floats (one exchange) or arrays (a campaign).  One exchange returns its
+quartet as an ``ExchangeRecord``, a 4-tuple checked once on construction.
+A clock without an active noise source draws no random stream, so its
+sub-seed is never derived, and one exchange reads its phase off
+``ramp_phase`` with no sample path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -90,27 +92,39 @@ class LinkModel:
         return self.delay_ab + extra, self.delay_ba + extra
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
-    """Timestamp quartet of one two-way exchange, in each clock's own timescale."""
-
+class _Quartet(NamedTuple):
     t1: float  # A transmits
     t2: float  # B receives
     t3: float  # B transmits
     t4: float  # A receives
 
-    def __post_init__(self):
-        for name in ("t1", "t2", "t3", "t4"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgument(f"timestamp {name} must be finite")
-        if self.t4 < self.t1:
+
+class ExchangeRecord(_Quartet):
+    """Timestamp quartet of one two-way exchange, in each clock's own timescale.
+
+    An immutable, hashable 4-tuple (t1, t2, t3, t4); every construction,
+    ``_make`` and ``_replace`` included, checks it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t1: float, t2: float, t3: float, t4: float):
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3) and math.isfinite(t4)):
+            name = next(name for name, t in zip(cls._fields, (t1, t2, t3, t4)) if not math.isfinite(t))
+            raise InvalidArgument(f"timestamp {name} must be finite")
+        if t4 < t1:
             raise InvalidArgument("A must receive after transmitting (t4 >= t1)")
-        if self.t3 < self.t2:
+        if t3 < t2:
             raise InvalidArgument("B must reply after receiving (t3 >= t2)")
+        return tuple.__new__(cls, (t1, t2, t3, t4))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _is_noisy(clock: ClockModel) -> bool:
-    return any(spec.amplitude != 0.0 for spec in clock.noise)
+    return bool(clock.noise) and any(spec.amplitude != 0.0 for spec in clock.noise)
 
 
 def _clock_path(clock: ClockModel, count: int, tau0: float, seed: int, stream: int) -> np.ndarray:

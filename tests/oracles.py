@@ -1,6 +1,7 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately literal and slow: deviation statistics
+Everything here is deliberately literal and slow: phase deviations
+summed sample by sample from fractional frequency, deviation statistics
 as explicit nested loops and as exact integer sums, frequency-domain
 noise synthesis as an alternative generation route, the recursive-filter
 synthesis with its first (full-length) FFT padding, flicker synthesis with
@@ -26,6 +27,11 @@ from combsync.errors import InsufficientData
 
 # ---------------------------------------------------------------------------
 # Literal deviation sums (1-based indexing transcribed directly)
+
+
+def x_from_y(y: np.ndarray, tau0: float) -> np.ndarray:
+    """Phase deviations of fractional-frequency samples y: x_0 = 0 and x_{k+1} = x_k + y_k * tau0."""
+    return np.array(list(accumulate((float(v) * tau0 for v in y), initial=0.0)))
 
 
 def brute_ffi0_y(y: np.ndarray) -> float:

@@ -34,7 +34,6 @@ from combsync.stability import (
     fit_slope,
     stability_curve,
     tdev_from_ffi2,
-    x_from_y,
 )
 from combsync.synclink import (
     LinkModel,
@@ -90,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
         tau0 = float(rng.uniform(0.1, 5.0))
         y = rng.normal(0.0, 1.0, length)
         series = TimeSeriesY(tau0, y)
-        x = x_from_y(series).samples
+        x = oracles.x_from_y(y, tau0)
         m_max = (length - 2) // 3
         m = int(rng.integers(1, max(2, m_max + 1)))
 

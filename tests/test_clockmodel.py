@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from combsync.clockmodel import (
     sample_clock,
 )
 from combsync.errors import InvalidArgument
-from combsync.noisegen import NoiseKind, NoiseSpec
+from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
+from combsync.seeding import derive_seed
 from combsync.stability import Variant, fit_slope, stability_curve, tdev, y_from_x
 
 
@@ -120,6 +122,43 @@ class TestRampPhase:
         x = ramp_phase(clock, tau0)
         assert type(x) is float
         assert x.hex() == float(sample_clock(clock, 2, tau0).samples[1]).hex()
+
+
+def array_formula(clock, count, tau0, seed):
+    """The path the array formula gives: the ramp at every sample time plus each source's summed noise."""
+    x = ramp_phase(clock, np.arange(count) * tau0)
+    for i, spec in enumerate(clock.noise):
+        derived = replace(spec, seed=derive_seed(seed, i, spec.seed))
+        y = generate_noise(derived, max(2, count - 1), tau0).samples[: count - 1]
+        x[1:] += np.cumsum(y) * tau0
+    return x
+
+
+class TestZeroRamp:
+    """A clock with zero offset and drift is filled with its signed-zero ramp; the bytes match the array formula."""
+
+    @pytest.mark.parametrize("offset", [0.0, -0.0])
+    @pytest.mark.parametrize("drift", [0.0, -0.0])
+    @pytest.mark.parametrize("count,tau0,noise", [
+        (2, 1.0, ()),
+        (2, 1.0, (NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4),)),
+        (64, 0.5, ()),
+        (64, 0.5, (NoiseSpec(NoiseKind.FLICKER_PM, 1e-24, seed=4), NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4))),
+        (100, 1e306, ()),  # the last sample time is 9.9e307, just inside the float range
+    ], ids=["2-quiet", "2-noisy", "64-quiet", "64-noisy", "100-wide"])
+    def test_fill_matches_the_array_formula(self, offset, drift, count, tau0, noise):
+        clock = quiet_clock(frac_freq_offset=offset, drift=drift, noise=noise)
+        x = sample_clock(clock, count, tau0, seed=9).samples
+        assert x.dtype == np.float64
+        assert x.tobytes() == array_formula(clock, count, tau0, 9).tobytes()
+
+    @pytest.mark.parametrize("clock", [quiet_clock(), quiet_clock(frac_freq_offset=1.0),
+                                       quiet_clock(drift=-0.0, noise=(NoiseSpec(NoiseKind.WHITE_PM, 1.0),))],
+                             ids=["zero-ramp", "offset", "noisy"])
+    def test_span_past_the_float_range_raises(self, clock):
+        with pytest.raises(OverflowError, match=r"span of 3 samples at tau0=1e\+308 is inf"):
+            sample_clock(clock, 3, 1e308)
+        assert sample_clock(clock, 2, 1e308).samples[0] == 0.0
 
 
 class TestClockModelValidation:

@@ -508,6 +508,10 @@ def test_base_documents_run(base):
     # A pulse period 1/f_r past the float range.
     ("sync", ("sync", "comb"), {"f_r": 5e-324, "t_0": 1.0e-13, "n_range": [1, 2]},
      "sync: a result left the float range (OverflowError)"),
+    # A campaign span (trials - 1) * interval past the float range, from Python float arithmetic.
+    ("sync", ("sync",), {**BASE["sync"]["sync"], "interval": 1.0e308,
+                         "clock_a": {"nu0": 1.94e14, "frac_freq_offset": 1.0e-9}},
+     "sync: a result left the float range (OverflowError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from combsync.clockmodel import ClockModel, CombParams, sample_clock
@@ -98,12 +99,13 @@ COUNTS = [
     ("count", 2, lambda v: generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), v, 1.0)),
     ("trials", 100, lambda v: monte_carlo_sigma(EstimatorModel(**ESTIMATOR), v)),
     ("trials", 100, lambda v: run_sync_campaign(SyncCampaign(CLOCK, CLOCK, LINK), v)),
+    ("count", 2, lambda v: sample_clock(CLOCK, v, 1.0)),
 ]
 
 
 def count_rejected(minimum):
-    """Below the minimum, at and past 2**53, and every non-finite value."""
-    return (minimum - 1, -1, 2**53, 2**53 + 1, 10**20, *NON_FINITE)
+    """Below the minimum, at and past 2**53, every non-finite value, and in-range values that are not integers."""
+    return (minimum - 1, -1, 2**53, 2**53 + 1, 10**20, *NON_FINITE, float(minimum), minimum + 0.5)
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -133,7 +135,7 @@ def test_count_rule_rejects_with_one_message_and_returns_what_it_accepts(minimum
         with pytest.raises(InvalidArgument) as info:
             _count("arg", value, minimum)
         assert str(info.value) == f"arg must be >= {minimum} and < 2**53, got {value}"
-    for value in (minimum, minimum + 1, 2**53 - 1):
+    for value in (minimum, minimum + 1, 2**53 - 1, np.int64(minimum)):
         assert _count("arg", value, minimum) is value
 
 

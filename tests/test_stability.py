@@ -23,7 +23,6 @@ from combsync.stability import (
     stability_curve,
     tdev,
     tdev_from_ffi2,
-    x_from_y,
     y_from_x,
 )
 
@@ -67,21 +66,19 @@ class TestConversions:
             y_from_x(TimeSeriesX(1.0, [0.0]))
 
     def test_x_from_y_zeroes(self):
-        x = x_from_y(TimeSeriesY(1.0, np.zeros(5)))
-        assert x.samples.tolist() == [0.0] * 6
+        assert oracles.x_from_y(np.zeros(5), 1.0).tolist() == [0.0] * 6
 
     def test_x_from_y_unit_case(self):
-        x = x_from_y(TimeSeriesY(1.0, [1.0, 1.0]))
-        assert x.samples.tolist() == [0.0, 1.0, 2.0]
+        assert oracles.x_from_y(np.array([1.0, 1.0]), 1.0).tolist() == [0.0, 1.0, 2.0]
 
     @given(finite_samples)
     def test_round_trip_recovers_series(self, samples):
-        series = TimeSeriesY(0.5, samples)
-        back = y_from_x(x_from_y(series))
+        x = oracles.x_from_y(samples, 0.5)
+        back = y_from_x(TimeSeriesX(0.5, x))
         scale = max(1.0, np.abs(samples).max())
-        np.testing.assert_allclose(back.samples, series.samples, rtol=1e-12, atol=1e-12 * scale)
-        assert back.tau0 == series.tau0
-        assert len(x_from_y(series)) == len(series) + 1
+        np.testing.assert_allclose(back.samples, samples, rtol=1e-12, atol=1e-12 * scale)
+        assert back.tau0 == 0.5
+        assert x.size == samples.size + 1
 
 
 class TestFfi0:
@@ -214,7 +211,7 @@ class TestInvariants:
         # y-form and x-form of every estimator agree on series built via x_from_y
         for seed in range(10):
             series = random_series(seed, length=24, tau0=0.75)
-            x = x_from_y(series).samples
+            x = oracles.x_from_y(series.samples, series.tau0)
             assert ffi0(series) == pytest.approx(
                 oracles.brute_ffi0_x(x, series.tau0), rel=1e-12, abs=0.0
             )

@@ -82,10 +82,47 @@ class TestSimulateExchange:
         assert recs[0] == recs[1]
 
     def test_record_ordering_enforced(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument) as info:
             ExchangeRecord(t1=1.0, t2=0.5, t3=0.4, t4=2.0)
-        with pytest.raises(InvalidArgument):
+        assert str(info.value) == "B must reply after receiving (t3 >= t2)"
+        with pytest.raises(InvalidArgument) as info:
             ExchangeRecord(t1=1.0, t2=1.1, t3=1.2, t4=0.9)
+        assert str(info.value) == "A must receive after transmitting (t4 >= t1)"
+
+
+class TestExchangeRecord:
+    RECORD = ExchangeRecord(t1=0.0, t2=1.0, t3=1.5, t4=2.0)
+
+    @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t4", "other"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.RECORD, name, 0.5)
+        assert self.RECORD == (0.0, 1.0, 1.5, 2.0)
+
+    def test_equal_records_hash_equal(self):
+        copy = ExchangeRecord(0.0, 1.0, 1.5, 2.0)
+        assert copy == self.RECORD and copy is not self.RECORD
+        assert hash(copy) == hash(self.RECORD)
+        assert len({copy, self.RECORD, ExchangeRecord(0.0, 1.0, 1.5, 2.5)}) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_message_names_the_first_non_finite_field(self, index, value):
+        fields = [0.0, 1.0, 1.5, 2.0]
+        fields[index] = value
+        with pytest.raises(InvalidArgument) as info:
+            ExchangeRecord(*fields)
+        assert str(info.value) == f"timestamp t{index + 1} must be finite"
+        with pytest.raises(InvalidArgument) as info:
+            self.RECORD._replace(**{f"t{index + 1}": value})
+        assert str(info.value) == f"timestamp t{index + 1} must be finite"
+
+    def test_replace_keeps_the_ordering_checks(self):
+        assert self.RECORD._replace(t4=3.0) == ExchangeRecord(0.0, 1.0, 1.5, 3.0)
+        with pytest.raises(InvalidArgument, match=r"\(t4 >= t1\)"):
+            self.RECORD._replace(t4=-1.0)
+        with pytest.raises(InvalidArgument, match=r"\(t3 >= t2\)"):
+            ExchangeRecord._make([0.0, 1.0, 0.5, 2.0])
 
 
 class TestTwoWayOffset:
