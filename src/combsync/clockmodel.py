@@ -77,22 +77,16 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
 
     The deterministic part (offset + drift ramp) is integrated exactly;
     each noise source contributes its fractional-frequency samples
-    accumulated stepwise, one rectangle per sample period.  A clock whose
-    offset and drift are both zero has the same ramp value, its signed
-    zero ``ramp_phase(clock, 0.0)``, at every time, and is filled with it
-    without evaluating the ramp.  A span (count - 1) * tau0 past the float
-    range raises OverflowError.
+    accumulated stepwise, one rectangle per sample period.  A span
+    (count - 1) * tau0 past the float range raises OverflowError.
     """
     _count("count", count, 2)
     seed = check_seed(seed)
     tau0 = _positive("tau0", float(tau0))
-    span = (count - 1) * tau0
+    span = (int(count) - 1) * tau0
     if not math.isfinite(span):  # a Python float product overflows to inf without raising
         raise OverflowError(f"span of {count} samples at tau0={tau0} is {span}")
-    if clock.frac_freq_offset == 0.0 and clock.drift == 0.0:
-        x = np.full(count, ramp_phase(clock, 0.0))
-    else:
-        x = ramp_phase(clock, np.arange(count) * tau0)
+    x = ramp_phase(clock, np.arange(count) * tau0)
     for i, spec in enumerate(clock.noise):
         if spec.amplitude == 0.0:
             continue

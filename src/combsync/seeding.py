@@ -25,10 +25,10 @@ def check_seed(seed: int) -> int:
     Only a Python or numpy integer in [0, 2**64) is a seed; a bool, a
     float, a string or anything else raises InvalidArgument.
     """
-    if type(seed) is int and 0 <= seed < 2**64:  # the common case, a plain in-range int, returned as is
-        return seed
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
+    if type(seed) is not int:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise InvalidArgument(f"seed must be an integer, got {seed!r}")
+        seed = int(seed)
+    if not 0 <= seed < 2**64:
         raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    return seed

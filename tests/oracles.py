@@ -30,8 +30,8 @@ from combsync.errors import InsufficientData
 
 
 def x_from_y(y: np.ndarray, tau0: float) -> np.ndarray:
-    """Phase deviations of fractional-frequency samples y: x_0 = 0 and x_{k+1} = x_k + y_k * tau0."""
-    return np.array(list(accumulate((float(v) * tau0 for v in y), initial=0.0)))
+    """Phase deviations of fractional-frequency samples y, starting at 0: x_{k+1} = x_k + y_k * tau0."""
+    return np.concatenate(([0.0], np.cumsum(y) * tau0))
 
 
 def brute_ffi0_y(y: np.ndarray) -> float:

@@ -135,7 +135,7 @@ def array_formula(clock, count, tau0, seed):
 
 
 class TestZeroRamp:
-    """A clock with zero offset and drift is filled with its signed-zero ramp; the bytes match the array formula."""
+    """A clock with zero offset and drift samples the array formula's bytes, signed zeros included."""
 
     @pytest.mark.parametrize("offset", [0.0, -0.0])
     @pytest.mark.parametrize("drift", [0.0, -0.0])
@@ -146,7 +146,7 @@ class TestZeroRamp:
         (64, 0.5, (NoiseSpec(NoiseKind.FLICKER_PM, 1e-24, seed=4), NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4))),
         (100, 1e306, ()),  # the last sample time is 9.9e307, just inside the float range
     ], ids=["2-quiet", "2-noisy", "64-quiet", "64-noisy", "100-wide"])
-    def test_fill_matches_the_array_formula(self, offset, drift, count, tau0, noise):
+    def test_matches_the_array_formula(self, offset, drift, count, tau0, noise):
         clock = quiet_clock(frac_freq_offset=offset, drift=drift, noise=noise)
         x = sample_clock(clock, count, tau0, seed=9).samples
         assert x.dtype == np.float64
@@ -155,10 +155,11 @@ class TestZeroRamp:
     @pytest.mark.parametrize("clock", [quiet_clock(), quiet_clock(frac_freq_offset=1.0),
                                        quiet_clock(drift=-0.0, noise=(NoiseSpec(NoiseKind.WHITE_PM, 1.0),))],
                              ids=["zero-ramp", "offset", "noisy"])
-    def test_span_past_the_float_range_raises(self, clock):
+    @pytest.mark.parametrize("count_type", [int, np.int64])
+    def test_span_past_the_float_range_raises(self, clock, count_type):
         with pytest.raises(OverflowError, match=r"span of 3 samples at tau0=1e\+308 is inf"):
-            sample_clock(clock, 3, 1e308)
-        assert sample_clock(clock, 2, 1e308).samples[0] == 0.0
+            sample_clock(clock, count_type(3), 1e308)
+        assert sample_clock(clock, count_type(2), 1e308).samples[0] == 0.0
 
 
 class TestClockModelValidation:
