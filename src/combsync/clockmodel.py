@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _finite, _positive
+from .errors import InvalidArgument, _count, _finite, _in_float_range, _positive
 from .noisegen import NoiseSpec, generate_noise
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -77,15 +77,14 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
 
     The deterministic part (offset + drift ramp) is integrated exactly;
     each noise source contributes its fractional-frequency samples
-    accumulated stepwise, one rectangle per sample period.  A span
-    (count - 1) * tau0 past the float range raises OverflowError.
+    accumulated stepwise, one rectangle per sample period.  A ramp past
+    the float range at the last sample raises OverflowError; each ramp
+    term grows with t, so that one value bounds the whole ramp.
     """
     _count("count", count, 2)
     seed = check_seed(seed)
     tau0 = _positive("tau0", float(tau0))
-    span = (int(count) - 1) * tau0
-    if not math.isfinite(span):  # a Python float product overflows to inf without raising
-        raise OverflowError(f"span of {count} samples at tau0={tau0} is {span}")
+    _in_float_range("ramp at the last sample", ramp_phase(clock, (int(count) - 1) * tau0))
     x = ramp_phase(clock, np.arange(count) * tau0)
     for i, spec in enumerate(clock.noise):
         if spec.amplitude == 0.0:
@@ -98,7 +97,5 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
 
 def comb_time_params(comb: CombParams) -> tuple[float, float]:
     """Pulse period t_r = 1/f_r and carrier-envelope phase slip 2*pi*f_0/f_r."""
-    t_r, slip = 1.0 / comb.f_r, 2.0 * math.pi * comb.f_0 / comb.f_r
-    if not (math.isfinite(t_r) and math.isfinite(slip)):  # Python float arithmetic overflows to inf silently
-        raise OverflowError(f"pulse period {t_r} or phase slip {slip} of {comb} is not finite")
-    return t_r, slip
+    return (_in_float_range("pulse period", 1.0 / comb.f_r),
+            _in_float_range("phase slip", 2.0 * math.pi * comb.f_0 / comb.f_r))

@@ -321,9 +321,8 @@ def load_config(path: str, command: Optional[str] = None, seed_override: Optiona
     if blocks != [resolved_command]:
         if not blocks:
             raise ConfigError(f"missing parameter block '{_block_key(resolved_command)}'")
-        extra = [b for b in blocks if b != resolved_command]
-        if extra:
-            raise ConfigError(f"unexpected parameter block '{_block_key(extra[0])}' for command '{resolved_command}'")
+        extra = next(b for b in blocks if b != resolved_command)
+        raise ConfigError(f"unexpected parameter block '{_block_key(extra)}' for command '{resolved_command}'")
 
     seed = seed_override
     if seed is None and "seed" in root:

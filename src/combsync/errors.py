@@ -1,10 +1,13 @@
 """Exception types shared across the toolkit, and the range rules its inputs are checked against.
 
 Each rule is one helper: finite, finite and positive, finite and >= 0,
-in [0, 1], and a count, an integer from a minimum up to 2**53 (past
-which a float no longer counts exactly).  A helper returns the value it
-is given or raises ``InvalidArgument`` with the rule's one message,
-which names the argument; NaN fails every rule.
+in [0, 1], and a count, an integer (not a bool) from a minimum up to
+2**53 (past which a float no longer counts exactly).  A helper returns
+the value it is given or raises ``InvalidArgument`` with the rule's one
+message, which names the argument; NaN fails every rule.  Python float
+arithmetic overflows to inf (and inf * 0 to nan) without raising, so a
+computed result passes ``_in_float_range`` instead, whose one
+``OverflowError`` message names the quantity.
 """
 
 import math
@@ -52,6 +55,12 @@ def _unit_interval(name: str, value):
 
 
 def _count(name: str, value, minimum: int):
-    if not (isinstance(value, Integral) and minimum <= value < 2**53):
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and minimum <= value < 2**53):
         raise InvalidArgument(f"{name} must be >= {minimum} and < 2**53, got {value}")
+    return value
+
+
+def _in_float_range(name: str, value):
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} left the float range: {value}")
     return value

@@ -61,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _non_negative, _positive
+from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive
 from .seeding import check_seed
 from .series import TimeSeriesY
 
@@ -120,8 +120,7 @@ def fractional_filter_coeffs(beta_exponent: float, count: int) -> np.ndarray:
 
     Recursion: h_0 = 1, h_k = h_{k-1} * (k - 1 + |beta|/2) / k.
     """
-    if count < 1:
-        raise InvalidArgument(f"count must be >= 1, got {count}")
+    _count("count", count, 1)
     half = abs(float(beta_exponent)) / 2.0
     taps = np.empty(count)
     taps[0] = 1.0
@@ -147,9 +146,7 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     """
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
-    qd = coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1))
-    if not math.isfinite(qd):  # a Python float division overflows to inf without raising
-        raise OverflowError(f"innovation variance of coefficient {coefficient} at tau0={tau0} is {qd}")
+    qd = _in_float_range("innovation variance", coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1)))
     total = 2 * count
     if exponent == -1:
         return _flicker_work_set(_flicker_fft_size(total)).synthesize(rng, math.sqrt(qd), total)

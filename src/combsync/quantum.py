@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
+from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive, _unit_interval
 from .seeding import check_seed
 
 _LN10 = math.log(10.0)
@@ -83,9 +83,7 @@ def model_sigma(model: EstimatorModel) -> float:
         sigma = 1.0 / (model.nu0 * math.sqrt(model.n))
     else:
         sigma = math.exp(-model.r) * (1.0 / math.sqrt(model.n * ((1.0 / model.t0) ** 2 + model.nu0**2)))
-    if not math.isfinite(sigma):  # a Python float division overflows to inf without raising
-        raise OverflowError(f"deviation of {model} is {sigma}")
-    return sigma
+    return _in_float_range("deviation", sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +92,7 @@ def model_sigma(model: EstimatorModel) -> float:
 
 def db_from_r(r: float) -> float:
     """Squeezing in variance dB: 10*log10(exp(2r))."""
-    return 20.0 * _non_negative("r", r) / _LN10
+    return _in_float_range("squeezing in dB", 20.0 * _non_negative("r", r) / _LN10)
 
 
 def r_from_db(db: float) -> float:
@@ -140,17 +138,14 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     return db_from_r(r)
 
 
-def monte_carlo_sigma(
-    model: EstimatorModel, trials: int, seed: int = 0, true_offset: float = 0.0
-) -> tuple[float, float]:
+def monte_carlo_sigma(model: EstimatorModel, trials: int, seed: int = 0) -> tuple[float, float]:
     """Sampled (mean, std) of timing-offset estimates under the model's law.
 
-    Each trial draws one Gaussian estimate around true_offset with the
+    Each trial draws one Gaussian estimate error around 0 with the
     closed-form deviation of the model.
     """
     _count("trials", trials, 100)
-    _finite("true_offset", true_offset)
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))
-    draws = rng.normal(true_offset, sigma, trials)
+    draws = rng.normal(0.0, sigma, trials)
     return float(draws.mean()), float(draws.std(ddof=1))

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientData, InvalidArgument, _non_negative, _positive
+from .errors import DegenerateInput, InsufficientData, InvalidArgument, _in_float_range, _non_negative, _positive
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -191,11 +191,8 @@ def ffi2(series: TimeSeriesY, m: int) -> float:
 
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
-    """Time deviation in seconds from a modified deviation at integration time tau."""
-    value = tau / math.sqrt(3.0) * ffi2_value
-    if not math.isfinite(value):  # a Python float product overflows to inf, and inf * 0 is nan, without raising
-        raise OverflowError(f"tdev of {ffi2_value} at tau={tau} is {value}")
-    return value
+    """Time deviation (s) from a modified deviation at integration time tau; OverflowError past the float range."""
+    return _in_float_range("tdev", tau / math.sqrt(3.0) * ffi2_value)
 
 
 def tdev(series: TimeSeriesY, m: int) -> float:
@@ -264,7 +261,8 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     by octave; any other set of m evaluates each point on its own.
     Averaging factors the series is too short for are skipped and noted in
     the returned curve's ``warnings`` instead of failing the curve.  A tau
-    = m * tau0 or a TDEV value past the float range raises OverflowError.
+    = m * tau0 or a TDEV value past the float range raises OverflowError
+    through the one float-range rule of ``errors``.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
@@ -276,9 +274,7 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     points = []
     warnings = []
     for m in ms:
-        tau = m * series.tau0
-        if math.isinf(tau):  # a Python float product overflows to inf without raising
-            raise OverflowError(f"tau of m={m} at tau0={series.tau0} is {tau}")
+        tau = _in_float_range("tau", m * series.tau0)
         try:
             value = point_value(m)
         except InsufficientData as exc:

@@ -157,7 +157,7 @@ class TestZeroRamp:
                              ids=["zero-ramp", "offset", "noisy"])
     @pytest.mark.parametrize("count_type", [int, np.int64])
     def test_span_past_the_float_range_raises(self, clock, count_type):
-        with pytest.raises(OverflowError, match=r"span of 3 samples at tau0=1e\+308 is inf"):
+        with pytest.raises(OverflowError, match="ramp at the last sample left the float range: nan"):
             sample_clock(clock, count_type(3), 1e308)
         assert sample_clock(clock, count_type(2), 1e308).samples[0] == 0.0
 
@@ -223,5 +223,5 @@ class TestCombTimeParams:
 
     @pytest.mark.parametrize("f_r,f_0", [(5e-324, 0.0), (1.7e308, 1.6e308)])
     def test_period_or_slip_past_the_float_range_raises(self, f_r, f_0):
-        with pytest.raises(OverflowError, match="is not finite"):
+        with pytest.raises(OverflowError, match=r"(pulse period|phase slip) left the float range: inf"):
             comb_time_params(CombParams(f_r=f_r, f_0=f_0, t_0=1e-13, n_range=(1, 10)))

@@ -512,6 +512,9 @@ def test_base_documents_run(base):
     ("sync", ("sync",), {**BASE["sync"]["sync"], "interval": 1.0e308,
                          "clock_a": {"nu0": 1.94e14, "frac_freq_offset": 1.0e-9}},
      "sync: a result left the float range (OverflowError)"),
+    # A drifting clock's ramp 0.5 * drift * t * t past the float range inside a finite campaign span.
+    ("sync", ("sync",), {**BASE["sync"]["sync"], "interval": 1.0e200, "clock_a": {"nu0": 1.94e14, "drift": 1.0}},
+     "sync: a result left the float range (OverflowError)"),
 ])
 def test_runtime_faults_exit_3(base, where, value, message):
     assert run_main(mutate(BASE[base], where, value)) == (3, f"combsync: error: {message}\n")

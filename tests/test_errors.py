@@ -5,30 +5,44 @@ excluded bound, with one message that names the argument.  Each row of
 ``ARGUMENTS`` sets one constructor field or function argument to each of
 its rule's rejected values in an otherwise valid call.  The count rule
 takes a minimum, so it and the counts checked against it have their own
-tables, ``COUNT_MINIMA`` and ``COUNTS``.
+tables, ``COUNT_MINIMA`` and ``COUNTS``.  The float-range rule checks a
+computed result, not an argument: each row of ``RESULTS`` is a valid call
+whose result leaves the float range, and only ``errors`` may raise the
+``OverflowError`` that rule raises.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from combsync.clockmodel import ClockModel, CombParams, sample_clock
-from combsync.errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
-from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
+from combsync.clockmodel import ClockModel, CombParams, comb_time_params, sample_clock
+from combsync.errors import (
+    InvalidArgument,
+    _count,
+    _finite,
+    _in_float_range,
+    _non_negative,
+    _positive,
+    _unit_interval,
+)
+from combsync.noisegen import NoiseKind, NoiseSpec, fractional_filter_coeffs, generate_noise
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
     apply_loss,
     db_from_r,
+    model_sigma,
     monte_carlo_sigma,
     r_from_db,
     required_squeezing,
 )
 from combsync.series import TimeSeriesX, TimeSeriesY
-from combsync.stability import StabilityPoint, Variant
+from combsync.stability import StabilityPoint, Variant, stability_curve, tdev_from_ffi2
 from combsync.synclink import (
     ExchangeRecord,
     GeometricParams,
@@ -77,7 +91,6 @@ ARGUMENTS = [
     ("db", _non_negative, r_from_db),
     ("eta", _unit_interval, lambda v: apply_loss(1.0, v)),
     ("eta_total", _unit_interval, lambda v: required_squeezing(v, 2.0)),
-    ("true_offset", _finite, lambda v: monte_carlo_sigma(EstimatorModel(**ESTIMATOR), 100, true_offset=v)),
     ("tau", _positive, lambda v: StabilityPoint(tau=v, value=1.0, m=1, variant=Variant.FFI1)),
     ("value", _non_negative, lambda v: StabilityPoint(tau=1.0, value=v, m=1, variant=Variant.FFI1)),
     *((name, _positive, lambda v, name=name: GeometricParams(**{**GEOMETRY, name: v})) for name in GEOMETRY),
@@ -92,7 +105,7 @@ ARGUMENTS = [
     ("true_offset", _finite, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, true_offset=v)),
 ]
 
-COUNT_MINIMA = (2, 100)
+COUNT_MINIMA = (1, 2, 100)
 
 #: (argument name, minimum, call with the count set to a value)
 COUNTS = [
@@ -100,12 +113,13 @@ COUNTS = [
     ("trials", 100, lambda v: monte_carlo_sigma(EstimatorModel(**ESTIMATOR), v)),
     ("trials", 100, lambda v: run_sync_campaign(SyncCampaign(CLOCK, CLOCK, LINK), v)),
     ("count", 2, lambda v: sample_clock(CLOCK, v, 1.0)),
+    ("count", 1, lambda v: fractional_filter_coeffs(-1.0, v)),
 ]
 
 
 def count_rejected(minimum):
-    """Below the minimum, at and past 2**53, every non-finite value, and in-range values that are not integers."""
-    return (minimum - 1, -1, 2**53, 2**53 + 1, 10**20, *NON_FINITE, float(minimum), minimum + 0.5)
+    """Below the minimum, at and past 2**53, every non-finite value, and in-range non-integers and bools."""
+    return (minimum - 1, -1, 2**53, 2**53 + 1, 10**20, *NON_FINITE, float(minimum), minimum + 0.5, True, False)
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -146,3 +160,48 @@ def test_count_is_checked_by_the_count_rule(name, minimum, call):
             call(value)
         assert str(info.value) == f"{name} must be >= {minimum} and < 2**53, got {value}"
     call(minimum)
+
+
+#: (quantity, its value past the float range, a valid call whose result leaves the float range)
+RESULTS = [
+    ("ramp at the last sample", math.inf, lambda: sample_clock(ClockModel(nu0=1.0, drift=1.0), 3, 1e200)),
+    ("ramp at the last sample", math.nan, lambda: sample_clock(ClockModel(nu0=1.0, frac_freq_offset=1.0), 3, 1e308)),
+    ("pulse period", math.inf, lambda: comb_time_params(CombParams(**{**COMB, "f_r": 5e-324}))),
+    ("phase slip", math.inf, lambda: comb_time_params(CombParams(**{**COMB, "f_r": 1.7e308, "f_0": 1.6e308}))),
+    ("innovation variance", math.inf, lambda: generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1e62), 4, 1e-300)),
+    ("deviation", math.inf, lambda: model_sigma(EstimatorModel(EstimatorMethod.TOF, n=1e-300, nu0=1e14, t0=1e200))),
+    ("tdev", math.inf, lambda: tdev_from_ffi2(1e300, 1e300)),
+    ("tdev", math.nan, lambda: tdev_from_ffi2(0.0, math.inf)),
+    ("tau", math.inf, lambda: stability_curve(TimeSeriesY(1e308, np.zeros(64)), [2], Variant.FFI1)),
+    ("squeezing in dB", math.inf, lambda: db_from_r(1e308)),
+]
+
+
+def test_float_range_rule_raises_with_one_message_and_returns_what_it_accepts():
+    for value in NON_FINITE:
+        with pytest.raises(OverflowError) as info:
+            _in_float_range("result", value)
+        assert str(info.value) == f"result left the float range: {value}"
+    for value in (-1e308, -TINY, 0.0, -0.0, 1e308, np.float64(2.0)):
+        assert _in_float_range("result", value) is value
+
+
+@pytest.mark.parametrize("name,value,call", RESULTS, ids=[f"{i}-{row[0]}" for i, row in enumerate(RESULTS)])
+def test_result_is_checked_by_the_float_range_rule(name, value, call):
+    with pytest.raises(OverflowError) as info:
+        call()
+    assert str(info.value) == f"{name} left the float range: {value}"
+
+
+def test_only_errors_raises_overflow_error():
+    package = Path(__file__).resolve().parent.parent / "src" / "combsync"
+    raising = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "OverflowError":
+                    raising.append(f"{path.name}:{node.lineno}")
+    assert raising == [], f"raise OverflowError outside errors.py (use errors._in_float_range): {raising}"

@@ -263,7 +263,7 @@ class TestEstimatorModel:
     @pytest.mark.parametrize("method,n,nu0,t0", [(EstimatorMethod.TOF, 1e-300, 1.92e14, 1e200),
                                                  (EstimatorMethod.PHASE, 1e-300, 1e-160, 1e-14)])
     def test_model_sigma_past_the_float_range_raises(self, method, n, nu0, t0):
-        with pytest.raises(OverflowError, match="deviation of .* is inf"):
+        with pytest.raises(OverflowError, match="deviation left the float range: inf"):
             model_sigma(EstimatorModel(method, n=n, nu0=nu0, t0=t0))
 
     def test_model_sigma_dispatch(self):
@@ -291,15 +291,9 @@ class TestMonteCarloSigma:
         model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14)
         sigma = model_sigma(model)
         trials = 4000
-        mean, std = monte_carlo_sigma(model, trials, seed=42, true_offset=2e-15)
-        assert abs(mean - 2e-15) <= 3.0 * sigma / math.sqrt(trials)
+        mean, std = monte_carlo_sigma(model, trials, seed=42)
+        assert abs(mean) <= 3.0 * sigma / math.sqrt(trials)
         assert abs(std - sigma) <= 3.0 * sigma / math.sqrt(2.0 * trials)
-
-    @pytest.mark.parametrize("true_offset", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_non_finite_true_offset(self, true_offset):
-        model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14)
-        with pytest.raises(InvalidArgument, match="true_offset must be finite"):
-            monte_carlo_sigma(model, 100, true_offset=true_offset)
 
     def test_sql_exponent_sweep(self):
         ns = np.logspace(2, 6, 9)
