@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _finite, _in_float_range, _positive
+from .errors import InvalidArgument, _count, _finite, _in_float_range, _positive, _store
 from .noisegen import NoiseSpec, generate_noise
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -37,9 +37,8 @@ class ClockModel:
     noise: tuple[NoiseSpec, ...] = ()
 
     def __post_init__(self):
-        _positive("nu0", self.nu0)
-        for name in ("frac_freq_offset", "drift"):
-            _finite(name, getattr(self, name))
+        _store(self, _positive, "nu0")
+        _store(self, _finite, "frac_freq_offset", "drift")
         object.__setattr__(self, "noise", tuple(self.noise))
 
 
@@ -57,10 +56,11 @@ class CombParams:
     n_range: tuple[int, int]
 
     def __post_init__(self):
-        _positive("f_r", self.f_r)
+        _store(self, _positive, "f_r")
         if not (0.0 <= self.f_0 < self.f_r):
             raise InvalidArgument(f"offset frequency must satisfy 0 <= f_0 < f_r, got {self.f_0}")
-        _positive("t_0", self.t_0)
+        object.__setattr__(self, "f_0", float(self.f_0))
+        _store(self, _positive, "t_0")
         lo, hi = self.n_range
         if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
             raise InvalidArgument(f"n_range must be an integer interval with 1 <= lo <= hi, got {self.n_range}")
@@ -81,10 +81,10 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
     the float range at the last sample raises OverflowError; each ramp
     term grows with t, so that one value bounds the whole ramp.
     """
-    _count("count", count, 2)
+    count = _count("count", count, 2)
     seed = check_seed(seed)
-    tau0 = _positive("tau0", float(tau0))
-    _in_float_range("ramp at the last sample", ramp_phase(clock, (int(count) - 1) * tau0))
+    tau0 = _positive("tau0", tau0)
+    _in_float_range("ramp at the last sample", ramp_phase(clock, (count - 1) * tau0))
     x = ramp_phase(clock, np.arange(count) * tau0)
     for i, spec in enumerate(clock.noise):
         if spec.amplitude == 0.0:

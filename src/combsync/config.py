@@ -37,6 +37,7 @@ from .clockmodel import CombParams
 from .errors import CombsyncError, InvalidArgument
 from .noisegen import NoiseSpec
 from .quantum import EstimatorMethod, EstimatorModel
+from .seeding import check_seed
 from .stability import Variant
 from .synclink import LinkModel, SyncCampaign
 
@@ -327,8 +328,11 @@ def load_config(path: str, command: Optional[str] = None, seed_override: Optiona
     seed = seed_override
     if seed is None and "seed" in root:
         seed = _convert(int, root["seed"], "seed")
-    if seed is not None and not (0 <= seed < 2**64):
-        raise ConfigError(f"'seed' must be a 64-bit unsigned integer, got {seed}")
+    if seed is not None:
+        try:
+            seed = check_seed(seed)
+        except CombsyncError as exc:
+            raise ConfigError(f"invalid 'seed': {exc}") from None
     if seed is None and resolved_command in STOCHASTIC_COMMANDS:
         raise ConfigError(f"command '{resolved_command}' is stochastic and requires a seed")
 

@@ -61,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive
+from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive, _store
 from .seeding import check_seed
 from .series import TimeSeriesY
 
@@ -111,7 +111,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.kind, NoiseKind):
             raise InvalidArgument(f"kind must be a NoiseKind, got {self.kind!r}")
-        object.__setattr__(self, "amplitude", _non_negative("amplitude", float(self.amplitude)))
+        _store(self, _non_negative, "amplitude")
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -120,7 +120,7 @@ def fractional_filter_coeffs(beta_exponent: float, count: int) -> np.ndarray:
 
     Recursion: h_0 = 1, h_k = h_{k-1} * (k - 1 + |beta|/2) / k.
     """
-    _count("count", count, 1)
+    count = _count("count", count, 1)
     half = abs(float(beta_exponent)) / 2.0
     taps = np.empty(count)
     taps[0] = 1.0
@@ -233,8 +233,8 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     Deterministic for a fixed (spec, count, tau0); zero amplitude yields
     an identically-zero series.
     """
-    _count("count", count, 2)
-    tau0 = _positive("tau0", float(tau0))
+    count = _count("count", count, 2)
+    tau0 = _positive("tau0", tau0)
     if spec.amplitude == 0.0:
         return TimeSeriesY(tau0, np.zeros(count))
     rng = np.random.default_rng(spec.seed)

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive, _unit_interval
+from .errors import InvalidArgument, _count, _in_float_range, _non_negative, _positive, _store, _unit_interval
 from .seeding import check_seed
 
 _LN10 = math.log(10.0)
@@ -64,9 +64,8 @@ class EstimatorModel:
     def __post_init__(self):
         if not isinstance(self.method, EstimatorMethod):
             raise InvalidArgument(f"method must be an EstimatorMethod, got {self.method!r}")
-        for name in ("n", "nu0", "t0"):
-            _positive(name, getattr(self, name))
-        _non_negative("r", self.r)
+        _store(self, _positive, "n", "nu0", "t0")
+        _store(self, _non_negative, "r")
         if self.r > 0.0 and self.method is not EstimatorMethod.TEMPORAL_MODE:
             raise InvalidArgument("squeezing (r > 0) requires the temporal-mode method")
 
@@ -127,7 +126,7 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     sqrt(1 - eta), so targets below that floor return None (unattainable),
     as does every target at eta = 0, where the floor is 1.
     """
-    _unit_interval("eta_total", eta_total)
+    eta_total = _unit_interval("eta_total", eta_total)
     if not math.isfinite(advantage_factor) or advantage_factor <= 1.0:
         raise InvalidArgument(f"advantage_factor must exceed 1, got {advantage_factor}")
     target_variance = 1.0 / advantage_factor**2
@@ -144,7 +143,7 @@ def monte_carlo_sigma(model: EstimatorModel, trials: int, seed: int = 0) -> tupl
     Each trial draws one Gaussian estimate error around 0 with the
     closed-form deviation of the model.
     """
-    _count("trials", trials, 100)
+    trials = _count("trials", trials, 100)
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))
     draws = rng.normal(0.0, sigma, trials)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import _count
 
 
 def derive_seed(*parts: int) -> int:
@@ -20,15 +20,5 @@ def derive_seed(*parts: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int.
-
-    Only a Python or numpy integer in [0, 2**64) is a seed; a bool, a
-    float, a string or anything else raises InvalidArgument.
-    """
-    if type(seed) is not int:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise InvalidArgument(f"seed must be an integer, got {seed!r}")
-        seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    """The seed as an int: the count rule of ``errors`` from 0 up to 2**64."""
+    return _count("seed", seed, 0, 64)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, _positive
+from .errors import InvalidArgument, _positive, _store
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class _Series:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tau0", _positive("tau0", float(self.tau0)))
+        _store(self, _positive, "tau0")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise InvalidArgument(f"samples must be one-dimensional, got shape {samples.shape}")

@@ -28,14 +28,14 @@ estimators of Riley, Handbook of Frequency Stability Analysis, NIST SP
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientData, InvalidArgument, _in_float_range, _non_negative, _positive
+from .errors import (DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range, _non_negative,
+                     _positive, _store)
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -55,7 +55,11 @@ _DOUBLE = (Variant.FFI2, Variant.TDEV)
 
 @dataclass(frozen=True)
 class StabilityPoint:
-    """One (tau, value) sample of a sigma-tau curve."""
+    """One (tau, value) sample of a sigma-tau curve.
+
+    tau and value are stored as Python floats and m as an int, each
+    checked by its rule in ``errors``: m is a count from 1.
+    """
 
     tau: float
     value: float
@@ -63,9 +67,9 @@ class StabilityPoint:
     variant: Variant
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _validate_m(self.m))
-        _non_negative("value", self.value)
-        _positive("tau", self.tau)
+        object.__setattr__(self, "m", _count("m", self.m, 1))
+        _store(self, _non_negative, "value")
+        _store(self, _positive, "tau")
 
 
 @dataclass(frozen=True)
@@ -121,14 +125,6 @@ def _window_sums(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _validate_m(m: int) -> int:
-    """m as an int; a bool, a non-number, a fraction, a non-finite or a non-positive value raises InvalidArgument."""
-    integral = isinstance(m, numbers.Integral) or (isinstance(m, (float, np.floating)) and m.is_integer())
-    if isinstance(m, bool) or not integral or m < 1:
-        raise InvalidArgument(f"averaging factor m must be a positive integer, got {m!r}")
-    return int(m)
-
-
 def _min_length(variant: Variant, m: int) -> int:
     """Fewest samples a point at averaging factor m needs: 2m for FFI0 and FFI1, 3m - 1 for FFI2 and TDEV."""
     return 3 * m - 1 if variant in _DOUBLE else 2 * m
@@ -166,7 +162,7 @@ def _readout(variant: Variant, sums: np.ndarray, m: int, tau0: float) -> float:
 
 def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
     """The value at averaging factor m: window sums of y[k+m] - y[k], taken twice for FFI2 and TDEV."""
-    m = _validate_m(m)
+    m = _count("m", m, 1)
     y = series.samples
     _check_length(variant, m, y.size)
     sums = _window_sums(y[m:] - y[:-m], m)
@@ -259,14 +255,17 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
 
     A curve whose averaging factors are all powers of two is swept octave
     by octave; any other set of m evaluates each point on its own.
-    Averaging factors the series is too short for are skipped and noted in
-    the returned curve's ``warnings`` instead of failing the curve.  A tau
-    = m * tau0 or a TDEV value past the float range raises OverflowError
-    through the one float-range rule of ``errors``.
+    Each averaging factor passes the count rule of ``errors`` from 1, an
+    integer (not a bool or an integral float) below 2**53, or raises
+    InvalidArgument.  Averaging factors the series is too short for are
+    skipped and noted in the returned curve's ``warnings`` instead of
+    failing the curve.  A tau = m * tau0 or a TDEV value past the float
+    range raises OverflowError through the one float-range rule of
+    ``errors``.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
-    ms = sorted({_validate_m(m) for m in m_values})
+    ms = sorted({_count("m", m, 1) for m in m_values})
     if all(m & (m - 1) == 0 for m in ms):
         point_value = _octave_sweep(series, variant)
     else:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
-from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _unit_interval
+from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _store, _unit_interval
 from .quantum import EstimatorModel, lossy_sigma, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -59,8 +59,7 @@ class GeometricParams:
     aperture_radius: float
 
     def __post_init__(self):
-        for name in ("wavelength", "waist", "aperture_radius"):
-            _positive(name, getattr(self, name))
+        _store(self, _positive, "wavelength", "waist", "aperture_radius")
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,9 @@ class LinkModel:
     sigma_excess: float = 0.0
 
     def __post_init__(self):
-        _positive("distance_km", self.distance_km)
-        for name in ("delay_ab", "delay_ba", "sigma_excess"):
-            _non_negative(name, getattr(self, name))
-        _unit_interval("eta_detector", self.eta_detector)
+        _store(self, _positive, "distance_km")
+        _store(self, _non_negative, "delay_ab", "delay_ba", "sigma_excess")
+        _store(self, _unit_interval, "eta_detector")
 
     def effective_delays(self) -> tuple[float, float]:
         """Per-direction delays including the troposphere contribution."""
@@ -174,7 +172,7 @@ def simulate_exchange(
     noise draw per clock, constant over the sub-second exchange); the
     timestamps carry no other noise.
     """
-    _finite("true_offset", true_offset)
+    true_offset = _finite("true_offset", true_offset)
     seed = check_seed(seed)
     xa = _clock_phase(clock_a, seed, 1)
     xb = _clock_phase(clock_b, seed, 2)
@@ -228,8 +226,8 @@ class SyncCampaign:
     estimator: Optional[EstimatorModel] = None
 
     def __post_init__(self):
-        _positive("interval", self.interval)
-        _finite("true_offset", self.true_offset)
+        _store(self, _positive, "interval")
+        _store(self, _finite, "true_offset")
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
     sigma_delta_t is the link's sigma_excess plus the sample deviation of
     (estimate - true_offset).
     """
-    _count("trials", trials, 100)
+    trials = _count("trials", trials, 100)
     seed = check_seed(seed)
     estimator = config.estimator
     sigma_m = 0.0 if estimator is None else lossy_sigma(estimator, link_efficiency(config.link))

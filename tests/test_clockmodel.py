@@ -41,10 +41,6 @@ class TestSampleClock:
         k = np.arange(64)
         assert x.samples == pytest.approx(0.5 * d * (k * tau0) ** 2, rel=1e-14, abs=1e-30)
 
-    def test_rejects_short_count(self):
-        with pytest.raises(InvalidArgument):
-            sample_clock(quiet_clock(), 1, 1.0)
-
     def test_deterministic_per_seed(self):
         clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=4),))
         a = sample_clock(clock, 256, 1.0, seed=9)
@@ -72,12 +68,6 @@ class TestSampleClock:
         x = sample_clock(quiet_clock(drift=1e-12), 2**12, 1.0)
         curve = stability_curve(y_from_x(x), [2**k for k in range(9)], Variant.FFI0)
         assert fit_slope(curve) == pytest.approx(1.0, abs=0.1)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_rejected(self, seed):
-        clock = quiet_clock(noise=(NoiseSpec(NoiseKind.WHITE_PM, 1e-20, seed=1),))
-        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
-            sample_clock(clock, 8, 1e-8, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_edge_seeds_accepted(self, seed):
@@ -163,18 +153,6 @@ class TestZeroRamp:
 
 
 class TestClockModelValidation:
-    def test_rejects_non_positive_nu0(self):
-        with pytest.raises(InvalidArgument):
-            ClockModel(nu0=0.0)
-
-    def test_rejects_non_finite_drift(self):
-        with pytest.raises(InvalidArgument):
-            ClockModel(nu0=1e14, drift=math.inf)
-
-    def test_rejects_non_finite_offset(self):
-        with pytest.raises(InvalidArgument, match="frac_freq_offset must be finite"):
-            ClockModel(nu0=1e14, frac_freq_offset=math.nan)
-
     def test_noise_list_stored_as_tuple(self):
         spec = NoiseSpec(NoiseKind.FLICKER_FM, 1e-26, seed=3)
         clock = ClockModel(nu0=1e14, noise=[spec])
@@ -204,11 +182,6 @@ class TestCombParams:
         assert comb.n_range == (2, 9)
         assert all(type(n) is int for n in comb.n_range)
 
-    def test_rejects_non_positive_pulse_duration(self):
-        with pytest.raises(InvalidArgument, match="t_0 must be finite and positive, got 0.0"):
-            CombParams(f_r=100e6, f_0=0.0, t_0=0.0, n_range=(1, 10))
-
-
 class TestCombTimeParams:
     def test_25_mhz_period_is_40_ns(self):
         comb = CombParams(f_r=25e6, f_0=0.0, t_0=3.5e-13, n_range=(1, 10**7))
@@ -220,8 +193,3 @@ class TestCombTimeParams:
 
     def test_quarter_rate_offset_gives_half_pi(self):
         assert comb_time_params(comb_100mhz(f_0=25e6))[1] == pytest.approx(math.pi / 2.0, rel=1e-15, abs=0.0)
-
-    @pytest.mark.parametrize("f_r,f_0", [(5e-324, 0.0), (1.7e308, 1.6e308)])
-    def test_period_or_slip_past_the_float_range_raises(self, f_r, f_0):
-        with pytest.raises(OverflowError, match=r"(pulse period|phase slip) left the float range: inf"):
-            comb_time_params(CombParams(f_r=f_r, f_0=f_0, t_0=1e-13, n_range=(1, 10)))

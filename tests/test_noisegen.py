@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from combsync import noisegen
-from combsync.errors import InsufficientData, InvalidArgument
+from combsync.errors import InsufficientData
 from combsync.noisegen import (
     NoiseKind,
     NoiseSpec,
@@ -53,25 +53,6 @@ class TestFractionalFilterCoeffs:
     def test_h0_is_always_one(self):
         assert fractional_filter_coeffs(1.7, 1)[0] == 1.0
 
-    def test_rejects_zero_count(self):
-        with pytest.raises(InvalidArgument):
-            fractional_filter_coeffs(-1.0, 0)
-
-
-class TestNoiseSpec:
-    def test_rejects_negative_amplitude(self):
-        with pytest.raises(InvalidArgument):
-            NoiseSpec(NoiseKind.WHITE_FM, -1.0)
-
-    def test_rejects_non_finite_amplitude(self):
-        with pytest.raises(InvalidArgument):
-            NoiseSpec(NoiseKind.WHITE_FM, float("nan"))
-
-    def test_rejects_oversized_seed(self):
-        with pytest.raises(InvalidArgument):
-            NoiseSpec(NoiseKind.WHITE_FM, 1.0, seed=2**64)
-
-
 class TestGenerateNoise:
     def test_zero_amplitude_yields_exact_zeros(self):
         series = generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 0.0, seed=3), 1024, 1.0)
@@ -82,16 +63,6 @@ class TestGenerateNoise:
     def test_zero_amplitude_for_every_kind(self, kind):
         series = generate_noise(NoiseSpec(kind, 0.0, seed=1), 64, 0.5)
         assert not series.samples.any()
-
-    def test_rejects_short_count(self):
-        with pytest.raises(InvalidArgument):
-            generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), 1, 1.0)
-
-    @pytest.mark.parametrize("count", [2**53, 10**20])
-    def test_rejects_count_past_exact_float_counting(self, count):
-        # np.arange(count) * tau0 stops being exact at 2**53 samples.
-        with pytest.raises(InvalidArgument, match="count must be >= 2 and < 2\\*\\*53"):
-            generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1.0), count, 1.0)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_deterministic_per_seed(self, kind):

@@ -44,10 +44,6 @@ class TestSqueezedVariance:
         variance = (report.sigma_quantum / report.sigma_classical) ** 2
         assert -10.0 * math.log10(variance) == pytest.approx(db_from_r(r), abs=1e-9)
 
-    def test_rejects_negative_r(self):
-        with pytest.raises(InvalidArgument):
-            squeezed_report(-0.1)
-
     def test_squeezed_variance_underflows_to_zero(self):
         report = squeezed_report(400.0, eta_detector=0.9)
         assert report.sigma_quantum == math.sqrt(1.0 - 0.9) * report.sigma_classical
@@ -121,15 +117,6 @@ class TestScalingLaws:
         ]
         assert (max(values) - min(values)) / values[-1] < 0.02
 
-    def test_rejects_non_positive_arguments(self):
-        for n, t0 in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
-            with pytest.raises(InvalidArgument):
-                tof(n, t0)
-        with pytest.raises(InvalidArgument):
-            phase(1.0, -2.0)
-        with pytest.raises(InvalidArgument):
-            tm(1.0, 1.0, 1.0, -0.5)
-
     @given(st.sampled_from(EstimatorMethod), wide, wide, wide, st.floats(0.0, 700.0))
     def test_equals_the_separate_closed_forms_bit_for_bit(self, method, n, t0, nu0, r):
         r = r if method is EstimatorMethod.TEMPORAL_MODE else 0.0
@@ -159,13 +146,6 @@ class TestDbConversions:
     @given(st.floats(0.0, 40.0))
     def test_round_trip_identity(self, db):
         assert db_from_r(r_from_db(db)) == pytest.approx(db, rel=1e-12, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidArgument):
-            db_from_r(-1e-9)
-        with pytest.raises(InvalidArgument):
-            r_from_db(-3.0)
-
 
 class TestApplyLoss:
     def test_identity_channel(self):
@@ -203,11 +183,6 @@ class TestApplyLoss:
         twice = apply_loss(apply_loss(variance, eta2), eta1)
         assert twice == pytest.approx(apply_loss(variance, eta1 * eta2), rel=1e-12, abs=1e-12)
 
-    def test_rejects_eta_out_of_range(self):
-        with pytest.raises(InvalidArgument):
-            apply_loss(math.exp(-2.0 * 1.0), 1.0001)
-
-
 class TestRequiredSqueezing:
     def test_lossless_two_x(self):
         assert required_squeezing(1.0, 2.0) == pytest.approx(10.0 * math.log10(4.0), rel=1e-12, abs=0.0)
@@ -232,11 +207,8 @@ class TestRequiredSqueezing:
         assert required_squeezing(0.0, 2.0) is None
         assert required_squeezing(0.0, 1.001) is None
 
-    def test_rejects_bad_arguments(self):
-        for eta in (-0.1, -1e-300, 1.0001, math.nan):
-            with pytest.raises(InvalidArgument):
-                required_squeezing(eta, 2.0)
-        with pytest.raises(InvalidArgument):
+    def test_rejects_an_advantage_factor_of_at_most_one(self):
+        with pytest.raises(InvalidArgument, match="advantage_factor must exceed 1, got 1.0"):
             required_squeezing(0.5, 1.0)
 
 
@@ -249,23 +221,6 @@ class TestEstimatorModel:
         with pytest.raises(InvalidArgument, match="method must be an EstimatorMethod"):
             EstimatorModel("tof", n=10.0, nu0=1e14, t0=1e-14)
 
-    @pytest.mark.parametrize("field", ["n", "nu0", "t0"])
-    def test_rejects_non_positive_field(self, field):
-        kwargs = dict(n=10.0, nu0=1e14, t0=1e-14)
-        for bad in (0.0, -1.0, math.inf):
-            with pytest.raises(InvalidArgument, match=f"{field} must be finite and positive"):
-                EstimatorModel(EstimatorMethod.TEMPORAL_MODE, **{**kwargs, field: bad})
-
-    def test_rejects_negative_r(self):
-        with pytest.raises(InvalidArgument, match="r must be finite and >= 0"):
-            EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14, r=-0.1)
-
-    @pytest.mark.parametrize("method,n,nu0,t0", [(EstimatorMethod.TOF, 1e-300, 1.92e14, 1e200),
-                                                 (EstimatorMethod.PHASE, 1e-300, 1e-160, 1e-14)])
-    def test_model_sigma_past_the_float_range_raises(self, method, n, nu0, t0):
-        with pytest.raises(OverflowError, match="deviation left the float range: inf"):
-            model_sigma(EstimatorModel(method, n=n, nu0=nu0, t0=t0))
-
     def test_model_sigma_dispatch(self):
         kwargs = dict(n=25.0, nu0=2e14, t0=1e-14)
         assert model_sigma(EstimatorModel(EstimatorMethod.TOF, **kwargs)) == oracles.sigma_tof(25.0, 1e-14)
@@ -276,17 +231,6 @@ class TestEstimatorModel:
 
 
 class TestMonteCarloSigma:
-    def test_rejects_too_few_trials(self):
-        model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14)
-        with pytest.raises(InvalidArgument):
-            monte_carlo_sigma(model, 99)
-
-    @pytest.mark.parametrize("trials", [2**53, 10**20])
-    def test_rejects_trials_past_exact_float_counting(self, trials):
-        model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14)
-        with pytest.raises(InvalidArgument, match="trials must be >= 100 and < 2\\*\\*53"):
-            monte_carlo_sigma(model, trials)
-
     def test_mean_and_std_within_three_standard_errors(self):
         model = EstimatorModel(EstimatorMethod.TEMPORAL_MODE, n=100.0, nu0=1.92e14, t0=1e-14)
         sigma = model_sigma(model)
@@ -311,9 +255,3 @@ class TestMonteCarloSigma:
     def test_deterministic_per_seed(self):
         model = EstimatorModel(EstimatorMethod.PHASE, n=10.0, nu0=1e14, t0=1e-14)
         assert monte_carlo_sigma(model, 500, seed=7) == monte_carlo_sigma(model, 500, seed=7)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64, 7.5, True, "12"])
-    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
-        model = EstimatorModel(EstimatorMethod.PHASE, n=10.0, nu0=1e14, t0=1e-14)
-        with pytest.raises(InvalidArgument, match="seed must be"):
-            monte_carlo_sigma(model, 500, seed=seed)

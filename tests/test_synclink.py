@@ -260,19 +260,6 @@ class TestRunSyncCampaign:
         r1 = run_sync_campaign(squeezed, 1000, seed=5)
         assert r1.sigma_delta_t <= r0.sigma_delta_t
 
-    def test_rejects_too_few_trials(self):
-        campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(),
-                                link=symmetric_link(1e-3))
-        with pytest.raises(InvalidArgument):
-            run_sync_campaign(campaign, 99)
-
-    @pytest.mark.parametrize("trials", [2**53, 10**20])
-    def test_rejects_trials_past_exact_float_counting(self, trials):
-        campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(),
-                                link=symmetric_link(1e-3))
-        with pytest.raises(InvalidArgument, match="trials must be >= 100 and < 2\\*\\*53"):
-            run_sync_campaign(campaign, trials)
-
     def test_residuals_shape_and_truth(self):
         campaign = SyncCampaign(clock_a=quiet_clock(), clock_b=quiet_clock(),
                                 link=symmetric_link(1e-3), true_offset=2e-6,
@@ -474,13 +461,6 @@ ENTRY_POINTS = {
 class TestExchangeArguments:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("clock", [RAMP, NOISY], ids=["noiseless", "noisy"])
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_rejected(self, entry, clock, seed):
-        with pytest.raises(InvalidArgument, match="seed must be a 64-bit unsigned integer"):
-            ENTRY_POINTS[entry](clock, seed)
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("clock", [RAMP, NOISY], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_edge_seeds_accepted(self, entry, clock, seed):
         ENTRY_POINTS[entry](clock, seed)
@@ -492,17 +472,6 @@ class TestExchangeArguments:
         monkeypatch.setattr(synclink, "sample_clock", forbidden)
         rec = simulate_exchange(RAMP, SILENT, DRY, 1e-6)
         assert all(type(v) is float for v in (rec.t1, rec.t2, rec.t3, rec.t4))
-
-    @pytest.mark.parametrize("entry", ["exchange", "campaign"])
-    @pytest.mark.parametrize("true_offset", [math.nan, math.inf, -math.inf])
-    def test_non_finite_true_offset_rejected(self, entry, true_offset):
-        build = {
-            "exchange": lambda: simulate_exchange(RAMP, RAMP, DRY, true_offset),
-            "campaign": lambda: SyncCampaign(RAMP, RAMP, DRY, true_offset=true_offset),
-        }[entry]
-        with pytest.raises(InvalidArgument, match="true_offset must be finite"):
-            build()
-
 
 class TestExchangeTiming:
     def test_noiseless_phase_is_the_ramp_at_one_second(self):
