@@ -136,21 +136,33 @@ COUNTS = [
 ]
 
 
+class Label(int):
+    """An int subclass: checked by its value, returned as a plain int."""
+
+
 def count_rejected(minimum, bits):
-    """Below the minimum (a numpy integer too), at and past 2**bits, every non-finite value, and in-range
-    values that are no integer: floats, bools, a string, None and a complex number."""
-    return (minimum - 1, -1, np.int64(minimum - 1), 2**bits, 2**bits + 1, 10**20, *NON_FINITE, float(minimum),
-            np.float64(minimum), minimum + 0.5, *BOOLS, np.bool_(True), "3", None, 2 + 0j)
+    """Below the minimum (a numpy integer and an int subclass too), at and past 2**bits, every non-finite value,
+    and in-range values that are no integer: floats, bools, strings, bytes, None, a list and a complex number."""
+    return (*sorted({minimum - 1, -1}), np.int64(minimum - 1), Label(minimum - 1), 2**bits, 2**bits + 1, 10**20,
+            *NON_FINITE, float(minimum), np.float64(minimum), minimum + 0.5, *BOOLS, np.bool_(True), "3", b"12", None,
+            [1], 2 + 0j)
+
+
+def value_id(value):
+    return f"{type(value).__name__}-{value!r}"
+
+
+@pytest.mark.parametrize("rule,value", [(rule, value) for rule in RULES for value in RULES[rule][1]],
+                         ids=lambda arg: arg.__name__ if callable(arg) else value_id(arg))
+def test_rule_rejects_with_one_message(rule, value):
+    with pytest.raises(InvalidArgument) as info:
+        rule("arg", value)
+    assert str(info.value) == f"arg {RULES[rule][0]}, got {value}"
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
-def test_rule_rejects_with_one_message_and_returns_what_it_accepts(rule):
-    text, rejected, accepted = RULES[rule]
-    for value in rejected:
-        with pytest.raises(InvalidArgument) as info:
-            rule("arg", value)
-        assert str(info.value) == f"arg {text}, got {value}"
-    for value in (*accepted, *map(np.float64, accepted)):
+def test_rule_returns_what_it_accepts_as_a_float(rule):
+    for value in (*RULES[rule][2], *map(np.float64, RULES[rule][2])):
         result = rule("arg", value)
         assert type(result) is float and result == value
 
@@ -167,13 +179,18 @@ def test_argument_is_checked_by_its_rule(name, rule, call):
         assert type(getattr(result, name)) is float
 
 
+@pytest.mark.parametrize("minimum,bits,value", [(minimum, bits, value) for minimum, bits in sorted({row[1:3] for row in COUNTS})
+                                                for value in count_rejected(minimum, bits)],
+                         ids=lambda arg: str(arg) if type(arg) is int else value_id(arg))
+def test_count_rule_rejects_with_one_message(minimum, bits, value):
+    with pytest.raises(InvalidArgument) as info:
+        _count("arg", value, minimum, bits)
+    assert str(info.value) == f"arg must be >= {minimum} and < 2**{bits}, got {value!r}"
+
+
 @pytest.mark.parametrize("minimum,bits", sorted({row[1:3] for row in COUNTS}))
-def test_count_rule_rejects_with_one_message_and_returns_what_it_accepts(minimum, bits):
-    for value in count_rejected(minimum, bits):
-        with pytest.raises(InvalidArgument) as info:
-            _count("arg", value, minimum, bits)
-        assert str(info.value) == f"arg must be >= {minimum} and < 2**{bits}, got {value!r}"
-    for value in (minimum, minimum + 1, 2**bits - 1, np.int64(minimum)):
+def test_count_rule_returns_what_it_accepts_as_an_int(minimum, bits):
+    for value in (minimum, minimum + 1, 2**bits - 1, np.int64(minimum), Label(minimum)):
         result = _count("arg", value, minimum, bits)
         assert type(result) is int and result == value
 
