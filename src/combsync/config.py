@@ -5,11 +5,15 @@ plus a single parameter block named after the command.  ``_build`` makes
 every block: each key is the name of a field of the dataclass it builds,
 with that field's type and default, and each rule on the values is the
 dataclass's own ``__post_init__`` (a quantum-scaling run's mode among
-them).  Parsing is strict — unknown, missing, mistyped and repeated keys
-are rejected with the offending dotted key name so typos in physics
-parameters cannot pass silently.  The output directory is not part of a
-config: it is the CLI's ``--out``, so that moving a run's output does not
-change the config hash its artifacts record.
+them).  A YAML list becomes a tuple whose items each pass the conversion
+of their own type, as a scalar field would, so an error names the item
+(``'stability.m_values[1]'``); range rules such as ``m >= 1`` belong to
+the dataclasses, not to the config layer.  Parsing is strict — unknown,
+missing, mistyped and repeated keys are rejected with the offending
+dotted key name so typos in physics parameters cannot pass silently.
+The output directory is not part of a config: it is the CLI's ``--out``,
+so that moving a run's output does not change the config hash its
+artifacts record.
 
 The YAML is parsed by PyYAML's libyaml binding (``yaml.CSafeLoader``;
 ``yaml.__with_libyaml__`` is true where it is built, as in the PyPI
@@ -34,7 +38,7 @@ from typing import Any, Container, Optional, Union
 import yaml
 
 from .clockmodel import CombParams
-from .errors import CombsyncError, InvalidArgument
+from .errors import CombsyncError, InvalidArgument, _count
 from .noisegen import NoiseSpec
 from .quantum import EstimatorMethod, EstimatorModel
 from .seeding import check_seed
@@ -129,9 +133,18 @@ class SeriesSource:
 
 @dataclass(frozen=True)
 class StabilityRun:
+    """A stability curve of a synthesized series at the averaging factors m_values (default: every octave)."""
+
     noise: SeriesSource
     variant: Variant
     m_values: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.m_values is not None:
+            m_values = tuple(_count("m", m, 1) for m in self.m_values)
+            if not m_values:
+                raise InvalidArgument("m_values must not be empty")
+            object.__setattr__(self, "m_values", m_values)
 
 
 @dataclass(frozen=True)
@@ -190,13 +203,6 @@ _DEFAULTS = {(CombParams, "f_0"): 0.0}
 
 #: Scalar types whose YAML value must have exactly that type.
 _SCALARS = {int: "an integer", bool: "a boolean", str: "a string"}
-#: Lists of plain values: what the list must be, and the test each item passes.
-_LISTS = {
-    tuple[int, int]: ("a two-integer list [lo, hi]", lambda v: type(v) is int),
-    tuple[int, ...]: ("a non-empty list of positive integers", lambda v: type(v) is int and v >= 1),
-    tuple[float, ...]: ("a non-empty list of finite numbers",
-                        lambda v: type(v) in (int, float) and math.isfinite(_float(v))),
-}
 
 
 @functools.cache
@@ -240,14 +246,6 @@ def _build(cls, node: Any, path: str):
         raise ConfigError(f"invalid '{path}': {exc}") from None
 
 
-def _float(value) -> float:
-    """float(value), with an integer beyond the float range taken as an infinity."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _convert(hint, value: Any, path: str):
     """value checked against, and converted to, the type hint of its field."""
     if typing.get_origin(hint) is Union:  # Optional[X]: only an absent key takes the None default
@@ -255,7 +253,10 @@ def _convert(hint, value: Any, path: str):
     if hint is float:
         if type(value) not in (int, float):
             raise ConfigError(f"'{path}' must be a number, got {value!r}")
-        number = _float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"'{path}' must be finite, got {value!r}")
         return number
@@ -271,16 +272,12 @@ def _convert(hint, value: Any, path: str):
             raise ConfigError(f"'{path}' must be one of: {choices}; got {value!r}") from None
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
-    args = typing.get_args(hint)  # a tuple: (item, ...) or one entry per item
-    if dataclasses.is_dataclass(args[0]):
-        if not isinstance(value, list):
-            raise ConfigError(f"'{path}' must be a list of noise specs")
-        return tuple(_build(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    what, ok = _LISTS[hint]
-    if (not isinstance(value, list) or not value or not all(map(ok, value))
-            or (Ellipsis not in args and len(value) != len(args))):
-        raise ConfigError(f"'{path}' must be {what}")
-    return tuple(map(_float, value)) if args[0] is float else tuple(value)
+    items = typing.get_args(hint)  # a tuple: (item, ...) or one hint per item, all alike
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list, got {type(value).__name__}")
+    if Ellipsis not in items and len(value) != len(items):
+        raise ConfigError(f"'{path}' must be a list of {len(items)} items, got {len(value)}")
+    return tuple(_convert(items[0], v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _block_key(command: str) -> str:

@@ -22,8 +22,8 @@ One kernel computes the quartet and one formula the offset, on Python
 floats (one exchange) or arrays (a campaign).  One exchange returns its
 quartet as an ``ExchangeRecord``, a 4-tuple checked once on construction.
 A clock without an active noise source draws no random stream, so its
-sub-seed is never derived, and one exchange reads its phase off
-``ramp_phase`` with no sample path.
+path is the same for every seed, and one exchange reads its phase off
+``ramp_phase`` with no sample path or sub-seed.
 """
 
 from __future__ import annotations
@@ -126,16 +126,14 @@ def _is_noisy(clock: ClockModel) -> bool:
 
 
 def _clock_path(clock: ClockModel, count: int, tau0: float, seed: int, stream: int) -> np.ndarray:
-    """Phase path of the clock; only an active noise source needs its sub-seed derived."""
-    if _is_noisy(clock):
-        seed = derive_seed(seed, stream)
-    return sample_clock(clock, count, tau0, seed).samples
+    """Phase path of the clock, sampled with sub-seed ``stream`` of seed."""
+    return sample_clock(clock, count, tau0, derive_seed(seed, stream)).samples
 
 
 def _clock_phase(clock: ClockModel, seed: int, stream: int) -> float:
     """Phase error at t = 1 s; a noiseless clock's is its ramp there, with no path sampled."""
     if _is_noisy(clock):
-        return float(sample_clock(clock, 2, 1.0, derive_seed(seed, stream)).samples[1])
+        return float(_clock_path(clock, 2, 1.0, seed, stream)[1])
     return float(ramp_phase(clock, 1.0))
 
 

@@ -103,6 +103,7 @@ def test_byte_identical_reruns(command, fixture, artifacts, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("command,fixture,artifact,digest", FIXTURE_SHA256,
                          ids=[f"{fixture}:{artifact}" for _, fixture, artifact, _ in FIXTURE_SHA256])
 def test_fixture_artifact_bytes_are_pinned(command, fixture, artifact, digest, tmp_path):
@@ -168,6 +169,13 @@ def test_missing_seed_for_stochastic_command(tmp_path, capsys):
 def test_command_mismatch_exits_2(tmp_path, capsys):
     assert run_cli("noise", CONFIGS / "stability_white_fm.yaml", tmp_path) == 2
     assert "stability" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2_and_creates_no_output(tmp_path, capsys):
+    config, out = tmp_path / "missing.yaml", tmp_path / "out"
+    assert run_cli("noise", config, out) == 2
+    assert capsys.readouterr().err == f"combsync: cannot read config: [Errno 2] No such file or directory: '{config}'\n"
+    assert not out.exists()
 
 
 def test_working_directory_is_the_output_without_out_flag(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from combsync.clockmodel import ClockModel, CombParams, comb_time_params, sample_clock
+from combsync.config import SeriesSource, StabilityRun
 from combsync.errors import (
     InvalidArgument,
     _count,
@@ -133,6 +134,7 @@ COUNTS = [
     ("m", 1, 53, lambda v: ffi2(SERIES, v)),
     ("m", 1, 53, lambda v: tdev(SERIES, v)),
     ("m", 1, 53, lambda v: stability_curve(SERIES, [1, v], Variant.FFI0)),
+    ("m", 1, 53, lambda v: StabilityRun(SeriesSource(NoiseSpec(NoiseKind.WHITE_FM, 1.0), 64), Variant.FFI1, (v,))),
 ]
 
 

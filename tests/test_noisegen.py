@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from combsync import noisegen
-from combsync.errors import InsufficientData
+from combsync.errors import InsufficientData, InvalidArgument
 from combsync.noisegen import (
     NoiseKind,
     NoiseSpec,
@@ -52,6 +52,12 @@ class TestFractionalFilterCoeffs:
 
     def test_h0_is_always_one(self):
         assert fractional_filter_coeffs(1.7, 1)[0] == 1.0
+
+
+def test_spec_kind_must_be_a_noise_kind():
+    with pytest.raises(InvalidArgument, match=r"^kind must be a NoiseKind, got 'white_fm'$"):
+        NoiseSpec("white_fm", 1.0)
+
 
 class TestGenerateNoise:
     def test_zero_amplitude_yields_exact_zeros(self):

@@ -60,6 +60,10 @@ class TestConversions:
         x = TimeSeriesX(tau0, c * np.arange(12) * tau0)
         assert y_from_x(x).samples == pytest.approx(np.full(11, c), rel=1e-12, abs=0.0)
 
+    def test_samples_must_be_one_dimensional(self):
+        with pytest.raises(InvalidArgument, match=r"^samples must be one-dimensional, got shape \(1, 2\)$"):
+            TimeSeriesY(1.0, [[0.0, 1.0]])
+
     def test_y_from_x_rejects_single_sample(self):
         with pytest.raises(InvalidArgument):
             y_from_x(TimeSeriesX(1.0, [0.0]))
@@ -329,6 +333,9 @@ class TestStabilityCurve:
             StabilityCurve(points=(p1, p2))
         with pytest.raises(InvalidArgument):
             StabilityCurve(points=(p1, p1))
+        earlier = StabilityPoint(tau=0.5, value=1.0, m=2, variant=Variant.FFI1)
+        with pytest.raises(InvalidArgument, match=r"^curve points must be strictly increasing in tau$"):
+            StabilityCurve(points=(p1, earlier))
 
     def test_point_stores_m_as_int(self):
         point = StabilityPoint(tau=4.0, value=1.0, m=np.int64(4), variant=Variant.FFI1)

@@ -407,6 +407,7 @@ PINNED_ADVANTAGE = [
 ]
 
 
+@pytest.mark.pin
 class TestPinnedOutputs:
     @pytest.mark.parametrize("args,kwargs,expected", PINNED_EXCHANGES,
                              ids=["noiseless", "ramp-quiet", "noisy", "noisy-noisy", "noisy-ramp", "quiet-noisy-wet"])
