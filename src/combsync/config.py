@@ -38,7 +38,7 @@ from typing import Any, Container, Optional, Union
 import yaml
 
 from .clockmodel import CombParams
-from .errors import CombsyncError, InvalidArgument, _count
+from .errors import CombsyncError, InvalidArgument, _count, _positive, _store
 from .noisegen import NoiseSpec
 from .quantum import EstimatorMethod, EstimatorModel
 from .seeding import check_seed
@@ -175,6 +175,10 @@ class ScalingRun:
             raise InvalidArgument(f"{other} is only valid in {other_mode} mode")
         if not getattr(self, values):
             raise InvalidArgument(f"{self.mode} mode needs {values}")
+        _store(self, _positive, "nu0", "t0")
+        # r = 0 is refused too: the hl sweep sets n = sinh(r)**2, and n = 0 is no photon budget.
+        items = tuple(_positive(f"{values}[{i}]", v) for i, v in enumerate(getattr(self, values)))
+        object.__setattr__(self, values, items)
 
 
 @dataclass(frozen=True)

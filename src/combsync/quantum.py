@@ -137,14 +137,29 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     return db_from_r(r)
 
 
+def _mean_and_deviation(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and deviation (ddof=1) of a 1-D float64 array of at least two values.
+
+    The ufunc calls of ``values.mean()`` and ``values.std(ddof=1)`` without
+    their method wrapper, so both are bit for bit numpy's, and every
+    division stays on numpy scalars and raises the same floating-point
+    events under ``np.errstate``.  The input is not changed.
+    """
+    count = values.shape[0]
+    mean = np.add.reduce(values) / count
+    squares = values - mean
+    np.square(squares, out=squares)
+    return float(mean), float(np.sqrt(np.add.reduce(squares) / (count - 1)))
+
+
 def monte_carlo_sigma(model: EstimatorModel, trials: int, seed: int = 0) -> tuple[float, float]:
     """Sampled (mean, std) of timing-offset estimates under the model's law.
 
     Each trial draws one Gaussian estimate error around 0 with the
-    closed-form deviation of the model.
+    closed-form deviation of the model; std is the sample deviation with
+    ddof=1.
     """
     trials = _count("trials", trials, 100)
     sigma = model_sigma(model)
     rng = np.random.default_rng(check_seed(seed))
-    draws = rng.normal(0.0, sigma, trials)
-    return float(draws.mean()), float(draws.std(ddof=1))
+    return _mean_and_deviation(rng.normal(0.0, sigma, trials))

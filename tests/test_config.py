@@ -214,6 +214,14 @@ CASES = [
      "'quantum_scaling.method' must be one of: tof, phase, temporal_mode; got 'tdc'"),
     ("sql", ("quantum_scaling", "nu0"), DELETE, "missing required key 'quantum_scaling.nu0'"),
     ("hl", ("quantum_scaling", "t0"), float("-inf"), "'quantum_scaling.t0' must be finite, got -inf"),
+    # quantum-scaling: the range rules of the estimator it sweeps, each item named
+    ("sql", ("quantum_scaling", "nu0"), 0.0, "invalid 'quantum_scaling': nu0 must be finite and positive, got 0.0"),
+    ("hl", ("quantum_scaling", "t0"), -1.0e-14,
+     "invalid 'quantum_scaling': t0 must be finite and positive, got -1e-14"),
+    ("sql", ("quantum_scaling", "n_values"), [-1.0, 100],
+     "invalid 'quantum_scaling': n_values[0] must be finite and positive, got -1.0"),
+    ("hl", ("quantum_scaling", "r_values"), [0.0, 1.0],
+     "invalid 'quantum_scaling': r_values[0] must be finite and positive, got 0.0"),
     ("hl", ("quantum_scaling",), None, "'quantum_scaling' must be a mapping, got NoneType"),
     # advantage
     ("advantage", ("advantage", "link"), DELETE, "missing required key 'advantage.link'"),

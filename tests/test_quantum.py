@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from combsync.errors import InvalidArgument
 from combsync.quantum import (
     EstimatorMethod,
     EstimatorModel,
+    _mean_and_deviation,
     apply_loss,
     db_from_r,
     model_sigma,
@@ -255,3 +256,54 @@ class TestMonteCarloSigma:
     def test_deterministic_per_seed(self):
         model = EstimatorModel(EstimatorMethod.PHASE, n=10.0, nu0=1e14, t0=1e-14)
         assert monte_carlo_sigma(model, 500, seed=7) == monte_carlo_sigma(model, 500, seed=7)
+
+
+def _raises(compute) -> bool:
+    """Whether compute() raises FloatingPointError under np.errstate(all="raise")."""
+    try:
+        with np.errstate(all="raise"):
+            compute()
+    except FloatingPointError:
+        return True
+    return False
+
+
+class TestMeanAndDeviation:
+    """The kernel behind every sample mean and deviation the library reports: numpy's methods, bit for bit."""
+
+    # Scales from 1e-300 (squares underflow to subnormals or 0) to 1e300 (squares overflow to inf), means
+    # up to 1e3 deviations away from zero, and now and then one non-finite value (a nan or inf result).
+    @settings(max_examples=300)
+    @given(st.integers(2, 5000), st.floats(-300.0, 300.0), st.floats(-1e3, 1e3), st.integers(0, 2**32),
+           st.sampled_from([None, None, None, None, math.inf, -math.inf, math.nan]))
+    def test_equals_numpys_mean_and_std_ddof1(self, size, exponent, offset, seed, poison):
+        scale = 10.0**exponent
+        values = np.random.default_rng(seed).normal(offset * scale, scale, size)
+        if poison is not None:
+            values[seed % size] = poison
+        before = values.tobytes()
+        with np.errstate(all="ignore"):
+            got = _mean_and_deviation(values)
+            expected = (float(values.mean()), float(values.std(ddof=1)))
+        assert [type(v) for v in got] == [float, float]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert _raises(lambda: _mean_and_deviation(values)) == _raises(lambda: (values.mean(), values.std(ddof=1)))
+        assert values.tobytes() == before
+
+    @pytest.mark.parametrize("values,is_expected", [
+        ([1e-310, 3e-310, 2e-310], lambda mean, std: 0.0 < mean < 2.2250738585072014e-308 and std == 0.0),
+        # Only the division by n underflows: 3 * 5e-324 / 5 rounds to 5e-324, and no square is subnormal.
+        ([1.0, -1.0, 5e-324, 5e-324, 5e-324], lambda mean, std: mean == 5e-324 and std == math.sqrt(0.5)),
+        ([-1e200, 1e200], lambda mean, std: mean == 0.0 and std == math.inf),
+        ([1.7e308, 1.7e308], lambda mean, std: mean == math.inf and std == math.inf),
+        ([math.inf, 1.0], lambda mean, std: mean == math.inf and math.isnan(std)),
+        ([3.0] * 5, lambda mean, std: (mean, std) == (3.0, 0.0)),
+    ], ids=["subnormal-mean", "underflowing-mean", "overflowing-squares", "overflowing-sum", "infinite-value", "constant"])
+    def test_edges_of_the_float_range(self, values, is_expected):
+        values = np.array(values)
+        with np.errstate(all="ignore"):
+            got = _mean_and_deviation(values)
+            expected = (float(values.mean()), float(values.std(ddof=1)))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert is_expected(*got)
+        assert _raises(lambda: _mean_and_deviation(values)) == _raises(lambda: (values.mean(), values.std(ddof=1)))

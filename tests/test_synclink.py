@@ -295,6 +295,28 @@ class TestRunSyncCampaign:
         assert digest(result.estimates, result.residuals) == digest(estimates, estimates - campaign.true_offset)
 
 
+class TestCampaignStatistics:
+    """mean_offset and sigma_delta_t are numpy's mean() and std(ddof=1) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_match_numpys_methods_on_random_campaigns(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def clock():
+            kinds = rng.choice(list(NoiseKind), size=int(rng.integers(0, 3)), replace=False)
+            noise = tuple(NoiseSpec(kind, 10.0 ** rng.uniform(-26.0, -10.0), seed=int(rng.integers(2**32)))
+                          for kind in kinds)
+            return ClockModel(nu0=1.94e14, frac_freq_offset=rng.uniform(-1e-12, 1e-12), noise=noise)
+
+        link = LinkModel(distance_km=rng.uniform(100.0, 2000.0), delay_ab=rng.uniform(1e-4, 1e-2),
+                         delay_ba=rng.uniform(1e-4, 1e-2), sigma_excess=rng.uniform(0.0, 1e-11))
+        campaign = SyncCampaign(clock(), clock(), link, true_offset=rng.uniform(-1e-3, 1e-3),
+                                estimator=tm_estimator(n=10.0 ** rng.uniform(1.0, 6.0), r=rng.uniform(0.0, 2.0)))
+        result = run_sync_campaign(campaign, 256, seed=seed)
+        assert result.mean_offset.hex() == float(result.estimates.mean()).hex()
+        assert result.sigma_delta_t.hex() == (link.sigma_excess + float(result.residuals.std(ddof=1))).hex()
+
+
 class TestCampaignLinkBudget:
     # Quiet clocks: each residual is the estimate's own error, whose deviation is the lossy one.
     @pytest.mark.parametrize("eta", [1.0, 0.5, 0.01])
