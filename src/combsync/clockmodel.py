@@ -47,7 +47,8 @@ class CombParams:
     """Frequency-comb descriptor: mode_N = N*f_r + f_0.
 
     t_0 is the pulse duration; t_r = 1/f_r and the carrier-envelope
-    phase slip are derived, never stored.
+    phase slip are derived, never stored.  n_range is a pair (lo, hi) of
+    mode numbers, lo <= hi, each passing the count rule of ``errors`` from 1.
     """
 
     f_r: float
@@ -61,10 +62,10 @@ class CombParams:
             raise InvalidArgument(f"offset frequency must satisfy 0 <= f_0 < f_r, got {self.f_0}")
         object.__setattr__(self, "f_0", float(self.f_0))
         _store(self, _positive, "t_0")
-        lo, hi = self.n_range
-        if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
-            raise InvalidArgument(f"n_range must be an integer interval with 1 <= lo <= hi, got {self.n_range}")
-        object.__setattr__(self, "n_range", (int(lo), int(hi)))
+        n_range = tuple(_count(f"n_range[{i}]", n, 1) for i, n in enumerate(self.n_range))
+        if len(n_range) != 2 or n_range[1] < n_range[0]:
+            raise InvalidArgument(f"n_range must be a pair (lo, hi) with lo <= hi, got {self.n_range!r}")
+        object.__setattr__(self, "n_range", n_range)
 
 
 def ramp_phase(clock: ClockModel, t):

@@ -276,11 +276,9 @@ def _convert(hint, value: Any, path: str):
             raise ConfigError(f"'{path}' must be one of: {choices}; got {value!r}") from None
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
-    items = typing.get_args(hint)  # a tuple: (item, ...) or one hint per item, all alike
+    items = typing.get_args(hint)  # (item, ...) or (item, item): a dataclass checks a fixed length
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list, got {type(value).__name__}")
-    if Ellipsis not in items and len(value) != len(items):
-        raise ConfigError(f"'{path}' must be a list of {len(items)} items, got {len(value)}")
     return tuple(_convert(items[0], v, f"{path}[{i}]") for i, v in enumerate(value))
 
 

@@ -137,6 +137,11 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     return db_from_r(r)
 
 
+def _mean(values: np.ndarray) -> np.float64:
+    """Sample mean of a 1-D float64 array, as a numpy scalar: the ufunc calls of ``values.mean()``."""
+    return np.add.reduce(values) / values.shape[0]
+
+
 def _mean_and_deviation(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and deviation (ddof=1) of a 1-D float64 array of at least two values.
 
@@ -145,11 +150,10 @@ def _mean_and_deviation(values: np.ndarray) -> tuple[float, float]:
     division stays on numpy scalars and raises the same floating-point
     events under ``np.errstate``.  The input is not changed.
     """
-    count = values.shape[0]
-    mean = np.add.reduce(values) / count
+    mean = _mean(values)
     squares = values - mean
     np.square(squares, out=squares)
-    return float(mean), float(np.sqrt(np.add.reduce(squares) / (count - 1)))
+    return float(mean), float(np.sqrt(np.add.reduce(squares) / (values.shape[0] - 1)))
 
 
 def monte_carlo_sigma(model: EstimatorModel, trials: int, seed: int = 0) -> tuple[float, float]:

@@ -23,19 +23,24 @@ every octave and their readouts go into two work arrays of the series'
 length, allocated once per curve.  These are the octave-spaced
 estimators of Riley, Handbook of Frequency Stability Analysis, NIST SP
 1065 (2008).  The literal nested sums remain the test oracle.
+
+Each rule is checked once, where its value is made or read: both paths
+pass every deviation through the float-range rule of ``errors``, and
+``stability_curve`` checks the averaging factors and tau, so the point
+and curve records it builds check nothing again.  ``fit_slope``, the one
+reader of a curve that may be built by hand, checks the points it fits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import (DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range, _non_negative,
-                     _positive, _store)
+from .errors import DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -57,8 +62,9 @@ _DOUBLE = (Variant.FFI2, Variant.TDEV)
 class StabilityPoint:
     """One (tau, value) sample of a sigma-tau curve.
 
-    tau and value are stored as Python floats and m as an int, each
-    checked by its rule in ``errors``: m is a count from 1.
+    ``stability_curve`` makes every point: tau = m * tau0 and value are
+    finite Python floats, tau > 0 and value >= 0, and m is an int from 1.
+    A point built by hand is not checked; ``fit_slope`` checks what it reads.
     """
 
     tau: float
@@ -66,36 +72,17 @@ class StabilityPoint:
     m: int
     variant: Variant
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _count("m", self.m, 1))
-        _store(self, _non_negative, "value")
-        _store(self, _positive, "tau")
-
 
 @dataclass(frozen=True)
 class StabilityCurve:
-    """Stability points at distinct averaging factors, ordered by tau.
+    """Stability points of one variant at distinct averaging factors, in increasing tau.
 
     ``warnings`` records averaging factors that were skipped because the
     source series was too short for them.
     """
 
     points: tuple[StabilityPoint, ...]
-    warnings: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        variants = {p.variant for p in points}
-        if len(variants) > 1:
-            raise InvalidArgument(f"curve mixes variants {sorted(v.value for v in variants)}")
-        ms = [p.m for p in points]
-        if len(set(ms)) != len(ms):
-            raise InvalidArgument("curve has duplicate averaging factors")
-        taus = [p.tau for p in points]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise InvalidArgument("curve points must be strictly increasing in tau")
+    warnings: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +139,13 @@ def _readout(variant: Variant, sums: np.ndarray, m: int, tau0: float) -> float:
 
     FFI0 reads FFI1's sums at every m-th start, the differences of adjacent
     blocks.  The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2,
-    TDEV); TDEV's is then converted to seconds at tau = m * tau0.
+    TDEV); TDEV's is then converted to seconds at tau = m * tau0.  A
+    deviation past the float range raises OverflowError named for its
+    statistic, ffi2 for a TDEV's, as ``_check_length`` names it.
     """
     if variant not in _DOUBLE:
-        return _deviation(sums[::m] if variant is Variant.FFI0 else sums, m * m)
-    deviation = _deviation(sums, m**4)
+        return _in_float_range(variant.value, _deviation(sums[::m] if variant is Variant.FFI0 else sums, m * m))
+    deviation = _in_float_range("ffi2", _deviation(sums, m**4))
     return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
 
 
@@ -259,9 +248,9 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     integer (not a bool or an integral float) below 2**53, or raises
     InvalidArgument.  Averaging factors the series is too short for are
     skipped and noted in the returned curve's ``warnings`` instead of
-    failing the curve.  A tau = m * tau0 or a TDEV value past the float
-    range raises OverflowError through the one float-range rule of
-    ``errors``.
+    failing the curve.  A tau = m * tau0, a deviation or a TDEV value
+    past the float range raises OverflowError through the one float-range
+    rule of ``errors``.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
@@ -297,7 +286,9 @@ def fit_slope(curve: StabilityCurve, tau_range: Optional[tuple[float, float]] = 
     """Least-squares slope of log10(value) against log10(tau).
 
     tau_range restricts the fit to points with tau in [lo, hi] inclusive;
-    None uses every point.
+    None uses every point.  A fitted point whose tau or value is not
+    finite and positive raises DegenerateInput: a curve may be built by
+    hand, and its points are not checked before.
     """
     pts = curve.points
     if tau_range is not None:
@@ -305,11 +296,11 @@ def fit_slope(curve: StabilityCurve, tau_range: Optional[tuple[float, float]] = 
         pts = tuple(p for p in pts if lo <= p.tau <= hi)
     if len(pts) < 3:
         raise InsufficientData(f"fit_slope needs at least 3 points in range, got {len(pts)}")
+    taus = np.array([p.tau for p in pts])
     values = np.array([p.value for p in pts])
-    if np.any(values <= 0.0):
-        raise DegenerateInput("fit_slope requires strictly positive stability values")
-    taus = np.log10([p.tau for p in pts])
-    return float(np.polyfit(taus, np.log10(values), 1)[0])
+    if not np.all((0.0 < taus) & (taus < math.inf) & (0.0 < values) & (values < math.inf)):
+        raise DegenerateInput("fit_slope requires finite, strictly positive taus and stability values")
+    return float(np.polyfit(np.log10(taus), np.log10(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
 from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _store, _unit_interval
-from .quantum import EstimatorModel, _mean_and_deviation, lossy_sigma, model_sigma, required_squeezing
+from .quantum import EstimatorModel, _mean, _mean_and_deviation, lossy_sigma, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
 from .stability import StabilityCurve, Variant, octave_m_values, stability_curve, y_from_x
@@ -272,13 +272,12 @@ def run_sync_campaign(config: SyncCampaign, trials: int, seed: int = 0) -> Campa
         octave_m_values(trials - 1, Variant.TDEV),
         Variant.TDEV,
     )
-    mean_offset, _ = _mean_and_deviation(estimates)
     _, deviation = _mean_and_deviation(residuals)
     return CampaignResult(
         estimates=estimates,
         truth=config.true_offset,
         residuals=residuals,
-        mean_offset=mean_offset,
+        mean_offset=float(_mean(estimates)),
         sigma_delta_t=config.link.sigma_excess + deviation,
         tdev_curve=curve,
     )

@@ -181,12 +181,12 @@ CASES = [
     ("sync", ("sync", "comb", "f_0"), 1.0e8,
      "invalid 'sync.comb': offset frequency must satisfy 0 <= f_0 < f_r, got 100000000.0"),
     ("sync", ("sync", "comb", "n_range"), DELETE, "missing required key 'sync.comb.n_range'"),
-    ("sync", ("sync", "comb", "n_range"), [1], "'sync.comb.n_range' must be a list of 2 items, got 1"),
+    ("sync", ("sync", "comb", "n_range"), [1],
+     "invalid 'sync.comb': n_range must be a pair (lo, hi) with lo <= hi, got (1,)"),
     ("sync", ("sync", "comb", "n_range"), [1, 2.5], "'sync.comb.n_range[1]' must be an integer, got 2.5"),
     ("sync", ("sync", "comb", "n_range"), [True, 3], "'sync.comb.n_range[0]' must be an integer, got True"),
     ("sync", ("sync", "comb", "n_range"), "1-3", "'sync.comb.n_range' must be a list, got str"),
-    ("sync", ("sync", "comb", "n_range"), [0, 3],
-     "invalid 'sync.comb': n_range must be an integer interval with 1 <= lo <= hi, got (0, 3)"),
+    ("sync", ("sync", "comb", "n_range"), [0, 3], "invalid 'sync.comb': n_range[0] must be >= 1 and < 2**53, got 0"),
     ("sync", ("sync", "comb", "t0"), 1.0, "unknown key 'sync.comb.t0'"),
     # quantum-scaling: the mode decides which list is allowed
     ("sql", ("quantum_scaling", "mode"), DELETE, "missing required key 'quantum_scaling.mode'"),

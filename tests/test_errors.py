@@ -7,11 +7,11 @@ a Python float.  Each row of ``ARGUMENTS`` sets one constructor field or
 function argument to each of its rule's rejected values in an otherwise
 valid call, and a model built from a numpy scalar stores a Python float.
 The count rule takes a minimum and a bit width, so it and the counts,
-seeds and averaging factors checked against it have their own table,
-``COUNTS``.  The float-range rule checks a computed result, not an
-argument: each row of ``RESULTS`` is a valid call whose result leaves the
-float range, and only ``errors`` may raise the ``OverflowError`` that
-rule raises.  Only ``errors`` may name ``numbers`` or ``Integral``, so
+seeds, averaging factors and mode numbers checked against it have their
+own table, ``COUNTS``.  The float-range rule checks a computed result,
+not an argument: each row of ``RESULTS`` is a valid call whose result
+leaves the float range, and only ``errors`` may raise the
+``OverflowError`` that rule raises.  Only ``errors`` may name ``numbers`` or ``Integral``, so
 the count rule stays the one integer rule.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from combsync.clockmodel import ClockModel, CombParams, comb_time_params, sample_clock
-from combsync.config import SeriesSource, StabilityRun
+from combsync.config import ScalingRun, SeriesSource, StabilityRun
 from combsync.errors import (
     InvalidArgument,
     _count,
@@ -49,7 +49,7 @@ from combsync.quantum import (
 )
 from combsync.seeding import check_seed
 from combsync.series import TimeSeriesX, TimeSeriesY
-from combsync.stability import StabilityPoint, Variant, ffi1, ffi2, stability_curve, tdev, tdev_from_ffi2
+from combsync.stability import Variant, ffi0, ffi1, ffi2, stability_curve, tdev, tdev_from_ffi2
 from combsync.synclink import (
     ExchangeRecord,
     GeometricParams,
@@ -80,6 +80,7 @@ LINK = LinkModel(distance_km=100.0, delay_ab=3e-4, delay_ba=3e-4)
 GEOMETRY = dict(wavelength=1.56e-6, waist=0.16552, aperture_radius=0.3)
 ESTIMATOR = dict(method=EstimatorMethod.TEMPORAL_MODE, n=10.0, nu0=1e14, t0=1e-14, r=0.0)
 COMB = dict(f_r=100e6, f_0=0.0, t_0=1e-13, n_range=(1, 10))
+SCALING = dict(mode="sql", trials=100, nu0=1e14, t0=1e-14, n_values=(10.0,))
 
 #: (argument name, rule, call with the argument set to a value)
 ARGUMENTS = [
@@ -100,8 +101,7 @@ ARGUMENTS = [
     ("db", _non_negative, r_from_db),
     ("eta", _unit_interval, lambda v: apply_loss(1.0, v)),
     ("eta_total", _unit_interval, lambda v: required_squeezing(v, 2.0)),
-    ("tau", _positive, lambda v: StabilityPoint(tau=v, value=1.0, m=1, variant=Variant.FFI1)),
-    ("value", _non_negative, lambda v: StabilityPoint(tau=1.0, value=v, m=1, variant=Variant.FFI1)),
+    *((name, _positive, lambda v, name=name: ScalingRun(**{**SCALING, name: v})) for name in ("nu0", "t0")),
     *((name, _positive, lambda v, name=name: GeometricParams(**{**GEOMETRY, name: v})) for name in GEOMETRY),
     ("distance_km", _positive, lambda v: LinkModel(distance_km=v, delay_ab=0.0, delay_ba=0.0)),
     *((name, _non_negative, lambda v, name=name: LinkModel(**{"distance_km": 1.0, "delay_ab": 0.0,
@@ -129,12 +129,13 @@ COUNTS = [
         ("seed", 0, 64, lambda v, clock=clock: run_sync_campaign(SyncCampaign(clock, clock, LINK), 100, v)),
         ("seed", 0, 64, lambda v, clock=clock: sample_clock(clock, 4, 1.0, v)),
     ]),
-    ("m", 1, 53, lambda v: StabilityPoint(tau=1.0, value=1.0, m=v, variant=Variant.FFI1)),
+    ("n_range[0]", 1, 53, lambda v: CombParams(**{**COMB, "n_range": (v, 10)})),
     ("m", 1, 53, lambda v: ffi1(SERIES, v)),
     ("m", 1, 53, lambda v: ffi2(SERIES, v)),
     ("m", 1, 53, lambda v: tdev(SERIES, v)),
     ("m", 1, 53, lambda v: stability_curve(SERIES, [1, v], Variant.FFI0)),
     ("m", 1, 53, lambda v: StabilityRun(SeriesSource(NoiseSpec(NoiseKind.WHITE_FM, 1.0), 64), Variant.FFI1, (v,))),
+    ("n_range[1]", 1, 53, lambda v: CombParams(**{**COMB, "n_range": (1, v)})),
 ]
 
 
@@ -206,6 +207,16 @@ def test_count_is_checked_by_the_count_rule(name, minimum, bits, call):
     call(minimum)
 
 
+#: Adjacent differences of 4e200, whose squares leave the float range.
+LOUD = TimeSeriesY(1.0, np.array([1e200, -1e200] * 4))
+
+
+def quietly(call, *args):
+    """call(*args) without numpy's overflow warning, which the test settings turn into an error."""
+    with np.errstate(over="ignore"):
+        return call(*args)
+
+
 #: (quantity, its value past the float range, a valid call whose result leaves the float range)
 RESULTS = [
     ("ramp at the last sample", math.inf, lambda: sample_clock(ClockModel(nu0=1.0, drift=1.0), 3, 1e200)),
@@ -225,6 +236,15 @@ RESULTS = [
     ("deviation", math.inf, lambda: model_sigma(EstimatorModel(EstimatorMethod.TOF, n=np.float64(1e-300), nu0=1e14,
                                                                t0=np.float64(1e200)))),
     ("squeezing in dB", math.inf, lambda: db_from_r(np.float64(1e308))),
+    # A deviation, named for its statistic (a TDEV's for the ffi2 it reads), single-m, swept and per m.
+    ("ffi0", math.inf, lambda: quietly(ffi0, LOUD)),
+    ("ffi1", math.inf, lambda: quietly(ffi1, LOUD, 1)),
+    ("ffi2", math.inf, lambda: quietly(ffi2, LOUD, 1)),
+    ("ffi2", math.inf, lambda: quietly(tdev, LOUD, 1)),
+    ("ffi0", math.inf, lambda: quietly(stability_curve, LOUD, [1, 2], Variant.FFI0)),
+    ("ffi2", math.inf, lambda: quietly(stability_curve, LOUD, [1, 2], Variant.TDEV)),
+    ("ffi1", math.inf, lambda: quietly(stability_curve, LOUD, [1, 3], Variant.FFI1)),
+    ("ffi2", math.inf, lambda: quietly(stability_curve, LOUD, [1, 3], Variant.FFI2)),
 ]
 
 

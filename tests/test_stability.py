@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -32,6 +33,11 @@ finite_samples = hnp.arrays(
     st.integers(8, 40),
     elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64),
 )
+
+
+def m_lists(m):
+    """Lists of averaging factors drawn from m, each an int or a numpy int, duplicates allowed."""
+    return st.lists(st.one_of(m, m.map(np.int64)), min_size=1, max_size=12)
 
 
 def random_series(seed, length=32, tau0=1.0):
@@ -326,20 +332,26 @@ class TestStabilityCurve:
         assert [p.m for p in curve.points] == [1, 2]
         assert len(curve.warnings) == 1 and "m=8" in curve.warnings[0]
 
-    def test_curve_validation(self):
-        p1 = StabilityPoint(tau=1.0, value=1.0, m=1, variant=Variant.FFI1)
-        p2 = StabilityPoint(tau=2.0, value=1.0, m=2, variant=Variant.FFI2)
-        with pytest.raises(InvalidArgument):
-            StabilityCurve(points=(p1, p2))
-        with pytest.raises(InvalidArgument):
-            StabilityCurve(points=(p1, p1))
-        earlier = StabilityPoint(tau=0.5, value=1.0, m=2, variant=Variant.FFI1)
-        with pytest.raises(InvalidArgument, match=r"^curve points must be strictly increasing in tau$"):
-            StabilityCurve(points=(p1, earlier))
-
-    def test_point_stores_m_as_int(self):
-        point = StabilityPoint(tau=4.0, value=1.0, m=np.int64(4), variant=Variant.FFI1)
-        assert type(point.m) is int and point.m == 4
+    @given(
+        st.integers(2, 64),
+        st.integers(0, 2**32 - 1),
+        st.one_of(m_lists(st.sampled_from([2**j for j in range(7)] + [2**52])), m_lists(st.integers(1, 40))),
+        st.sampled_from(list(Variant)),
+    )
+    @example(64, 0, [1, 2, 4, 4, np.int64(8), 2**52], Variant.TDEV)
+    @example(64, 0, [1, 3, 3, np.int64(5), 40], Variant.FFI0)
+    def test_makes_points_that_hold_every_record_rule(self, length, seed, m_values, variant):
+        # The records check nothing themselves: this is what stability_curve guarantees them.
+        series = random_series(seed, length, tau0=0.25)
+        curve = stability_curve(series, m_values, variant)
+        ms = [p.m for p in curve.points]
+        taus = [p.tau for p in curve.points]
+        assert all(p.variant is variant for p in curve.points)
+        assert all(type(m) is int for m in ms) and all(a < b for a, b in zip(ms, ms[1:]))
+        assert all(type(tau) is float for tau in taus) and all(a < b for a, b in zip(taus, taus[1:]))
+        assert all(type(p.value) is float and 0.0 <= p.value < math.inf for p in curve.points)
+        skipped = sorted({int(m) for m in m_values} - set(ms))
+        assert [w.split(":")[0] for w in curve.warnings] == [f"m={m}" for m in skipped]
 
 
 class TestOctaveSweepAccuracy:
@@ -435,6 +447,16 @@ class TestFitSlope:
         )
         with pytest.raises(DegenerateInput):
             fit_slope(StabilityCurve(points=points))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["tau", "value"])
+    def test_rejects_a_point_whose_tau_or_value_is_not_finite_and_positive(self, field, bad):
+        # A hand-built curve is not checked until fit_slope reads it.
+        points = [StabilityPoint(tau=float(m), value=1.0 / m, m=m, variant=Variant.FFI1) for m in (1, 2, 4)]
+        points[1] = dataclasses.replace(points[1], **{field: bad})
+        with pytest.raises(DegenerateInput) as info:
+            fit_slope(StabilityCurve(points=tuple(points)))
+        assert str(info.value) == "fit_slope requires finite, strictly positive taus and stability values"
 
 
 class TestClassifyNoise:
