@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _finite, _in_float_range, _positive, _store
+from .errors import InvalidArgument, _count, _finite, _in_float_range, _non_negative, _positive, _store
 from .noisegen import NoiseSpec, generate_noise
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -47,7 +47,8 @@ class CombParams:
     """Frequency-comb descriptor: mode_N = N*f_r + f_0.
 
     t_0 is the pulse duration; t_r = 1/f_r and the carrier-envelope
-    phase slip are derived, never stored.  n_range is a pair (lo, hi) of
+    phase slip are derived, never stored.  f_0 passes the >= 0 rule of
+    ``errors``, then must lie below f_r.  n_range is a pair (lo, hi) of
     mode numbers, lo <= hi, each passing the count rule of ``errors`` from 1.
     """
 
@@ -58,12 +59,16 @@ class CombParams:
 
     def __post_init__(self):
         _store(self, _positive, "f_r")
-        if not (0.0 <= self.f_0 < self.f_r):
+        _store(self, _non_negative, "f_0")
+        if not self.f_0 < self.f_r:
             raise InvalidArgument(f"offset frequency must satisfy 0 <= f_0 < f_r, got {self.f_0}")
-        object.__setattr__(self, "f_0", float(self.f_0))
         _store(self, _positive, "t_0")
-        n_range = tuple(_count(f"n_range[{i}]", n, 1) for i, n in enumerate(self.n_range))
-        if len(n_range) != 2 or n_range[1] < n_range[0]:
+        try:
+            lo, hi = self.n_range
+        except (TypeError, ValueError):  # not iterable, or not two items: (2, 1) fails the pair rule below
+            lo, hi = 2, 1
+        n_range = (_count("n_range[0]", lo, 1), _count("n_range[1]", hi, 1))
+        if n_range[1] < n_range[0]:
             raise InvalidArgument(f"n_range must be a pair (lo, hi) with lo <= hi, got {self.n_range!r}")
         object.__setattr__(self, "n_range", n_range)
 

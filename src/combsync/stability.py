@@ -24,6 +24,14 @@ length, allocated once per curve.  These are the octave-spaced
 estimators of Riley, Handbook of Frequency Stability Analysis, NIST SP
 1065 (2008).  The literal nested sums remain the test oracle.
 
+A long octave curve (``_SPLIT_FROM`` samples or more, on a process that
+may run on two CPUs) splits each octave's elementwise passes between
+the calling thread and one helper thread; numpy's loops release the
+interpreter lock, so both halves run at once.  Each sum stays one call
+on the calling thread, so every value is bit for bit the serial one.
+The helper starts and ends within one ``stability_curve`` call, and a
+third work array holds the readouts.
+
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
 ``stability_curve`` checks the averaging factors and tau, so the point
@@ -33,10 +41,15 @@ reader of a curve that may be built by hand, checks the points it fits.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -125,27 +138,27 @@ def _check_length(variant: Variant, m: int, size: int) -> None:
         raise InsufficientData(f"{name} with m={m} needs at least {need} samples, got {size}")
 
 
-def _deviation(sums: np.ndarray, scale: int) -> float:
-    """sqrt(sum(sums**2) / (2 * scale * len(sums))), the readout of every estimator.
-
-    Consumes ``sums``: it is squared in place, so callers pass an array of their own.
-    """
-    sums *= sums
-    return float(np.sqrt(np.sum(sums) / (2.0 * scale * sums.size)))
+def _terms(variant: Variant, sums: np.ndarray, m: int) -> np.ndarray:
+    """The window sums a point at m reads: FFI1's at every m-th start for FFI0 (adjacent blocks), else all."""
+    return sums[::m] if variant is Variant.FFI0 else sums
 
 
-def _readout(variant: Variant, sums: np.ndarray, m: int, tau0: float) -> float:
-    """The value at averaging factor m from its window sums, which it consumes.
+def _deviation(squares: np.ndarray, scale: int) -> float:
+    """sqrt(sum(squares) / (2 * scale * len(squares))), the readout of every estimator."""
+    return float(np.sqrt(np.sum(squares) / (2.0 * scale * squares.size)))
 
-    FFI0 reads FFI1's sums at every m-th start, the differences of adjacent
-    blocks.  The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2,
-    TDEV); TDEV's is then converted to seconds at tau = m * tau0.  A
-    deviation past the float range raises OverflowError named for its
-    statistic, ffi2 for a TDEV's, as ``_check_length`` names it.
+
+def _readout(variant: Variant, squares: np.ndarray, m: int, tau0: float) -> float:
+    """The value at averaging factor m from the squares of the terms it reads (``_terms``).
+
+    The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2, TDEV);
+    TDEV's is then converted to seconds at tau = m * tau0.  A deviation
+    past the float range raises OverflowError named for its statistic,
+    ffi2 for a TDEV's, as ``_check_length`` names it.
     """
     if variant not in _DOUBLE:
-        return _in_float_range(variant.value, _deviation(sums[::m] if variant is Variant.FFI0 else sums, m * m))
-    deviation = _in_float_range("ffi2", _deviation(sums, m**4))
+        return _in_float_range(variant.value, _deviation(squares, m * m))
+    deviation = _in_float_range("ffi2", _deviation(squares, m**4))
     return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
 
 
@@ -157,7 +170,9 @@ def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
     sums = _window_sums(y[m:] - y[:-m], m)
     if variant in _DOUBLE:
         sums = _window_sums(sums, m)
-    return _readout(variant, sums, m, series.tau0)
+    terms = _terms(variant, sums, m)
+    terms *= terms
+    return _readout(variant, terms, m, series.tau0)
 
 
 def ffi0(series: TimeSeriesY) -> float:
@@ -203,8 +218,102 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return y
 
 
-def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], float]:
-    """Point values for increasing powers of two m, from one array carried across the octaves.
+#: Octave curves of series at least this long split each octave's array passes between two threads.
+#: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took
+#: 1.4-1.5 times as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16
+#: and 0.67-0.69 times at 2**20.
+_SPLIT_FROM = 3 * 2**16
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+class _Helper:
+    """A second thread for one curve: it runs one task at a time in a copy of its maker's context.
+
+    numpy's error state is context-local, so the helper's ufuncs raise,
+    warn or ignore as its maker's do.  Two locks hand each task over and
+    back, each held while its side has nothing to take; the slots they
+    guard are touched by one thread at a time.  The helper holds no task
+    once the task is done.  Leaving the ``with`` block stops the thread
+    and joins it.
+    """
+
+    def __init__(self):
+        self._task: Optional[Callable[[], object]] = None
+        self._outcome: tuple[object, Optional[BaseException]] = (None, None)
+        self._posted, self._done = threading.Lock(), threading.Lock()
+        self._posted.acquire()
+        self._done.acquire()
+        run = contextvars.copy_context().run
+        self._thread = threading.Thread(target=run, args=(self._serve,), name="combsync-octave-helper", daemon=True)
+
+    def __enter__(self) -> "_Helper":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.start(None)
+        self._thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            task, self._task = self._task, None
+            if task is None:
+                return
+            try:
+                self._outcome = (task(), None)
+            except BaseException as exc:  # handed over: the maker raises it (_in_halves)
+                self._outcome = (None, exc)
+            task = None
+            self._done.release()
+
+    def start(self, task: Optional[Callable[[], object]]) -> None:
+        """Hand task to the helper; None stops it."""
+        self._task = task
+        self._posted.release()
+
+    def wait(self) -> tuple[object, Optional[BaseException]]:
+        """(result, None) of the started task, or (None, the exception it raised)."""
+        self._done.acquire()
+        outcome, self._outcome = self._outcome, (None, None)
+        return outcome
+
+
+def _bounds(size: int, grain: int, half: Optional[int]) -> tuple[int, int]:
+    """The indices [lo, hi) of [0, size) in half 0 (lower) or 1 (upper), split at a multiple of grain; None for all."""
+    if half is None:
+        return 0, size
+    mid = size // 2 // grain * grain
+    return (0, mid) if half == 0 else (mid, size)
+
+
+def _in_halves(helper: Optional[_Helper], region: Callable[[Optional[int]], object]) -> tuple:
+    """The results of region(None) here without a helper; with one, of region(0) here and region(1) on the helper.
+
+    The upper half is over whenever this thread leaves, and the lower
+    half's exception is raised before the upper half's, as in one pass.
+    """
+    if helper is None:
+        return (region(None),)
+    helper.start(partial(region, 1))
+    try:
+        lower = region(0)
+    finally:
+        upper, exc = helper.wait()
+    if exc is not None:
+        raise exc
+    return lower, upper
+
+
+def _octave_sweep(
+    series: TimeSeriesY, variant: Variant, ms: Sequence[int], helper: Optional[_Helper]
+) -> Callable[[int], float]:
+    """Point values for the increasing powers of two ms, from one array carried across the octaves.
 
     FFI0 and FFI1 carry the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
     and read w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
@@ -214,27 +323,71 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant) -> Callable[[int], floa
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums, which start as y or as its exact shift (``_shifted_exactly``).
+
+    With a helper thread, each elementwise pass is split at its half
+    index: this thread takes the lower half and the helper the upper.  The
+    readout at m and the step towards the next m both only read the carried
+    sums, so they share one handoff, and the readout's squares go to a third
+    array of its own.  Each element is computed as in one pass, and one
+    ``np.sum`` reads the whole array here, so every value is bit for bit the
+    serial one.  The error of a step taken early is raised where the serial
+    sweep takes it, after the readout at m.
     """
     y = series.samples
     double = variant in _DOUBLE
+    shift = 2 if double else 1  # each step shortens the carried sums by shift * k
     spare, busy = np.empty(y.size), np.empty(y.size)
+    own = None if helper is None else np.empty(y.size)  # the readouts' array when they share a handoff
     carried, carried_m = _shifted_exactly(y, busy), 1
+    following = dict(zip(ms, ms[1:]))
+    deferred: Optional[Exception] = None
+
+    def step(half: Optional[int]) -> None:
+        """The step from the carried sums at k to those at 2k, into spare: one half of it, or all for None."""
+        k = carried_m
+        lo, hi = _bounds(carried.size - shift * k, 1, half)
+        z = spare[lo:hi]
+        if double:
+            np.multiply(carried[k + lo : k + hi], 2.0, out=z)
+            z += carried[lo:hi]
+            z += carried[2 * k + lo : 2 * k + hi]
+        else:
+            np.add(carried[lo:hi], carried[k + lo : k + hi], out=z)
+
+    def advance() -> None:
+        nonlocal carried, carried_m, spare, busy
+        carried, carried_m = spare[: carried.size - shift * carried_m], 2 * carried_m
+        spare, busy = busy, spare
 
     def value(m: int) -> float:
-        nonlocal carried, carried_m, spare, busy
+        nonlocal deferred
         _check_length(variant, m, y.size)
+        if deferred is not None:
+            raise deferred
         while carried_m < m:
-            k = carried_m
-            if double:
-                z = np.multiply(carried[k:-k], 2.0, out=spare[: carried.size - 2 * k])
-                z += carried[: -2 * k]
-                z += carried[2 * k :]
-            else:
-                z = np.add(carried[:-k], carried[k:], out=spare[: carried.size - k])
-            carried, carried_m = z, 2 * k
-            spare, busy = busy, spare
-        sums = np.subtract(carried[m:], carried[:-m], out=spare[: carried.size - m])
-        return _readout(variant, sums, m, series.tau0)
+            _in_halves(helper, step)
+            advance()
+        size = carried.size - m
+        nxt = following.get(m)
+        early = own is not None and nxt is not None and _min_length(variant, nxt) <= y.size
+        squares = spare if own is None else own
+
+        def readout(half: Optional[int]) -> Optional[Exception]:
+            lo, hi = _bounds(size, m if variant is Variant.FFI0 else 1, half)
+            terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=squares[lo:hi]), m)
+            terms *= terms
+            if early:
+                try:
+                    step(half)
+                except Exception as exc:  # raised at the next point, where the serial sweep steps
+                    return exc
+            return None
+
+        deferred = next((exc for exc in _in_halves(helper, readout) if exc is not None), None)
+        point = _readout(variant, _terms(variant, squares[:size], m), m, series.tau0)
+        if early:
+            advance()
+        return point
 
     return value
 
@@ -243,7 +396,9 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     """Evaluate one statistic over several averaging factors.
 
     A curve whose averaging factors are all powers of two is swept octave
-    by octave; any other set of m evaluates each point on its own.
+    by octave, on two threads for a series of at least ``_SPLIT_FROM``
+    samples where the process may run on two CPUs; the helper thread ends
+    with the call.  Any other set of m evaluates each point on its own.
     Each averaging factor passes the count rule of ``errors`` from 1, an
     integer (not a bool or an integral float) below 2**53, or raises
     InvalidArgument.  Averaging factors the series is too short for are
@@ -255,20 +410,23 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
     ms = sorted({_count("m", m, 1) for m in m_values})
-    if all(m & (m - 1) == 0 for m in ms):
-        point_value = _octave_sweep(series, variant)
-    else:
-        point_value = lambda m: _windowed(series, m, variant)
-    points = []
-    warnings = []
-    for m in ms:
-        tau = _in_float_range("tau", m * series.tau0)
-        try:
-            value = point_value(m)
-        except InsufficientData as exc:
-            warnings.append(f"m={m}: {exc}")
-            continue
-        points.append(StabilityPoint(tau=tau, value=value, m=m, variant=variant))
+    octaves = all(m & (m - 1) == 0 for m in ms)
+    paired = octaves and series.samples.size >= _SPLIT_FROM and _cpus() >= 2
+    with _Helper() if paired else nullcontext() as helper:
+        if octaves:
+            point_value = _octave_sweep(series, variant, ms, helper)
+        else:
+            point_value = lambda m: _windowed(series, m, variant)
+        points = []
+        warnings = []
+        for m in ms:
+            tau = _in_float_range("tau", m * series.tau0)
+            try:
+                value = point_value(m)
+            except InsufficientData as exc:
+                warnings.append(f"m={m}: {exc}")
+                continue
+            points.append(StabilityPoint(tau=tau, value=value, m=m, variant=variant))
     return StabilityCurve(points=tuple(points), warnings=tuple(warnings))
 
 

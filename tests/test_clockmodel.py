@@ -172,8 +172,9 @@ class TestCombParams:
         with pytest.raises(InvalidArgument):
             comb_100mhz(f_0=100e6)
 
-    # Each bound passes the count rule (tests/test_errors.py's COUNTS); these are the pair rule's cases.
-    @pytest.mark.parametrize("n_range", [(5, 4), (1, 2, 3), (1,)])
+    # Each bound passes the count rule (tests/test_errors.py's COUNTS); these are the pair rule's cases,
+    # a value that is no sequence at all among them.
+    @pytest.mark.parametrize("n_range", [(5, 4), (1, 2, 3), (1,), 5, None, 1.5])
     def test_rejects_bad_n_range(self, n_range):
         with pytest.raises(InvalidArgument) as info:
             CombParams(f_r=100e6, f_0=0.0, t_0=1e-13, n_range=n_range)

@@ -112,6 +112,7 @@ ARGUMENTS = [
     ("assumed_delay", _finite, lambda v: one_way_offset(ExchangeRecord(0.0, 1.0, 1.0, 2.0), v)),
     ("interval", _positive, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, interval=v)),
     ("true_offset", _finite, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, true_offset=v)),
+    ("f_0", _non_negative, lambda v: CombParams(**{**COMB, "f_0": v})),
 ]
 
 #: (argument name, minimum, bits, call with the count set to a value)

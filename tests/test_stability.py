@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from combsync import stability
 from combsync.errors import DegenerateInput, InsufficientData, InvalidArgument
 from combsync.noisegen import NoiseKind, NoiseSpec, generate_noise
 from combsync.series import TimeSeriesX, TimeSeriesY
@@ -408,6 +412,143 @@ class TestOctaveSweepAccuracy:
             for p in curve.points:
                 ref = oracles.exact_ffi0(series.samples, p.m)
                 assert float(abs(Fraction(p.value) - ref) / ref) <= 4 * eps, (m_values, p.m)
+
+
+class TestPairedSweep:
+    """Long octave curves split each octave's array passes between this thread and a helper.
+
+    Every test forces two CPUs (or one) through ``os.sched_getaffinity``
+    and counts the helpers made; the stress test gives each join a timeout.
+    """
+
+    SPLIT = stability._SPLIT_FROM
+
+    @staticmethod
+    def cpus(mp, count):
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @staticmethod
+    def count_helpers(mp):
+        made = []
+
+        class Counted(stability._Helper):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        mp.setattr(stability, "_Helper", Counted)
+        return made
+
+    @classmethod
+    def serial(cls, series, m_values, variant):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_SPLIT_FROM", math.inf)
+            made = cls.count_helpers(mp)
+            curve = stability_curve(series, m_values, variant)
+        assert made == []
+        return curve
+
+    @given(
+        st.sampled_from([8, SPLIT]).flatmap(lambda split: st.tuples(st.just(split), st.integers(split // 2, 2 * split))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3]),
+        st.sets(st.sampled_from([2**j for j in range(20)]), min_size=1),
+        st.sampled_from(list(Variant)),
+    )
+    @settings(max_examples=30)
+    @example((SPLIT, SPLIT), 0, 0.0, {2**j for j in range(20)}, Variant.FFI2)
+    @example((SPLIT, SPLIT - 1), 0, 0.0, {2**j for j in range(20)}, Variant.FFI1)
+    @example((8, 8), 0, 0.0, {1, 2, 4}, Variant.FFI0)
+    def test_paired_equals_serial_bit_for_bit(self, split_and_length, seed, mean, m_values, variant):
+        # The real threshold and a lowered one, on series either side of it; a mean of 1e3 sigma is swept
+        # shifted, and an m of 2**18 or 2**19 is too long for every series here and skipped.
+        split, length = split_and_length
+        series = TimeSeriesY(0.25, np.random.default_rng(seed).normal(mean, 1.0, length))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_SPLIT_FROM", split)
+            self.cpus(mp, 2)
+            made = self.count_helpers(mp)
+            paired = stability_curve(series, m_values, variant)
+        assert len(made) == (length >= split)
+        assert repr(paired) == repr(self.serial(series, m_values, variant))  # repr keeps every bit, -0.0 too
+
+    def test_many_curves_at_once_each_equal_serial(self, monkeypatch):
+        # More curve threads than cores, each with its own helper, switching as often as the interpreter allows.
+        monkeypatch.setattr(stability, "_SPLIT_FROM", 256)
+        self.cpus(monkeypatch, 2)
+        variants = list(Variant)
+        jobs = [(TimeSeriesY(1.0, np.random.default_rng(i).normal(0.0, 1.0, 4096 + 37 * i)), variants[i % 4])
+                for i in range(2 * (os.cpu_count() or 1) + 2)]
+        m_values = [2**j for j in range(12)]
+        expected = [self.serial(series, m_values, variant) for series, variant in jobs]
+        results = [None] * len(jobs)
+
+        def run(i):
+            series, variant = jobs[i]
+            results[i] = [stability_curve(series, m_values, variant) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert got is not None and all(repr(curve) == repr(want) for curve in got)
+
+    def test_overflow_in_the_helpers_half_raises_here(self, monkeypatch):
+        # Only the upper half of the series is loud, so only the helper's squares overflow.
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        half = self.SPLIT // 2
+        series = TimeSeriesY(1.0, np.concatenate([np.zeros(half), np.tile([1e200, -1e200], half // 2)]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            stability_curve(series, [1, 2], Variant.FFI1)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("tau0,error", [(5e307, "tau left the float range"), (1.0, "overflow encountered")])
+    def test_a_step_taken_early_raises_where_the_serial_sweep_steps(self, monkeypatch, tau0, error):
+        # Every Y_2 is 9e307, so the readout at m = 2 reads zeros, while the step to m = 4, taken with that
+        # readout, overflows.  With tau0 = 5e307 the tau at m = 4 leaves the float range before that step.
+        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        y = np.empty(64)
+        y[0::2], y[1::2] = np.arange(32.0), 9e307
+        for variant in (Variant.FFI0, Variant.FFI1):
+            for sweep in (stability_curve, self.serial):
+                with np.errstate(over="raise"), pytest.raises(ArithmeticError, match=error):
+                    sweep(TimeSeriesY(tau0, y), [2, 4], variant)
+        assert len(made) == 2
+
+    @pytest.mark.parametrize("loud", [False, True], ids=["returned", "raised"])
+    def test_no_thread_outlives_a_curve(self, monkeypatch, loud):
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        samples = np.tile([1e200, -1e200], self.SPLIT // 2) if loud else np.ones(self.SPLIT)
+        before = threading.active_count()
+        for variant in Variant:
+            try:
+                with np.errstate(over="raise"):
+                    stability_curve(TimeSeriesY(1.0, samples), [1, 2, 4], variant)
+            except FloatingPointError:
+                assert loud
+            else:
+                assert not loud
+            assert threading.active_count() == before
+        assert len(made) == len(Variant) and not any(helper._thread.is_alive() for helper in made)
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        made = self.count_helpers(monkeypatch)
+        series = random_series(5, length=self.SPLIT)
+        curve = stability_curve(series, [1, 2, 4, 8], Variant.FFI2)
+        assert made == [] and repr(curve) == repr(self.serial(series, [1, 2, 4, 8], Variant.FFI2))
 
 
 class TestFitSlope:
