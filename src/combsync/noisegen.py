@@ -39,7 +39,9 @@ for both rows, each row bit for bit what a call of its own gives.  The
 work set keeps about ``24 L`` bytes alive (24 MiB at 2**18 samples, 6 MiB
 at 2**16), and its buffer grows to ``2 * total`` floats, at most about
 ``L/3`` more, once the two rows of ``total`` draws exceed ``L``.  It stays
-until a flicker series of another FFT size replaces it, and a lock makes
+until a flicker series of another FFT size, ``_KEPT_FROM`` (1024) or
+more, replaces it; a smaller one, such as the few draws of one exchange,
+runs in a work set of its own that goes with the call.  A lock makes
 concurrent syntheses take turns.  With no draw or spectrum array
 allocated per call, the peak resident memory falls although more stays
 resident.  Random-walk FM has every tap equal to 1, so its filter is the
@@ -142,14 +144,17 @@ def _shaped_gaussian(rng, exponent: int, coefficient: float, count: int, tau0: f
     array of their own.  Exponent -2 is the running sum of the draws,
     summed in blocks of about ``sqrt(count)``; the flicker exponent runs
     an FFT of the smallest power of two at or above ``3 * count - 1`` in
-    the buffers of ``_flicker_work_set``.
+    the buffers of ``_flicker_work_set``, or of a work set of its own
+    below ``_KEPT_FROM``.
     """
     # Discrete innovation variance for a 1 Hz PSD coefficient at sample
     # period tau0: S(f) = 2 * qd * (2*pi)**b * tau0**(b+1) * f**b.
     qd = _in_float_range("innovation variance", coefficient / (2.0 * _TWO_PI**exponent * tau0 ** (exponent + 1)))
     total = 2 * count
     if exponent == -1:
-        return _flicker_work_set(_flicker_fft_size(total)).synthesize(rng, math.sqrt(qd), total)
+        size = _flicker_fft_size(total)
+        work_set = _flicker_work_set(size) if size >= _KEPT_FROM else _FlickerWorkSet(size)
+        return work_set.synthesize(rng, math.sqrt(qd), total)
     white = rng.standard_normal(total)
     if exponent == 0:
         return white[count:] * math.sqrt(qd)
@@ -219,6 +224,11 @@ class _FlickerWorkSet:
             self.spectrum *= self.response
             np.fft.irfft(self.spectrum, self.size, out=self.signal[: self.size])
             return self.signal[total // 2 : total].copy()
+
+
+#: FFT sizes below this synthesize in a work set of their own, so the few draws of one exchange keep
+#: the resident work set of a campaign's long series.
+_KEPT_FROM = 2**10
 
 
 @functools.lru_cache(maxsize=1)

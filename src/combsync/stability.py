@@ -29,8 +29,7 @@ may run on two CPUs) splits each octave's elementwise passes between
 the calling thread and one helper thread; numpy's loops release the
 interpreter lock, so both halves run at once.  Each sum stays one call
 on the calling thread, so every value is bit for bit the serial one.
-The helper starts and ends within one ``stability_curve`` call, and a
-third work array holds the readouts.
+The helper starts and ends within one ``stability_curve`` call.
 
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
@@ -49,7 +48,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -221,7 +220,8 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
 #: Octave curves of series at least this long split each octave's array passes between two threads.
 #: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took
 #: 1.4-1.5 times as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16
-#: and 0.67-0.69 times at 2**20.
+#: and 0.67-0.69 times at 2**20.  With one handoff per step and per readout: 0.81-0.95 times at 3 * 2**16
+#: and 0.83-0.94 times at 2**18, while a second CPU was free to run the helper.
 _SPLIT_FROM = 3 * 2**16
 
 
@@ -243,8 +243,8 @@ class _Helper:
     """
 
     def __init__(self):
-        self._task: Optional[Callable[[], object]] = None
-        self._outcome: tuple[object, Optional[BaseException]] = (None, None)
+        self._task: Optional[Callable[[], None]] = None
+        self._error: Optional[BaseException] = None
         self._posted, self._done = threading.Lock(), threading.Lock()
         self._posted.acquire()
         self._done.acquire()
@@ -266,22 +266,22 @@ class _Helper:
             if task is None:
                 return
             try:
-                self._outcome = (task(), None)
+                task()
             except BaseException as exc:  # handed over: the maker raises it (_in_halves)
-                self._outcome = (None, exc)
+                self._error = exc
             task = None
             self._done.release()
 
-    def start(self, task: Optional[Callable[[], object]]) -> None:
+    def start(self, task: Optional[Callable[[], None]]) -> None:
         """Hand task to the helper; None stops it."""
         self._task = task
         self._posted.release()
 
-    def wait(self) -> tuple[object, Optional[BaseException]]:
-        """(result, None) of the started task, or (None, the exception it raised)."""
+    def wait(self) -> Optional[BaseException]:
+        """The exception the started task raised, or None once it returned."""
         self._done.acquire()
-        outcome, self._outcome = self._outcome, (None, None)
-        return outcome
+        error, self._error = self._error, None
+        return error
 
 
 def _bounds(size: int, grain: int, half: Optional[int]) -> tuple[int, int]:
@@ -292,28 +292,25 @@ def _bounds(size: int, grain: int, half: Optional[int]) -> tuple[int, int]:
     return (0, mid) if half == 0 else (mid, size)
 
 
-def _in_halves(helper: Optional[_Helper], region: Callable[[Optional[int]], object]) -> tuple:
-    """The results of region(None) here without a helper; with one, of region(0) here and region(1) on the helper.
+def _in_halves(helper: Optional[_Helper], region: Callable[[Optional[int]], None]) -> None:
+    """Run region(None) here without a helper; with one, region(0) here and region(1) on the helper.
 
     The upper half is over whenever this thread leaves, and the lower
     half's exception is raised before the upper half's, as in one pass.
     """
     if helper is None:
-        return (region(None),)
+        return region(None)
     helper.start(partial(region, 1))
     try:
-        lower = region(0)
+        region(0)
     finally:
-        upper, exc = helper.wait()
+        exc = helper.wait()
     if exc is not None:
         raise exc
-    return lower, upper
 
 
-def _octave_sweep(
-    series: TimeSeriesY, variant: Variant, ms: Sequence[int], helper: Optional[_Helper]
-) -> Callable[[int], float]:
-    """Point values for the increasing powers of two ms, from one array carried across the octaves.
+def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helper]) -> Callable[[int], float]:
+    """Point values for increasing powers of two m, from one array carried across the octaves.
 
     FFI0 and FFI1 carry the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
     and read w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
@@ -324,23 +321,16 @@ def _octave_sweep(
     each octave step and each readout writes into the one not holding the
     carried sums, which start as y or as its exact shift (``_shifted_exactly``).
 
-    With a helper thread, each elementwise pass is split at its half
-    index: this thread takes the lower half and the helper the upper.  The
-    readout at m and the step towards the next m both only read the carried
-    sums, so they share one handoff, and the readout's squares go to a third
-    array of its own.  Each element is computed as in one pass, and one
-    ``np.sum`` reads the whole array here, so every value is bit for bit the
-    serial one.  The error of a step taken early is raised where the serial
-    sweep takes it, after the readout at m.
+    With a helper thread, each step and each readout is split at its half
+    index: this thread takes the lower half and the helper the upper.  Each
+    element is computed as in one pass, and one ``np.sum`` reads the whole
+    array here, so every value is bit for bit the serial one.
     """
     y = series.samples
     double = variant in _DOUBLE
     shift = 2 if double else 1  # each step shortens the carried sums by shift * k
     spare, busy = np.empty(y.size), np.empty(y.size)
-    own = None if helper is None else np.empty(y.size)  # the readouts' array when they share a handoff
     carried, carried_m = _shifted_exactly(y, busy), 1
-    following = dict(zip(ms, ms[1:]))
-    deferred: Optional[Exception] = None
 
     def step(half: Optional[int]) -> None:
         """The step from the carried sums at k to those at 2k, into spare: one half of it, or all for None."""
@@ -354,40 +344,23 @@ def _octave_sweep(
         else:
             np.add(carried[lo:hi], carried[k + lo : k + hi], out=z)
 
-    def advance() -> None:
-        nonlocal carried, carried_m, spare, busy
-        carried, carried_m = spare[: carried.size - shift * carried_m], 2 * carried_m
-        spare, busy = busy, spare
-
     def value(m: int) -> float:
-        nonlocal deferred
+        nonlocal carried, carried_m, spare, busy
         _check_length(variant, m, y.size)
-        if deferred is not None:
-            raise deferred
         while carried_m < m:
             _in_halves(helper, step)
-            advance()
+            carried, carried_m = spare[: carried.size - shift * carried_m], 2 * carried_m
+            spare, busy = busy, spare
         size = carried.size - m
-        nxt = following.get(m)
-        early = own is not None and nxt is not None and _min_length(variant, nxt) <= y.size
-        squares = spare if own is None else own
 
-        def readout(half: Optional[int]) -> Optional[Exception]:
+        def readout(half: Optional[int]) -> None:
+            """The squares of the terms at m, into spare: one half of them, or all for None."""
             lo, hi = _bounds(size, m if variant is Variant.FFI0 else 1, half)
-            terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=squares[lo:hi]), m)
+            terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=spare[lo:hi]), m)
             terms *= terms
-            if early:
-                try:
-                    step(half)
-                except Exception as exc:  # raised at the next point, where the serial sweep steps
-                    return exc
-            return None
 
-        deferred = next((exc for exc in _in_halves(helper, readout) if exc is not None), None)
-        point = _readout(variant, _terms(variant, squares[:size], m), m, series.tau0)
-        if early:
-            advance()
-        return point
+        _in_halves(helper, readout)
+        return _readout(variant, _terms(variant, spare[:size], m), m, series.tau0)
 
     return value
 
@@ -414,7 +387,7 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     paired = octaves and series.samples.size >= _SPLIT_FROM and _cpus() >= 2
     with _Helper() if paired else nullcontext() as helper:
         if octaves:
-            point_value = _octave_sweep(series, variant, ms, helper)
+            point_value = _octave_sweep(series, variant, helper)
         else:
             point_value = lambda m: _windowed(series, m, variant)
         points = []

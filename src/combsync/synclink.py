@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clockmodel import ClockModel, ramp_phase, sample_clock
-from .errors import InvalidArgument, _count, _finite, _non_negative, _positive, _store, _unit_interval
+from .errors import InvalidArgument, _count, _finite, _in_float_range, _non_negative, _positive, _store, _unit_interval
 from .quantum import EstimatorModel, _mean, _mean_and_deviation, lossy_sigma, model_sigma, required_squeezing
 from .seeding import check_seed, derive_seed
 from .series import TimeSeriesX
@@ -168,13 +168,20 @@ def simulate_exchange(
 
     Each clock's timestamps carry its own phase error at t = 1 s (one
     noise draw per clock, constant over the sub-second exchange); the
-    timestamps carry no other noise.
+    timestamps carry no other noise.  A timestamp past the float range
+    raises OverflowError, whether or not its clock has noise.
     """
     true_offset = _finite("true_offset", true_offset)
     seed = check_seed(seed)
     xa = _clock_phase(clock_a, seed, 1)
     xb = _clock_phase(clock_b, seed, 2)
-    return ExchangeRecord(*_timestamps(xa, xb, *link.effective_delays(), true_offset))
+    stamps = _timestamps(xa, xb, *link.effective_delays(), true_offset)
+    try:
+        return ExchangeRecord(*stamps)
+    except InvalidArgument:  # the inputs are finite, so a timestamp that is not left the float range
+        for name, t in zip(ExchangeRecord._fields, stamps):
+            _in_float_range(f"timestamp {name}", t)
+        raise
 
 
 def two_way_offset(record: ExchangeRecord) -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -542,6 +543,24 @@ class TestPairedSweep:
                 assert not loud
             assert threading.active_count() == before
         assert len(made) == len(Variant) and not any(helper._thread.is_alive() for helper in made)
+
+    @pytest.mark.parametrize("mean", [0.0, 1e3], ids=["carried-in-place", "shifted"])
+    def test_a_paired_curve_allocates_two_arrays_of_the_series_length(self, monkeypatch, mean):
+        # The readouts write their squares into the spare work array, as the serial sweep does.
+        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        size = 2**16
+        series = TimeSeriesY(1.0, np.random.default_rng(7).normal(mean, 1.0, size))
+        for variant in (Variant.FFI1, Variant.FFI2):
+            tracemalloc.start()
+            try:
+                stability_curve(series, octave_m_values(size, variant), variant)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.2 * series.samples.nbytes
+        assert len(made) == 2
 
     def test_one_cpu_stays_serial(self, monkeypatch):
         self.cpus(monkeypatch, 1)

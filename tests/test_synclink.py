@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combsync import synclink
+from combsync import noisegen, synclink
 from combsync.clockmodel import ClockModel, sample_clock
 from combsync.config import load_config
 from combsync.errors import InvalidArgument
@@ -495,6 +495,32 @@ class TestExchangeArguments:
         monkeypatch.setattr(synclink, "sample_clock", forbidden)
         rec = simulate_exchange(RAMP, SILENT, DRY, 1e-6)
         assert all(type(v) is float for v in (rec.t1, rec.t2, rec.t3, rec.t4))
+
+    @pytest.mark.parametrize("noise", [(), (NoiseSpec(NoiseKind.WHITE_FM, 1e-24, seed=1),)],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_a_ramp_past_the_float_range_overflows(self, noise, side):
+        # The ramp at t = 1 s is 1.7e308 + 0.5e308; a noisy clock's path check and a noiseless clock's
+        # timestamps both report it as the float-range OverflowError.
+        clock = ClockModel(nu0=1e14, frac_freq_offset=1.7e308, drift=1e308, noise=noise)
+        clocks = (clock, quiet_clock()) if side == "a" else (quiet_clock(), clock)
+        with pytest.raises(OverflowError, match=r"left the float range: inf$"):
+            simulate_exchange(*clocks, DRY, 0.0, seed=3)
+
+    def test_an_exchange_keeps_a_campaigns_flicker_work_set(self):
+        # One exchange filters a few flicker draws in a work set of its own, so the campaign after it
+        # transforms only its draws, and gets what it got before.
+        clock = ClockModel(nu0=1.94e14, noise=(NoiseSpec(NoiseKind.WHITE_PM, 3e-24, seed=1),
+                                               NoiseSpec(NoiseKind.FLICKER_FM, 2e-27, seed=2)))
+        campaign = SyncCampaign(clock, clock, DRY, true_offset=4e-4, estimator=tm_estimator())
+        noisegen._flicker_work_set.cache_clear()
+        first = run_sync_campaign(campaign, 2**12, seed=5)
+        simulate_exchange(clock, clock, DRY, 4e-4, seed=6)
+        second = run_sync_campaign(campaign, 2**12, seed=5)
+        assert noisegen._flicker_work_set.cache_info().misses == 1
+        assert np.array_equal(second.estimates, first.estimates) and np.array_equal(second.residuals, first.residuals)
+        assert repr(second.tdev_curve) == repr(first.tdev_curve)
+        assert (second.mean_offset, second.sigma_delta_t) == (first.mean_offset, first.sigma_delta_t)
 
 class TestExchangeTiming:
     def test_noiseless_phase_is_the_ramp_at_one_second(self):
