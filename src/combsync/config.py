@@ -224,7 +224,8 @@ def _schema(cls) -> tuple[tuple, frozenset]:
 def _mapping(node: Any, keys: Container[str], path: str) -> dict:
     """node as a mapping that holds only the given keys."""
     if not isinstance(node, dict):
-        raise ConfigError(f"'{path}' must be a mapping, got {type(node).__name__}")
+        name = f"'{path}'" if path else "the config"
+        raise ConfigError(f"{name} must be a mapping, got {type(node).__name__}")
     for key in node:
         if key not in keys:
             raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
@@ -300,7 +301,8 @@ def load_config(path: str, command: Optional[str] = None, seed_override: Optiona
     """Parse and validate a config file.
 
     ``command`` (from the CLI) must agree with the file's command field
-    when both are given.  A seed override takes precedence over the file.
+    when both are given.  A seed override takes precedence over the file's
+    seed, which must still be valid.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -324,14 +326,13 @@ def load_config(path: str, command: Optional[str] = None, seed_override: Optiona
         extra = next(b for b in blocks if b != resolved_command)
         raise ConfigError(f"unexpected parameter block '{_block_key(extra)}' for command '{resolved_command}'")
 
-    seed = seed_override
-    if seed is None and "seed" in root:
-        seed = _convert(int, root["seed"], "seed")
-    if seed is not None:
-        try:
-            seed = check_seed(seed)
-        except CombsyncError as exc:
-            raise ConfigError(f"invalid 'seed': {exc}") from None
+    seed = _convert(int, root["seed"], "seed") if "seed" in root else None
+    for value in (seed, seed_override):
+        if value is not None:
+            try:
+                seed = check_seed(value)
+            except CombsyncError as exc:
+                raise ConfigError(f"invalid 'seed': {exc}") from None
     if seed is None and resolved_command in STOCHASTIC_COMMANDS:
         raise ConfigError(f"command '{resolved_command}' is stochastic and requires a seed")
 

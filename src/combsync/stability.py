@@ -20,9 +20,10 @@ m a power of two) is swept instead: one array of window sums is carried
 from m to 2m by adding two (ffi0, ffi1) or three (ffi2, tdev) shifted
 copies of itself, so no long running sum is formed at all; the sums of
 every octave and their readouts go into two work arrays of the series'
-length, allocated once per curve.  These are the octave-spaced
-estimators of Riley, Handbook of Frequency Stability Analysis, NIST SP
-1065 (2008).  The literal nested sums remain the test oracle.
+length, allocated once per curve that has an m the series can hold.
+These are the octave-spaced estimators of Riley, Handbook of Frequency
+Stability Analysis, NIST SP 1065 (2008).  The literal nested sums remain
+the test oracle.
 
 A long octave curve (``_SPLIT_FROM`` samples or more, on a process that
 may run on two CPUs) splits each octave's elementwise passes between
@@ -103,6 +104,8 @@ class StabilityCurve:
 
 def y_from_x(series: TimeSeriesX) -> TimeSeriesY:
     """First difference of phase deviations: ybar_k = (xbar_{k+1} - xbar_k)/tau0."""
+    if not isinstance(series, TimeSeriesX):
+        raise InvalidArgument(f"y_from_x needs a TimeSeriesX, got {type(series).__name__}")
     x = series.samples
     if x.size < 2:
         raise InvalidArgument(f"y_from_x needs at least 2 samples, got {x.size}")
@@ -129,12 +132,10 @@ def _min_length(variant: Variant, m: int) -> int:
     return 3 * m - 1 if variant in _DOUBLE else 2 * m
 
 
-def _check_length(variant: Variant, m: int, size: int) -> None:
-    """Raise InsufficientData for too few samples; a TDEV point is reported as the FFI2 it reads."""
-    need = _min_length(variant, m)
-    if size < need:
-        name = "ffi2" if variant in _DOUBLE else variant.value
-        raise InsufficientData(f"{name} with m={m} needs at least {need} samples, got {size}")
+def _too_short(variant: Variant, m: int, size: int) -> str:
+    """Why size samples hold no point at m; a TDEV point is reported as the FFI2 it reads."""
+    name = "ffi2" if variant in _DOUBLE else variant.value
+    return f"{name} with m={m} needs at least {_min_length(variant, m)} samples, got {size}"
 
 
 def _terms(variant: Variant, sums: np.ndarray, m: int) -> np.ndarray:
@@ -153,7 +154,7 @@ def _readout(variant: Variant, squares: np.ndarray, m: int, tau0: float) -> floa
     The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2, TDEV);
     TDEV's is then converted to seconds at tau = m * tau0.  A deviation
     past the float range raises OverflowError named for its statistic,
-    ffi2 for a TDEV's, as ``_check_length`` names it.
+    ffi2 for a TDEV's, as ``_too_short`` names it.
     """
     if variant not in _DOUBLE:
         return _in_float_range(variant.value, _deviation(squares, m * m))
@@ -163,9 +164,12 @@ def _readout(variant: Variant, squares: np.ndarray, m: int, tau0: float) -> floa
 
 def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
     """The value at averaging factor m: window sums of y[k+m] - y[k], taken twice for FFI2 and TDEV."""
+    if not isinstance(series, TimeSeriesY):
+        raise InvalidArgument(f"{variant.value} needs a TimeSeriesY, got {type(series).__name__}")
     m = _count("m", m, 1)
     y = series.samples
-    _check_length(variant, m, y.size)
+    if y.size < _min_length(variant, m):
+        raise InsufficientData(_too_short(variant, m, y.size))
     sums = _window_sums(y[m:] - y[:-m], m)
     if variant in _DOUBLE:
         sums = _window_sums(sums, m)
@@ -210,7 +214,7 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     under a shift, but the octave sums of y would carry its mean and their
     readouts keep its rounding.  Zero-mean noise is never shifted.
     """
-    c = float(y[0]) if y.size else 0.0
+    c = float(y[0])
     lo, hi = sorted((c / 2.0, 2.0 * c))
     if c != 0.0 and math.isfinite(c) and lo <= y.min() and y.max() <= hi:
         return np.subtract(y, c, out=out)
@@ -284,25 +288,19 @@ class _Helper:
         return error
 
 
-def _bounds(size: int, grain: int, half: Optional[int]) -> tuple[int, int]:
-    """The indices [lo, hi) of [0, size) in half 0 (lower) or 1 (upper), split at a multiple of grain; None for all."""
-    if half is None:
-        return 0, size
-    mid = size // 2 // grain * grain
-    return (0, mid) if half == 0 else (mid, size)
+def _in_halves(helper: Optional[_Helper], size: int, grain: int, region: Callable[[int, int], None]) -> None:
+    """Run region(lo, hi) over [0, size): all here without a helper, else split at a multiple of grain.
 
-
-def _in_halves(helper: Optional[_Helper], region: Callable[[Optional[int]], None]) -> None:
-    """Run region(None) here without a helper; with one, region(0) here and region(1) on the helper.
-
-    The upper half is over whenever this thread leaves, and the lower
-    half's exception is raised before the upper half's, as in one pass.
+    This thread takes the lower half and the helper the upper.  The upper
+    half is over whenever this thread leaves, and the lower half's
+    exception is raised before the upper half's, as in one pass.
     """
     if helper is None:
-        return region(None)
-    helper.start(partial(region, 1))
+        return region(0, size)
+    mid = size // 2 // grain * grain
+    helper.start(partial(region, mid, size))
     try:
-        region(0)
+        region(0, mid)
     finally:
         exc = helper.wait()
     if exc is not None:
@@ -316,15 +314,15 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helpe
     and read w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
     double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
     read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ``_windowed``
-    builds from cumulative sums, so both paths share ``_check_length`` and ``_readout``.
+    builds from cumulative sums, so both paths share ``_readout``; each m must fit the series.
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums, which start as y or as its exact shift (``_shifted_exactly``).
 
-    With a helper thread, each step and each readout is split at its half
-    index: this thread takes the lower half and the helper the upper.  Each
-    element is computed as in one pass, and one ``np.sum`` reads the whole
-    array here, so every value is bit for bit the serial one.
+    With a helper thread, ``_in_halves`` splits each step and each readout
+    at its half index.  Each element is computed as in one pass, and one
+    ``np.sum`` reads the whole array here, so every value is bit for bit
+    the serial one.
     """
     y = series.samples
     double = variant in _DOUBLE
@@ -332,10 +330,9 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helpe
     spare, busy = np.empty(y.size), np.empty(y.size)
     carried, carried_m = _shifted_exactly(y, busy), 1
 
-    def step(half: Optional[int]) -> None:
-        """The step from the carried sums at k to those at 2k, into spare: one half of it, or all for None."""
+    def step(lo: int, hi: int) -> None:
+        """Entries [lo, hi) of the step from the carried sums at k to those at 2k, into spare."""
         k = carried_m
-        lo, hi = _bounds(carried.size - shift * k, 1, half)
         z = spare[lo:hi]
         if double:
             np.multiply(carried[k + lo : k + hi], 2.0, out=z)
@@ -346,20 +343,18 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helpe
 
     def value(m: int) -> float:
         nonlocal carried, carried_m, spare, busy
-        _check_length(variant, m, y.size)
         while carried_m < m:
-            _in_halves(helper, step)
+            _in_halves(helper, carried.size - shift * carried_m, 1, step)
             carried, carried_m = spare[: carried.size - shift * carried_m], 2 * carried_m
             spare, busy = busy, spare
         size = carried.size - m
 
-        def readout(half: Optional[int]) -> None:
-            """The squares of the terms at m, into spare: one half of them, or all for None."""
-            lo, hi = _bounds(size, m if variant is Variant.FFI0 else 1, half)
+        def readout(lo: int, hi: int) -> None:
+            """The squares of the terms at m from entries [lo, hi), into spare."""
             terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=spare[lo:hi]), m)
             terms *= terms
 
-        _in_halves(helper, readout)
+        _in_halves(helper, size, m if variant is Variant.FFI0 else 1, readout)
         return _readout(variant, _terms(variant, spare[:size], m), m, series.tau0)
 
     return value
@@ -375,31 +370,33 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     Each averaging factor passes the count rule of ``errors`` from 1, an
     integer (not a bool or an integral float) below 2**53, or raises
     InvalidArgument.  Averaging factors the series is too short for are
-    skipped and noted in the returned curve's ``warnings`` instead of
-    failing the curve.  A tau = m * tau0, a deviation or a TDEV value
-    past the float range raises OverflowError through the one float-range
-    rule of ``errors``.
+    set aside before any point and noted in the curve's ``warnings``, so a
+    curve with none that fits allocates no work array and starts no helper.
+    A tau = m * tau0, a deviation or a TDEV value past the float range
+    raises OverflowError through the one float-range rule of ``errors``.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
+    if not isinstance(series, TimeSeriesY):
+        raise InvalidArgument(f"stability_curve needs a TimeSeriesY, got {type(series).__name__}")
     ms = sorted({_count("m", m, 1) for m in m_values})
-    octaves = all(m & (m - 1) == 0 for m in ms)
-    paired = octaves and series.samples.size >= _SPLIT_FROM and _cpus() >= 2
+    size = series.samples.size
+    fits = [m for m in ms if _min_length(variant, m) <= size]  # a prefix: the length a point needs grows with m
+    swept = bool(fits) and all(m & (m - 1) == 0 for m in ms)
+    paired = swept and size >= _SPLIT_FROM and _cpus() >= 2
     with _Helper() if paired else nullcontext() as helper:
-        if octaves:
+        if swept:
             point_value = _octave_sweep(series, variant, helper)
         else:
             point_value = lambda m: _windowed(series, m, variant)
-        points = []
-        warnings = []
-        for m in ms:
-            tau = _in_float_range("tau", m * series.tau0)
-            try:
-                value = point_value(m)
-            except InsufficientData as exc:
-                warnings.append(f"m={m}: {exc}")
-                continue
-            points.append(StabilityPoint(tau=tau, value=value, m=m, variant=variant))
+        points = [
+            StabilityPoint(tau=_in_float_range("tau", m * series.tau0), value=point_value(m), m=m, variant=variant)
+            for m in fits
+        ]
+    warnings = []
+    for m in ms[len(fits) :]:
+        _in_float_range("tau", m * series.tau0)
+        warnings.append(f"m={m}: {_too_short(variant, m, size)}")
     return StabilityCurve(points=tuple(points), warnings=tuple(warnings))
 
 

@@ -76,7 +76,9 @@ HUGE = 10**400
 
 # (base document, where, new value or DELETE, exact ConfigError text)
 CASES = [
-    # top level
+    # top level; an empty where replaces the whole document
+    ("noise", (), [1, 2], "the config must be a mapping, got list"),
+    ("noise", (), "noise", "the config must be a mapping, got str"),
     ("noise", ("seed",), "x", "'seed' must be an integer, got 'x'"),
     ("noise", ("seed",), 1.0, "'seed' must be an integer, got 1.0"),
     ("noise", ("seed",), -1, "invalid 'seed': seed must be >= 0 and < 2**64, got -1"),
@@ -241,6 +243,8 @@ CASES = [
 
 
 def mutate(doc, where, value):
+    if not where:
+        return value
     doc = copy.deepcopy(doc)
     node = doc
     for key in where[:-1]:
@@ -276,10 +280,25 @@ def test_requested_command_must_match_the_file(tmp_path):
     assert str(info.value) == "config is for command 'noise' but 'stability' was requested"
 
 
-def test_root_must_be_a_mapping(tmp_path):
+@pytest.mark.parametrize("base,seed,message", [
+    ("noise", "abc", "'seed' must be an integer, got 'abc'"),
+    ("advantage", -5, "invalid 'seed': seed must be >= 0 and < 2**64, got -5"),
+], ids=["noise-not-an-integer", "advantage-negative"])
+def test_a_seed_override_does_not_hide_a_bad_file_seed(tmp_path, capsys, base, seed, message):
+    path = write(tmp_path, mutate(BASE[base], ("seed",), seed))
     with pytest.raises(ConfigError) as info:
-        load_config(write(tmp_path, [1, 2]))
-    assert str(info.value) == "'' must be a mapping, got list"
+        load_config(path, seed_override=3)
+    assert str(info.value) == message
+    command = BASE[base]["command"]
+    assert main([command, "--config", str(path), "--seed", "3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"combsync: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_seed_override_replaces_a_valid_file_seed(tmp_path):
+    assert load_config(write(tmp_path, BASE["noise"]), seed_override=3).seed == 3
+    with pytest.raises(ConfigError, match=r"^invalid 'seed': seed must be >= 0 and < 2\*\*64, got -1$"):
+        load_config(write(tmp_path, BASE["noise"]), seed_override=-1)
 
 
 @pytest.mark.parametrize("text,message", [

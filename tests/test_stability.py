@@ -79,6 +79,10 @@ class TestConversions:
         with pytest.raises(InvalidArgument):
             y_from_x(TimeSeriesX(1.0, [0.0]))
 
+    def test_y_from_x_rejects_a_frequency_series(self):
+        with pytest.raises(InvalidArgument, match=r"^y_from_x needs a TimeSeriesX, got TimeSeriesY$"):
+            y_from_x(TimeSeriesY(1.0, np.zeros(8)))
+
     def test_x_from_y_zeroes(self):
         assert oracles.x_from_y(np.zeros(5), 1.0).tolist() == [0.0] * 6
 
@@ -93,6 +97,23 @@ class TestConversions:
         np.testing.assert_allclose(back.samples, samples, rtol=1e-12, atol=1e-12 * scale)
         assert back.tau0 == 0.5
         assert x.size == samples.size + 1
+
+
+class TestPhaseSeriesRejected:
+    """Every estimator reads fractional frequency; a phase path, such as a sampled clock's, is refused."""
+
+    PHASE = TimeSeriesX(1.0, np.cumsum(np.random.default_rng(2).normal(0.0, 1e-9, 64)))
+
+    @pytest.mark.parametrize("estimator", [ffi0, ffi1, ffi2, tdev], ids=lambda estimator: estimator.__name__)
+    def test_single_m_calls(self, estimator):
+        m = () if estimator is ffi0 else (4,)
+        with pytest.raises(InvalidArgument, match=rf"^{estimator.__name__} needs a TimeSeriesY, got TimeSeriesX$"):
+            estimator(self.PHASE, *m)
+
+    @pytest.mark.parametrize("m_values", [[], [1, 2, 4], [1, 3]], ids=["no-m", "swept", "per-m"])
+    def test_curves(self, m_values):
+        with pytest.raises(InvalidArgument, match=r"^stability_curve needs a TimeSeriesY, got TimeSeriesX$"):
+            stability_curve(self.PHASE, m_values, Variant.FFI2)
 
 
 class TestFfi0:
@@ -331,6 +352,17 @@ class TestStabilityCurve:
         skipped = sorted(set(m_values) - {p.m for p in curve.points})
         assert [int(w.split(":")[0][2:]) for w in curve.warnings] == skipped
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_skipped_m_that_is_not_a_power_of_two_keeps_the_per_m_path(self, variant):
+        # The sweep rounds differently on this series, so only the per-m path gives these bits.
+        series = random_series(1, length=64)
+        curve = stability_curve(series, [1, 2, 4, 8, 5000], variant)
+        per_m = [stability._windowed(series, m, variant) for m in (1, 2, 4, 8)]
+        assert [p.value for p in curve.points] == per_m
+        assert [p.value for p in stability_curve(series, [1, 2, 4, 8], variant).points] != per_m
+        name, need = ("ffi2", 14999) if variant in stability._DOUBLE else (variant.value, 10000)
+        assert curve.warnings == (f"m=5000: {name} with m=5000 needs at least {need} samples, got 64",)
+
     def test_skip_with_warning_policy(self):
         series = random_series(3, length=10)
         curve = stability_curve(series, [1, 2, 8], Variant.FFI2)
@@ -418,8 +450,9 @@ class TestOctaveSweepAccuracy:
 class TestPairedSweep:
     """Long octave curves split each octave's array passes between this thread and a helper.
 
-    Every test forces two CPUs (or one) through ``os.sched_getaffinity``
-    and counts the helpers made; the stress test gives each join a timeout.
+    Every test forces two CPUs (or one) through ``os.sched_getaffinity``,
+    or through ``os.cpu_count`` where that is missing, and counts the
+    helpers made; the stress test gives each join a timeout.
     """
 
     SPLIT = stability._SPLIT_FROM
@@ -462,7 +495,8 @@ class TestPairedSweep:
     @example((8, 8), 0, 0.0, {1, 2, 4}, Variant.FFI0)
     def test_paired_equals_serial_bit_for_bit(self, split_and_length, seed, mean, m_values, variant):
         # The real threshold and a lowered one, on series either side of it; a mean of 1e3 sigma is swept
-        # shifted, and an m of 2**18 or 2**19 is too long for every series here and skipped.
+        # shifted, and an m of 2**18 or 2**19 is too long for every series here and skipped.  A curve
+        # with no m that fits makes no helper.
         split, length = split_and_length
         series = TimeSeriesY(0.25, np.random.default_rng(seed).normal(mean, 1.0, length))
         with pytest.MonkeyPatch.context() as mp:
@@ -470,7 +504,7 @@ class TestPairedSweep:
             self.cpus(mp, 2)
             made = self.count_helpers(mp)
             paired = stability_curve(series, m_values, variant)
-        assert len(made) == (length >= split)
+        assert len(made) == (length >= split and len(paired.points) > 0)
         assert repr(paired) == repr(self.serial(series, m_values, variant))  # repr keeps every bit, -0.0 too
 
     def test_many_curves_at_once_each_equal_serial(self, monkeypatch):
@@ -561,6 +595,39 @@ class TestPairedSweep:
                 tracemalloc.stop()
             assert peak <= 2.2 * series.samples.nbytes
         assert len(made) == 2
+
+    @pytest.mark.parametrize("count,helpers", [(None, 0), (1, 0), (2, 1)])
+    def test_without_an_affinity_call_the_machines_cpus_count(self, monkeypatch, count, helpers):
+        # os.sched_getaffinity is missing on macOS and Windows.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
+        made = self.count_helpers(monkeypatch)
+        series = random_series(5, length=64)
+        curve = stability_curve(series, [1, 2, 4], Variant.FFI1)
+        assert len(made) == helpers
+        assert repr(curve) == repr(self.serial(series, [1, 2, 4], Variant.FFI1))
+
+    @pytest.mark.parametrize("m_values", [[], [2**20, 2**21]], ids=["no-m", "every-m-too-long"])
+    def test_a_curve_with_no_m_that_fits_allocates_no_work_array(self, monkeypatch, m_values):
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        size = 2**20
+        series = TimeSeriesY(1.0, np.random.default_rng(3).normal(0.0, 1.0, size))
+        for variant in Variant:
+            tracemalloc.start()
+            try:
+                curve = stability_curve(series, m_values, variant)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < series.samples.nbytes
+            double = variant in stability._DOUBLE
+            name = "ffi2" if double else variant.value
+            assert curve == StabilityCurve(points=(), warnings=tuple(
+                f"m={m}: {name} with m={m} needs at least {3 * m - 1 if double else 2 * m} samples, got {size}"
+                for m in m_values))
+        assert made == []
 
     def test_one_cpu_stays_serial(self, monkeypatch):
         self.cpus(monkeypatch, 1)
