@@ -133,12 +133,8 @@ def _run_sync(config: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_scaling(config: ExperimentConfig, outdir: Path) -> list[Path]:
     run = config.payload
-    if run.mode == "sql":
-        points = [(n, 0.0) for n in run.n_values]
-    else:
-        points = [(float(np.sinh(r) ** 2), r) for r in run.r_values]
     rows = []
-    for i, (n, r) in enumerate(points):
+    for i, (n, r) in enumerate(run.points()):
         model = EstimatorModel(method=run.method, n=n, nu0=run.nu0, t0=run.t0, r=r)
         mean, std = monte_carlo_sigma(model, run.trials, derive_seed(config.seed, i))
         rows.append((n, r, model_sigma(model), mean, std))

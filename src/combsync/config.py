@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Container, Optional, Union
 
+import numpy as np
 import yaml
 
 from .clockmodel import CombParams
@@ -176,9 +177,17 @@ class ScalingRun:
         if not getattr(self, values):
             raise InvalidArgument(f"{self.mode} mode needs {values}")
         _store(self, _positive, "nu0", "t0")
-        # r = 0 is refused too: the hl sweep sets n = sinh(r)**2, and n = 0 is no photon budget.
+        # hl sets n = sinh(r)**2: r = 0, or an r whose n underflows, is no photon budget; n = inf is the run's error.
         items = tuple(_positive(f"{values}[{i}]", v) for i, v in enumerate(getattr(self, values)))
         object.__setattr__(self, values, items)
+        with np.errstate(over="ignore", under="ignore"):
+            for i, (n, _) in enumerate(self.points()):
+                if n == 0.0:
+                    raise InvalidArgument(f"{values}[{i}] must give a photon number sinh(r)**2 > 0, got {n}")
+
+    def points(self) -> list[tuple[float, float]]:
+        """The (n, r) of each sweep point: each n at r = 0 (sql), or each r with n = sinh(r)**2 (hl)."""
+        return [(n, 0.0) for n in self.n_values] + [(float(np.sinh(r) ** 2), r) for r in self.r_values]
 
 
 @dataclass(frozen=True)

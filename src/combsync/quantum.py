@@ -104,7 +104,7 @@ def apply_loss(variance: float, eta: float) -> float:
 
     Composes multiplicatively in eta and drives V toward the vacuum level 1.
     """
-    return _unit_interval("eta", eta) * variance + (1.0 - eta)
+    return _unit_interval("eta", eta) * _non_negative("variance", variance) + (1.0 - eta)
 
 
 def lossy_sigma(model: EstimatorModel, eta: float) -> float:

@@ -16,17 +16,19 @@ from .errors import InvalidArgument, _positive, _store
 
 @dataclass(frozen=True)
 class _Series:
-    """A positive, finite ``tau0`` and one-dimensional float ``samples``."""
+    """A positive, finite ``tau0`` and one-dimensional ``samples`` of integers or floats, stored as floats."""
 
     tau0: float
     samples: np.ndarray
 
     def __post_init__(self):
         _store(self, _positive, "tau0")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iuf":  # bools, complex numbers and strings would cast without a word
+            raise InvalidArgument(f"samples must be integers or floats, got dtype {samples.dtype}")
         if samples.ndim != 1:
             raise InvalidArgument(f"samples must be one-dimensional, got shape {samples.shape}")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", samples.astype(float, copy=False))
 
     def __len__(self) -> int:
         return self.samples.size

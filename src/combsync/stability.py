@@ -34,9 +34,10 @@ The helper starts and ends within one ``stability_curve`` call.
 
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
-``stability_curve`` checks the averaging factors and tau, so the point
-and curve records it builds check nothing again.  ``fit_slope``, the one
-reader of a curve that may be built by hand, checks the points it fits.
+``stability_curve`` checks every averaging factor and tau before any
+work, so the point and curve records it builds check nothing again.
+``fit_slope``, the one reader of a curve that may be built by hand,
+checks the points it fits.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range
+from .errors import DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range, _non_negative
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -195,7 +196,7 @@ def ffi2(series: TimeSeriesY, m: int) -> float:
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
     """Time deviation (s) from a modified deviation at integration time tau; OverflowError past the float range."""
-    return _in_float_range("tdev", tau / math.sqrt(3.0) * ffi2_value)
+    return _in_float_range("tdev", tau / math.sqrt(3.0) * _non_negative("ffi2_value", ffi2_value))
 
 
 def tdev(series: TimeSeriesY, m: int) -> float:
@@ -307,14 +308,14 @@ def _in_halves(helper: Optional[_Helper], size: int, grain: int, region: Callabl
         raise exc
 
 
-def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helper]) -> Callable[[int], float]:
-    """Point values for increasing powers of two m, from one array carried across the octaves.
+def _octave_sweep(series: TimeSeriesY, variant: Variant, ms: list[int], helper: Optional[_Helper]) -> list[float]:
+    """The point values at the increasing powers of two ms, from one array carried across the octaves.
 
     FFI0 and FFI1 carry the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
     and read w = Y_m[m:] - Y_m[:-m].  FFI2 and TDEV carry their triangular
     double sums Z_m (Z_1 = y, Z_2m = Z_m[:-2m] + 2 Z_m[m:-m] + Z_m[2m:]) and
     read s = Z_m[m:] - Z_m[:-m].  w and s are the window sums ``_windowed``
-    builds from cumulative sums, so both paths share ``_readout``; each m must fit the series.
+    builds from cumulative sums, so both paths share ``_readout``; each m fits the series.
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums, which start as y or as its exact shift (``_shifted_exactly``).
@@ -328,11 +329,10 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helpe
     double = variant in _DOUBLE
     shift = 2 if double else 1  # each step shortens the carried sums by shift * k
     spare, busy = np.empty(y.size), np.empty(y.size)
-    carried, carried_m = _shifted_exactly(y, busy), 1
+    carried, k = _shifted_exactly(y, busy), 1
 
     def step(lo: int, hi: int) -> None:
         """Entries [lo, hi) of the step from the carried sums at k to those at 2k, into spare."""
-        k = carried_m
         z = spare[lo:hi]
         if double:
             np.multiply(carried[k + lo : k + hi], 2.0, out=z)
@@ -341,69 +341,61 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, helper: Optional[_Helpe
         else:
             np.add(carried[lo:hi], carried[k + lo : k + hi], out=z)
 
-    def value(m: int) -> float:
-        nonlocal carried, carried_m, spare, busy
-        while carried_m < m:
-            _in_halves(helper, carried.size - shift * carried_m, 1, step)
-            carried, carried_m = spare[: carried.size - shift * carried_m], 2 * carried_m
+    def readout(lo: int, hi: int) -> None:
+        """The squares of the terms at m from entries [lo, hi), into spare."""
+        terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=spare[lo:hi]), m)
+        terms *= terms
+
+    values = []
+    for m in ms:
+        while k < m:
+            _in_halves(helper, carried.size - shift * k, 1, step)
+            carried, k = spare[: carried.size - shift * k], 2 * k
             spare, busy = busy, spare
         size = carried.size - m
-
-        def readout(lo: int, hi: int) -> None:
-            """The squares of the terms at m from entries [lo, hi), into spare."""
-            terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=spare[lo:hi]), m)
-            terms *= terms
-
         _in_halves(helper, size, m if variant is Variant.FFI0 else 1, readout)
-        return _readout(variant, _terms(variant, spare[:size], m), m, series.tau0)
-
-    return value
+        values.append(_readout(variant, _terms(variant, spare[:size], m), m, series.tau0))
+    return values
 
 
 def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Variant) -> StabilityCurve:
     """Evaluate one statistic over several averaging factors.
 
-    A curve whose averaging factors are all powers of two is swept octave
-    by octave, on two threads for a series of at least ``_SPLIT_FROM``
-    samples where the process may run on two CPUs; the helper thread ends
-    with the call.  Any other set of m evaluates each point on its own.
-    Each averaging factor passes the count rule of ``errors`` from 1, an
-    integer (not a bool or an integral float) below 2**53, or raises
-    InvalidArgument.  Averaging factors the series is too short for are
-    set aside before any point and noted in the curve's ``warnings``, so a
-    curve with none that fits allocates no work array and starts no helper.
-    A tau = m * tau0, a deviation or a TDEV value past the float range
-    raises OverflowError through the one float-range rule of ``errors``.
+    Before any work, each averaging factor passes the count rule of
+    ``errors`` from 1 (an integer, not a bool or an integral float, below
+    2**53) or raises InvalidArgument, and each tau = m * tau0 past the
+    float range raises OverflowError; the factors the series is too short
+    for are set aside and noted in the curve's ``warnings``.  So a curve
+    that cannot be returned, or has no m that fits, allocates no work
+    array and starts no helper.  Factors that are all powers of two are
+    swept octave by octave, on two threads for a series of at least
+    ``_SPLIT_FROM`` samples where the process may run on two CPUs (the
+    helper ends with the call); any other set is evaluated per m.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
     if not isinstance(series, TimeSeriesY):
         raise InvalidArgument(f"stability_curve needs a TimeSeriesY, got {type(series).__name__}")
     ms = sorted({_count("m", m, 1) for m in m_values})
+    taus = [_in_float_range("tau", m * series.tau0) for m in ms]
     size = series.samples.size
     fits = [m for m in ms if _min_length(variant, m) <= size]  # a prefix: the length a point needs grows with m
     swept = bool(fits) and all(m & (m - 1) == 0 for m in ms)
     paired = swept and size >= _SPLIT_FROM and _cpus() >= 2
     with _Helper() if paired else nullcontext() as helper:
         if swept:
-            point_value = _octave_sweep(series, variant, helper)
+            values = _octave_sweep(series, variant, fits, helper)
         else:
-            point_value = lambda m: _windowed(series, m, variant)
-        points = [
-            StabilityPoint(tau=_in_float_range("tau", m * series.tau0), value=point_value(m), m=m, variant=variant)
-            for m in fits
-        ]
-    warnings = []
-    for m in ms[len(fits) :]:
-        _in_float_range("tau", m * series.tau0)
-        warnings.append(f"m={m}: {_too_short(variant, m, size)}")
-    return StabilityCurve(points=tuple(points), warnings=tuple(warnings))
+            values = [_windowed(series, m, variant) for m in fits]
+    points = tuple(StabilityPoint(tau=t, value=v, m=m, variant=variant) for t, v, m in zip(taus, values, fits))
+    warnings = tuple(f"m={m}: {_too_short(variant, m, size)}" for m in ms[len(fits) :])
+    return StabilityCurve(points=points, warnings=warnings)
 
 
 def octave_m_values(length: int, variant: Variant = Variant.FFI2) -> list[int]:
-    """Octave-spaced averaging factors valid for a series of the given length."""
-    ms = []
-    m = 1
+    """Octave-spaced averaging factors valid for a series of the given length, a count from 0."""
+    length = _count("length", length, 0)
+    ms, m = [], 1
     while _min_length(variant, m) <= length:
         ms.append(m)
         m *= 2

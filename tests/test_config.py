@@ -224,6 +224,8 @@ CASES = [
      "invalid 'quantum_scaling': n_values[0] must be finite and positive, got -1.0"),
     ("hl", ("quantum_scaling", "r_values"), [0.0, 1.0],
      "invalid 'quantum_scaling': r_values[0] must be finite and positive, got 0.0"),
+    ("hl", ("quantum_scaling", "r_values"), [1.0e-200, 1.0],
+     "invalid 'quantum_scaling': r_values[0] must give a photon number sinh(r)**2 > 0, got 0.0"),
     ("hl", ("quantum_scaling",), None, "'quantum_scaling' must be a mapping, got NoneType"),
     # advantage
     ("advantage", ("advantage", "link"), DELETE, "missing required key 'advantage.link'"),

@@ -49,7 +49,7 @@ from combsync.quantum import (
 )
 from combsync.seeding import check_seed
 from combsync.series import TimeSeriesX, TimeSeriesY
-from combsync.stability import Variant, ffi0, ffi1, ffi2, stability_curve, tdev, tdev_from_ffi2
+from combsync.stability import Variant, ffi0, ffi1, ffi2, octave_m_values, stability_curve, tdev, tdev_from_ffi2
 from combsync.synclink import (
     ExchangeRecord,
     GeometricParams,
@@ -113,6 +113,8 @@ ARGUMENTS = [
     ("interval", _positive, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, interval=v)),
     ("true_offset", _finite, lambda v: SyncCampaign(CLOCK, CLOCK, LINK, true_offset=v)),
     ("f_0", _non_negative, lambda v: CombParams(**{**COMB, "f_0": v})),
+    ("variance", _non_negative, lambda v: apply_loss(v, 0.5)),
+    ("ffi2_value", _non_negative, lambda v: tdev_from_ffi2(v, 1.0)),
 ]
 
 #: (argument name, minimum, bits, call with the count set to a value)
@@ -137,6 +139,7 @@ COUNTS = [
     ("m", 1, 53, lambda v: stability_curve(SERIES, [1, v], Variant.FFI0)),
     ("m", 1, 53, lambda v: StabilityRun(SeriesSource(NoiseSpec(NoiseKind.WHITE_FM, 1.0), 64), Variant.FFI1, (v,))),
     ("n_range[1]", 1, 53, lambda v: CombParams(**{**COMB, "n_range": (1, v)})),
+    ("length", 0, 53, octave_m_values),
 ]
 
 
@@ -181,6 +184,15 @@ def test_argument_is_checked_by_its_rule(name, rule, call):
     result = call(np.float64(accepted[1]))
     if dataclasses.is_dataclass(result):
         assert type(getattr(result, name)) is float
+
+
+@pytest.mark.parametrize("samples,dtype", [(np.array([1 + 1j, 2]), "complex128"), ([True, False], "bool"),
+                                           (["1e3", "2"], "<U3")], ids=["complex", "bool", "str"])
+def test_samples_must_be_integers_or_floats(samples, dtype):
+    # numpy would cast each of these to floats: dropping the imaginary part, or reading True or '1e3' as numbers.
+    with pytest.raises(InvalidArgument) as info:
+        TimeSeriesY(1.0, samples)
+    assert str(info.value) == f"samples must be integers or floats, got dtype {dtype}"
 
 
 @pytest.mark.parametrize("minimum,bits,value", [(minimum, bits, value) for minimum, bits in sorted({row[1:3] for row in COUNTS})

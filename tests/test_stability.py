@@ -485,7 +485,7 @@ class TestPairedSweep:
     @given(
         st.sampled_from([8, SPLIT]).flatmap(lambda split: st.tuples(st.just(split), st.integers(split // 2, 2 * split))),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 1e3]),
+        st.sampled_from([0.0, 1e3, -1e3]),
         st.sets(st.sampled_from([2**j for j in range(20)]), min_size=1),
         st.sampled_from(list(Variant)),
     )
@@ -494,7 +494,7 @@ class TestPairedSweep:
     @example((SPLIT, SPLIT - 1), 0, 0.0, {2**j for j in range(20)}, Variant.FFI1)
     @example((8, 8), 0, 0.0, {1, 2, 4}, Variant.FFI0)
     def test_paired_equals_serial_bit_for_bit(self, split_and_length, seed, mean, m_values, variant):
-        # The real threshold and a lowered one, on series either side of it; a mean of 1e3 sigma is swept
+        # The real threshold and a lowered one, on series either side of it; a mean of +-1e3 sigma is swept
         # shifted, and an m of 2**18 or 2**19 is too long for every series here and skipped.  A curve
         # with no m that fits makes no helper.
         split, length = split_and_length
@@ -549,7 +549,7 @@ class TestPairedSweep:
     @pytest.mark.parametrize("tau0,error", [(5e307, "tau left the float range"), (1.0, "overflow encountered")])
     def test_a_step_taken_early_raises_where_the_serial_sweep_steps(self, monkeypatch, tau0, error):
         # Every Y_2 is 9e307, so the readout at m = 2 reads zeros, while the step to m = 4, taken with that
-        # readout, overflows.  With tau0 = 5e307 the tau at m = 4 leaves the float range before that step.
+        # readout, overflows.  With tau0 = 5e307 the tau at m = 4 leaves the float range before any work.
         monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
         self.cpus(monkeypatch, 2)
         made = self.count_helpers(monkeypatch)
@@ -559,7 +559,7 @@ class TestPairedSweep:
             for sweep in (stability_curve, self.serial):
                 with np.errstate(over="raise"), pytest.raises(ArithmeticError, match=error):
                     sweep(TimeSeriesY(tau0, y), [2, 4], variant)
-        assert len(made) == 2
+        assert len(made) == (0 if tau0 > 1.0 else 2)
 
     @pytest.mark.parametrize("loud", [False, True], ids=["returned", "raised"])
     def test_no_thread_outlives_a_curve(self, monkeypatch, loud):
@@ -578,7 +578,7 @@ class TestPairedSweep:
             assert threading.active_count() == before
         assert len(made) == len(Variant) and not any(helper._thread.is_alive() for helper in made)
 
-    @pytest.mark.parametrize("mean", [0.0, 1e3], ids=["carried-in-place", "shifted"])
+    @pytest.mark.parametrize("mean", [0.0, 1e3, -1e3], ids=["carried-in-place", "shifted", "shifted-negative"])
     def test_a_paired_curve_allocates_two_arrays_of_the_series_length(self, monkeypatch, mean):
         # The readouts write their squares into the spare work array, as the serial sweep does.
         monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
@@ -627,6 +627,22 @@ class TestPairedSweep:
             assert curve == StabilityCurve(points=(), warnings=tuple(
                 f"m={m}: {name} with m={m} needs at least {3 * m - 1 if double else 2 * m} samples, got {size}"
                 for m in m_values))
+        assert made == []
+
+    def test_a_tau_past_the_float_range_raises_before_any_work(self, monkeypatch):
+        # m = 1 and 2 fit and their taus are finite, but the tau at m = 4 is 2e308.
+        self.cpus(monkeypatch, 2)
+        made = self.count_helpers(monkeypatch)
+        series = TimeSeriesY(5e307, np.random.default_rng(3).normal(0.0, 1.0, 2**20))
+        for variant in Variant:
+            tracemalloc.start()
+            try:
+                with pytest.raises(OverflowError, match=r"^tau left the float range: inf$"):
+                    stability_curve(series, [1, 2, 4], variant)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < series.samples.nbytes
         assert made == []
 
     def test_one_cpu_stays_serial(self, monkeypatch):
