@@ -177,13 +177,14 @@ class ScalingRun:
         if not getattr(self, values):
             raise InvalidArgument(f"{self.mode} mode needs {values}")
         _store(self, _positive, "nu0", "t0")
-        # hl sets n = sinh(r)**2: r = 0, or an r whose n underflows, is no photon budget; n = inf is the run's error.
         items = tuple(_positive(f"{values}[{i}]", v) for i, v in enumerate(getattr(self, values)))
         object.__setattr__(self, values, items)
-        with np.errstate(over="ignore", under="ignore"):
-            for i, (n, _) in enumerate(self.points()):
-                if n == 0.0:
-                    raise InvalidArgument(f"{values}[{i}] must give a photon number sinh(r)**2 > 0, got {n}")
+        if self.mode == "hl":
+            # n = sinh(r)**2: an r whose n underflows is no photon budget, as r = 0 is; n = inf is the run's error.
+            with np.errstate(over="ignore", under="ignore"):
+                for i, (n, _) in enumerate(self.points()):
+                    if n == 0.0:
+                        raise InvalidArgument(f"r_values[{i}] must give a photon number sinh(r)**2 > 0, got {n}")
 
     def points(self) -> list[tuple[float, float]]:
         """The (n, r) of each sweep point: each n at r = 0 (sql), or each r with n = sinh(r)**2 (hl)."""

@@ -9,11 +9,12 @@ argument; NaN and bools fail every rule.  ``_store`` keeps a model's
 fields as the floats their rule returns, never as numpy scalars.  Python
 float arithmetic overflows to inf (and inf * 0 to nan) without raising,
 so a computed result passes ``_in_float_range`` instead, whose one
-``OverflowError`` message names the quantity.
+``OverflowError`` message names the quantity.  ``_real`` tells the items
+of a numpy object array that a float array may hold from those it may not.
 """
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CombsyncError(Exception):
@@ -64,6 +65,11 @@ def _count(name: str, value, minimum: int, bits: int = 53) -> int:
     if count < minimum or count >> bits:
         raise InvalidArgument(f"{name} must be >= {minimum} and < 2**{bits}, got {value!r}")
     return count
+
+
+def _real(value) -> bool:
+    """Whether value is a real number and not a bool, as a Python int past int64 or a Fraction is."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _store(obj, rule, *names: str) -> None:

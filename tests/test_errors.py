@@ -20,6 +20,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -187,12 +189,22 @@ def test_argument_is_checked_by_its_rule(name, rule, call):
 
 
 @pytest.mark.parametrize("samples,dtype", [(np.array([1 + 1j, 2]), "complex128"), ([True, False], "bool"),
-                                           (["1e3", "2"], "<U3")], ids=["complex", "bool", "str"])
+                                           (["1e3", "2"], "<U3"), ([2**64, True], "object"),
+                                           ([Decimal(1), 2], "object"), ([None, 2], "object")],
+                         ids=["complex", "bool", "str", "object-bool", "object-decimal", "object-none"])
 def test_samples_must_be_integers_or_floats(samples, dtype):
-    # numpy would cast each of these to floats: dropping the imaginary part, or reading True or '1e3' as numbers.
+    # numpy would cast each of these to floats: dropping the imaginary part, or reading True, '1e3', a
+    # Decimal or None (as nan) as numbers.  A Decimal is not a numbers.Real.
     with pytest.raises(InvalidArgument) as info:
         TimeSeriesY(1.0, samples)
     assert str(info.value) == f"samples must be integers or floats, got dtype {dtype}"
+
+
+@pytest.mark.parametrize("samples", [[2**64, 1], [Fraction(1, 4), 2], [2**64, 0.5]], ids=["int", "fraction", "mixed"])
+def test_integers_past_int64_and_fractions_are_stored_as_floats(samples):
+    # numpy holds these as objects; every item is a real number, so each is cast as an int64 array would be.
+    stored = TimeSeriesY(1.0, samples).samples
+    assert stored.dtype == np.float64 and stored.tolist() == [float(v) for v in samples]
 
 
 @pytest.mark.parametrize("minimum,bits,value", [(minimum, bits, value) for minimum, bits in sorted({row[1:3] for row in COUNTS})
