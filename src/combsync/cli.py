@@ -162,13 +162,8 @@ def _run_advantage(config: ExperimentConfig, outdir: Path) -> list[Path]:
     return [path]
 
 
-_RUNNERS = {
-    "noise": _run_noise,
-    "stability": _run_stability,
-    "sync": _run_sync,
-    "quantum-scaling": _run_scaling,
-    "advantage": _run_advantage,
-}
+_RUNNERS = {"noise": _run_noise, "stability": _run_stability, "sync": _run_sync,
+            "quantum-scaling": _run_scaling, "advantage": _run_advantage}
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,7 @@ class ScalingRun:
         _store(self, _positive, "nu0", "t0")
         items = tuple(_positive(f"{values}[{i}]", v) for i, v in enumerate(getattr(self, values)))
         object.__setattr__(self, values, items)
-        if self.mode == "hl":
-            # n = sinh(r)**2: an r whose n underflows is no photon budget, as r = 0 is; n = inf is the run's error.
+        if self.mode == "hl":  # an r whose n = sinh(r)**2 underflows is no photon budget, as r = 0 is
             with np.errstate(over="ignore", under="ignore"):
                 for i, (n, _) in enumerate(self.points()):
                     if n == 0.0:

@@ -9,8 +9,7 @@ argument; NaN and bools fail every rule.  ``_store`` keeps a model's
 fields as the floats their rule returns, never as numpy scalars.  Python
 float arithmetic overflows to inf (and inf * 0 to nan) without raising,
 so a computed result passes ``_in_float_range`` instead, whose one
-``OverflowError`` message names the quantity.  ``_real`` tells the items
-of a numpy object array that a float array may hold from those it may not.
+``OverflowError`` message names the quantity.
 """
 
 import math

@@ -24,10 +24,8 @@ class _Series:
     def __post_init__(self):
         _store(self, _positive, "tau0")
         samples = np.asarray(self.samples)
-        # Bools, complex numbers and strings would cast to floats without a word.  numpy holds ints past
-        # int64 and Fractions as objects: those pass when every item is a real number and none is a bool.
-        kind = samples.dtype.kind
-        if kind not in "iuf" and not (kind == "O" and all(map(_real, samples.flat))):
+        # Bools, complex numbers and strings would cast without a word; ints past int64 come as objects.
+        if samples.dtype.kind not in "iuf" and not (samples.dtype.kind == "O" and all(map(_real, samples.flat))):
             raise InvalidArgument(f"samples must be integers or floats, got dtype {samples.dtype}")
         if samples.ndim != 1:
             raise InvalidArgument(f"samples must be one-dimensional, got shape {samples.shape}")

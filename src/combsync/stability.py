@@ -34,10 +34,9 @@ The helper starts and ends within one ``stability_curve`` call.
 
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
-``stability_curve`` checks every averaging factor and tau before any
-work, so the point and curve records it builds check nothing again.
-``fit_slope``, the one reader of a curve that may be built by hand,
-checks the points it fits.
+``stability_curve`` checks every averaging factor and tau before any work,
+so the records it builds check nothing again.  ``fit_slope``, the one
+reader of a curve that may be built by hand, checks the points it fits.
 """
 
 from __future__ import annotations
