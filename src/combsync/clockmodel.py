@@ -85,7 +85,8 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
     each noise source contributes its fractional-frequency samples
     accumulated stepwise, one rectangle per sample period.  A ramp past
     the float range at the last sample raises OverflowError; each ramp
-    term grows with t, so that one value bounds the whole ramp.
+    term grows with t, so that one value bounds the whole ramp.  So does
+    a phase that the accumulated noise takes past the float range.
     """
     count = _count("count", count, 2)
     seed = check_seed(seed)
@@ -98,7 +99,7 @@ def sample_clock(clock: ClockModel, count: int, tau0: float, seed: int = 0) -> T
         derived = replace(spec, seed=derive_seed(seed, i, spec.seed))
         y = generate_noise(derived, max(2, count - 1), tau0).samples[: count - 1]
         x[1:] += np.cumsum(y) * tau0
-    return TimeSeriesX(tau0, x)
+    return TimeSeriesX(tau0, _in_float_range("phase", x))
 
 
 def comb_time_params(comb: CombParams) -> tuple[float, float]:

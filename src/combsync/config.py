@@ -179,11 +179,11 @@ class ScalingRun:
         _store(self, _positive, "nu0", "t0")
         items = tuple(_positive(f"{values}[{i}]", v) for i, v in enumerate(getattr(self, values)))
         object.__setattr__(self, values, items)
-        if self.mode == "hl":  # an r whose n = sinh(r)**2 underflows is no photon budget, as r = 0 is
+        if self.mode == "hl":  # an r whose n = sinh(r)**2 underflows or overflows is no photon budget, as r = 0 is
             with np.errstate(over="ignore", under="ignore"):
                 for i, (n, _) in enumerate(self.points()):
-                    if n == 0.0:
-                        raise InvalidArgument(f"r_values[{i}] must give a photon number sinh(r)**2 > 0, got {n}")
+                    if not 0.0 < n < math.inf:
+                        raise InvalidArgument(f"r_values[{i}] must give a finite photon number sinh(r)**2 > 0, got {n}")
 
     def points(self) -> list[tuple[float, float]]:
         """The (n, r) of each sweep point: each n at r = 0 (sql), or each r with n = sinh(r)**2 (hl)."""

@@ -9,11 +9,14 @@ argument; NaN and bools fail every rule.  ``_store`` keeps a model's
 fields as the floats their rule returns, never as numpy scalars.  Python
 float arithmetic overflows to inf (and inf * 0 to nan) without raising,
 so a computed result passes ``_in_float_range`` instead, whose one
-``OverflowError`` message names the quantity.
+``OverflowError`` message names the quantity; an array of results
+passes it whole, and the message reads its first entry that is not finite.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class CombsyncError(Exception):
@@ -78,6 +81,8 @@ def _store(obj, rule, *names: str) -> None:
 
 
 def _in_float_range(name: str, value):
-    if not math.isfinite(value):
-        raise OverflowError(f"{name} left the float range: {value}")
+    """value, a number or a non-empty array, unless it or an entry is not finite, which the error names."""
+    first = value.flat[np.argmin(np.isfinite(value))] if isinstance(value, np.ndarray) else value
+    if not math.isfinite(first):
+        raise OverflowError(f"{name} left the float range: {first}")
     return value

@@ -241,7 +241,8 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     """Synthesize ``count`` fractional-frequency samples of the given process.
 
     Deterministic for a fixed (spec, count, tau0); zero amplitude yields
-    an identically-zero series.
+    an identically-zero series.  A sample past the float range raises
+    OverflowError.
     """
     count = _count("count", count, 2)
     tau0 = _positive("tau0", tau0)
@@ -251,5 +252,5 @@ def generate_noise(spec: NoiseSpec, count: int, tau0: float) -> TimeSeriesY:
     beta = spec.kind.beta
     if spec.kind.is_pm:
         x = _shaped_gaussian(rng, beta - 2, spec.amplitude / _TWO_PI**2, count + 1, tau0)
-        return TimeSeriesY(tau0, np.diff(x) / tau0)
+        return TimeSeriesY(tau0, _in_float_range("fractional frequency", np.diff(x) / tau0))
     return TimeSeriesY(tau0, _shaped_gaussian(rng, beta, spec.amplitude, count, tau0))

@@ -28,9 +28,10 @@ the test oracle.
 A long octave curve (``_SPLIT_FROM`` samples or more, on a process that
 may run on two CPUs) splits each octave's elementwise passes between
 the calling thread and one helper thread; numpy's loops release the
-interpreter lock, so both halves run at once.  Each sum stays one call
-on the calling thread, so every value is bit for bit the serial one.
-The helper starts and ends within one ``stability_curve`` call.
+interpreter lock, so both halves run at once.  The helper takes each
+half from one queue and puts its outcome on another.  Each sum stays one
+call on the calling thread, so every value is bit for bit the serial
+one.  The helper starts and ends within one ``stability_curve`` call.
 
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
@@ -44,6 +45,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import queue
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -53,7 +55,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientData, InvalidArgument, _count, _in_float_range, _non_negative
+from .errors import DegenerateInput, InsufficientData, InvalidArgument
+from .errors import _count, _in_float_range, _non_negative, _positive
 from .noisegen import NoiseKind
 from .series import TimeSeriesX, TimeSeriesY
 
@@ -154,12 +157,12 @@ def _readout(variant: Variant, squares: np.ndarray, m: int, tau0: float) -> floa
     The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2, TDEV);
     TDEV's is then converted to seconds at tau = m * tau0.  A deviation
     past the float range raises OverflowError named for its statistic,
-    ffi2 for a TDEV's, as ``_too_short`` names it.
+    ffi2 for a TDEV's, as ``_too_short`` names it, and so does a TDEV's tau.
     """
     if variant not in _DOUBLE:
         return _in_float_range(variant.value, _deviation(squares, m * m))
     deviation = _in_float_range("ffi2", _deviation(squares, m**4))
-    return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
+    return tdev_from_ffi2(deviation, _in_float_range("tau", m * tau0)) if variant is Variant.TDEV else deviation
 
 
 def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
@@ -194,8 +197,8 @@ def ffi2(series: TimeSeriesY, m: int) -> float:
 
 
 def tdev_from_ffi2(ffi2_value: float, tau: float) -> float:
-    """Time deviation (s) from a modified deviation at integration time tau; OverflowError past the float range."""
-    return _in_float_range("tdev", tau / math.sqrt(3.0) * _non_negative("ffi2_value", ffi2_value))
+    """Time deviation (s) from a modified deviation at integration time tau > 0; OverflowError past the float range."""
+    return _in_float_range("tdev", _positive("tau", tau) / math.sqrt(3.0) * _non_negative("ffi2_value", ffi2_value))
 
 
 def tdev(series: TimeSeriesY, m: int) -> float:
@@ -224,8 +227,9 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
 #: Octave curves of series at least this long split each octave's array passes between two threads.
 #: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took
 #: 1.4-1.5 times as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16
-#: and 0.67-0.69 times at 2**20.  With one handoff per step and per readout: 0.81-0.95 times at 3 * 2**16
-#: and 0.83-0.94 times at 2**18, while a second CPU was free to run the helper.
+#: and 0.67-0.69 times at 2**20.  perfbench slope_table (2**18 samples, 10 alternating 10-s runs each way)
+#: read op_iqm_s 0.97 times serial with the second CPU idle and 1.07 times with a busy loop on it; the CLI
+#: stability op (flicker FM, 2**18 samples, FFI2) read 0.92 and 0.97 times.
 _SPLIT_FROM = 3 * 2**16
 
 
@@ -239,19 +243,13 @@ class _Helper:
     """A second thread for one curve: it runs one task at a time in a copy of its maker's context.
 
     numpy's error state is context-local, so the helper's ufuncs raise,
-    warn or ignore as its maker's do.  Two locks hand each task over and
-    back, each held while its side has nothing to take; the slots they
-    guard are touched by one thread at a time.  The helper holds no task
-    once the task is done.  Leaving the ``with`` block stops the thread
-    and joins it.
+    warn or ignore as its maker's do.  Each task arrives on one queue,
+    and its outcome, None or the exception it raised, goes back on the
+    other.  Leaving the ``with`` block stops the thread and joins it.
     """
 
     def __init__(self):
-        self._task: Optional[Callable[[], None]] = None
-        self._error: Optional[BaseException] = None
-        self._posted, self._done = threading.Lock(), threading.Lock()
-        self._posted.acquire()
-        self._done.acquire()
+        self._tasks, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
         run = contextvars.copy_context().run
         self._thread = threading.Thread(target=run, args=(self._serve,), name="combsync-octave-helper", daemon=True)
 
@@ -264,28 +262,21 @@ class _Helper:
         self._thread.join()
 
     def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            task, self._task = self._task, None
-            if task is None:
-                return
+        for task in iter(self._tasks.get, None):
             try:
                 task()
             except BaseException as exc:  # handed over: the maker raises it (_in_halves)
-                self._error = exc
-            task = None
-            self._done.release()
+                self._outcomes.put(exc)
+            else:
+                self._outcomes.put(None)
 
     def start(self, task: Optional[Callable[[], None]]) -> None:
         """Hand task to the helper; None stops it."""
-        self._task = task
-        self._posted.release()
+        self._tasks.put(task)
 
     def wait(self) -> Optional[BaseException]:
         """The exception the started task raised, or None once it returned."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
+        return self._outcomes.get()
 
 
 def _in_halves(helper: Optional[_Helper], size: int, grain: int, region: Callable[[int, int], None]) -> None:

@@ -505,9 +505,10 @@ def _run_module(tmp_path, block, **env):
 def test_overflowing_squeezing_fails_with_one_stderr_line(tmp_path):
     proc = _run_module(tmp_path, "{mode: hl, trials: 100, method: temporal_mode, nu0: 1.92e14, "
                                  "t0: 1.0e-14, r_values: [1.0, 800.0]}")
-    assert proc.returncode == 3
+    assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "combsync: error: quantum-scaling: a result left the float range (FloatingPointError)"]
+        "combsync: config error: invalid 'quantum_scaling': "
+        "r_values[1] must give a finite photon number sinh(r)**2 > 0, got inf"]
 
 
 def test_underflowing_deviation_succeeds_with_empty_stderr(tmp_path):

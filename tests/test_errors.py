@@ -117,6 +117,7 @@ ARGUMENTS = [
     ("f_0", _non_negative, lambda v: CombParams(**{**COMB, "f_0": v})),
     ("variance", _non_negative, lambda v: apply_loss(v, 0.5)),
     ("ffi2_value", _non_negative, lambda v: tdev_from_ffi2(v, 1.0)),
+    ("tau", _positive, lambda v: tdev_from_ffi2(1.0, v)),
 ]
 
 #: (argument name, minimum, bits, call with the count set to a value)
@@ -251,11 +252,13 @@ RESULTS = [
     ("innovation variance", math.inf, lambda: generate_noise(NoiseSpec(NoiseKind.WHITE_FM, 1e62), 4, 1e-300)),
     ("deviation", math.inf, lambda: model_sigma(EstimatorModel(EstimatorMethod.TOF, n=1e-300, nu0=1e14, t0=1e200))),
     ("tdev", math.inf, lambda: tdev_from_ffi2(1e300, 1e300)),
-    ("tdev", math.nan, lambda: tdev_from_ffi2(0.0, math.inf)),
+    # An array of samples, named by its first entry past the float range: here the PM difference over tau0.
+    ("fractional frequency", math.inf,
+     lambda: quietly(generate_noise, NoiseSpec(NoiseKind.FLICKER_PM, 1e300), 16, 1e-300)),
     ("tau", math.inf, lambda: stability_curve(TimeSeriesY(1e308, np.zeros(64)), [2], Variant.FFI1)),
     ("squeezing in dB", math.inf, lambda: db_from_r(1e308)),
     ("deviation", math.inf, lambda: model_sigma(EstimatorModel(EstimatorMethod.PHASE, n=1e-300, nu0=1e-160, t0=1.0))),
-    ("tdev", math.nan, lambda: tdev(TimeSeriesY(1e308, np.zeros(64)), 2)),  # tau = 2e308 times a zero deviation
+    ("tau", math.inf, lambda: tdev(TimeSeriesY(1e308, np.zeros(64)), 2)),  # tau = 2e308, with a zero deviation
     # A model stores a numpy scalar as a Python float, so its result leaves the float range without a numpy warning.
     ("ramp at the last sample", math.inf, lambda: sample_clock(ClockModel(nu0=1.0, drift=np.float64(1.0)), 3, 1e200)),
     ("deviation", math.inf, lambda: model_sigma(EstimatorModel(EstimatorMethod.TOF, n=np.float64(1e-300), nu0=1e14,
@@ -270,6 +273,9 @@ RESULTS = [
     ("ffi2", math.inf, lambda: quietly(stability_curve, LOUD, [1, 2], Variant.TDEV)),
     ("ffi1", math.inf, lambda: quietly(stability_curve, LOUD, [1, 3], Variant.FFI1)),
     ("ffi2", math.inf, lambda: quietly(stability_curve, LOUD, [1, 3], Variant.FFI2)),
+    # A clock phase that its accumulated noise takes past the float range, named by its first such sample.
+    ("phase", math.inf,
+     lambda: quietly(sample_clock, ClockModel(1e14, noise=(NoiseSpec(NoiseKind.FLICKER_FM, 1e300),)), 16, 1e300)),
 ]
 
 
@@ -280,6 +286,15 @@ def test_float_range_rule_raises_with_one_message_and_returns_what_it_accepts():
         assert str(info.value) == f"result left the float range: {value}"
     for value in (-1e308, -TINY, 0.0, -0.0, 1e308, np.float64(2.0)):
         assert _in_float_range("result", value) is value
+
+
+def test_float_range_rule_reads_an_array_by_its_first_entry_past_it():
+    for values, first in (([1.0, -math.inf, math.nan], -math.inf), ([math.nan, math.inf], math.nan)):
+        with pytest.raises(OverflowError) as info:
+            _in_float_range("samples", np.array(values))
+        assert str(info.value) == f"samples left the float range: {first}"
+    finite = np.array([-1e308, -TINY, 0.0, 1e308])
+    assert _in_float_range("samples", finite) is finite
 
 
 @pytest.mark.parametrize("name,value,call", RESULTS, ids=[f"{i}-{row[0]}" for i, row in enumerate(RESULTS)])

@@ -653,6 +653,33 @@ class TestPairedSweep:
         assert made == [] and repr(curve) == repr(self.serial(series, [1, 2, 4, 8], Variant.FFI2))
 
 
+def test_a_base_exception_in_the_helpers_half_raises_here():
+    # Not an Exception, so only the helper's catch-all hands it back; a lost handover would leave wait() blocked,
+    # so the scenario runs on a thread of its own, joined with a timeout.
+    class Halt(BaseException):
+        pass
+
+    def region(lo, hi):
+        if lo > 0:
+            raise Halt(lo, hi)
+
+    outcome = []
+
+    def scenario():
+        helper = stability._Helper()
+        try:
+            with helper:
+                stability._in_halves(helper, 64, 1, region)
+        except Halt as exc:
+            outcome.append((exc.args, helper._thread.is_alive()))
+
+    thread = threading.Thread(target=scenario, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert outcome == [((32, 64), False)]
+
+
 class TestFitSlope:
     def test_exact_power_law(self):
         points = tuple(
