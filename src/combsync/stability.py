@@ -155,14 +155,14 @@ def _readout(variant: Variant, squares: np.ndarray, m: int, tau0: float) -> floa
     """The value at averaging factor m from the squares of the terms it reads (``_terms``).
 
     The deviation is scaled by m**2 (FFI0, FFI1) or m**4 (FFI2, TDEV);
-    TDEV's is then converted to seconds at tau = m * tau0.  A deviation
-    past the float range raises OverflowError named for its statistic,
-    ffi2 for a TDEV's, as ``_too_short`` names it, and so does a TDEV's tau.
+    TDEV's is then converted to seconds at tau = m * tau0, checked before
+    any work.  A deviation past the float range raises OverflowError
+    named for its statistic, ffi2 for a TDEV's, as ``_too_short`` does.
     """
     if variant not in _DOUBLE:
         return _in_float_range(variant.value, _deviation(squares, m * m))
     deviation = _in_float_range("ffi2", _deviation(squares, m**4))
-    return tdev_from_ffi2(deviation, _in_float_range("tau", m * tau0)) if variant is Variant.TDEV else deviation
+    return tdev_from_ffi2(deviation, m * tau0) if variant is Variant.TDEV else deviation
 
 
 def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
@@ -170,6 +170,8 @@ def _windowed(series: TimeSeriesY, m: int, variant: Variant) -> float:
     if not isinstance(series, TimeSeriesY):
         raise InvalidArgument(f"{variant.value} needs a TimeSeriesY, got {type(series).__name__}")
     m = _count("m", m, 1)
+    if variant is Variant.TDEV:  # the one single-m value with a tau, checked as a curve checks it
+        _in_float_range("tau", m * series.tau0)
     y = series.samples
     if y.size < _min_length(variant, m):
         raise InsufficientData(_too_short(variant, m, y.size))
@@ -225,11 +227,10 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 #: Octave curves of series at least this long split each octave's array passes between two threads.
-#: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took
-#: 1.4-1.5 times as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16
-#: and 0.67-0.69 times at 2**20.  perfbench slope_table (2**18 samples, 10 alternating 10-s runs each way)
-#: read op_iqm_s 0.97 times serial with the second CPU idle and 1.07 times with a busy loop on it; the CLI
-#: stability op (flicker FM, 2**18 samples, FFI2) read 0.92 and 0.97 times.
+#: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took 1.4-1.5 times
+#: as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16 and 0.67-0.69 times at 2**20.
+#: perfbench slope_table (2**18 samples, 10 alternating 10-s runs each way) read op_iqm_s 0.97 times serial with the
+#: second CPU idle and 1.07 times with a busy loop on it; the CLI stability op (2**18, FFI2) read 0.92 and 0.97 times.
 _SPLIT_FROM = 3 * 2**16
 
 
