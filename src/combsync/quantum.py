@@ -124,12 +124,16 @@ def required_squeezing(eta_total: float, advantage_factor: float) -> Optional[fl
     The effective deviation reduction under loss is
     sqrt(eta*exp(-2r) + (1 - eta)); the vacuum admixture floors it at
     sqrt(1 - eta), so targets below that floor return None (unattainable),
-    as does every target at eta = 0, where the floor is 1.
+    as does every target at eta = 0, where the floor is 1.  At eta = 1 the
+    squeezing is r = ln(advantage_factor); the target variance can only
+    underflow, never overflow, so every finite factor gives a result.
     """
     eta_total = _unit_interval("eta_total", eta_total)
     if not math.isfinite(advantage_factor) or advantage_factor <= 1.0:
         raise InvalidArgument(f"advantage_factor must exceed 1, got {advantage_factor}")
-    target_variance = 1.0 / advantage_factor**2
+    if eta_total == 1.0:
+        return db_from_r(math.log(advantage_factor))
+    target_variance = advantage_factor**-2.0
     floor = 1.0 - eta_total
     if floor >= target_variance:
         return None

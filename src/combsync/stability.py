@@ -25,14 +25,6 @@ These are the octave-spaced estimators of Riley, Handbook of Frequency
 Stability Analysis, NIST SP 1065 (2008).  The literal nested sums remain
 the test oracle.
 
-A long octave curve (``_SPLIT_FROM`` samples or more, on a process that
-may run on two CPUs) splits each octave's elementwise passes between
-the calling thread and one helper thread; numpy's loops release the
-interpreter lock, so both halves run at once.  The helper takes each
-half from one queue and puts its outcome on another.  Each sum stays one
-call on the calling thread, so every value is bit for bit the serial
-one.  The helper starts and ends within one ``stability_curve`` call.
-
 Each rule is checked once, where its value is made or read: both paths
 pass every deviation through the float-range rule of ``errors``, and
 ``stability_curve`` checks every averaging factor and tau before any work,
@@ -42,16 +34,10 @@ reader of a curve that may be built by hand, checks the points it fits.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import queue
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -226,80 +212,7 @@ def _shifted_exactly(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return y
 
 
-#: Octave curves of series at least this long split each octave's array passes between two threads.
-#: The measured crossover (2-vCPU Xeon, numpy 2.4, FFI1 and FFI2 over m = 1 ... 2**13): the pair took 1.4-1.5 times
-#: as long at 2**16 + 2 samples, 0.94-1.05 times at 2**17, 0.71-0.98 times at 3 * 2**16 and 0.67-0.69 times at 2**20.
-#: perfbench slope_table (2**18 samples, 10 alternating 10-s runs each way) read op_iqm_s 0.97 times serial with the
-#: second CPU idle and 1.07 times with a busy loop on it; the CLI stability op (2**18, FFI2) read 0.92 and 0.97 times.
-_SPLIT_FROM = 3 * 2**16
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
-class _Helper:
-    """A second thread for one curve: it runs one task at a time in a copy of its maker's context.
-
-    numpy's error state is context-local, so the helper's ufuncs raise,
-    warn or ignore as its maker's do.  Each task arrives on one queue,
-    and its outcome, None or the exception it raised, goes back on the
-    other.  Leaving the ``with`` block stops the thread and joins it.
-    """
-
-    def __init__(self):
-        self._tasks, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
-        run = contextvars.copy_context().run
-        self._thread = threading.Thread(target=run, args=(self._serve,), name="combsync-octave-helper", daemon=True)
-
-    def __enter__(self) -> "_Helper":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.start(None)
-        self._thread.join()
-
-    def _serve(self) -> None:
-        for task in iter(self._tasks.get, None):
-            try:
-                task()
-            except BaseException as exc:  # handed over: the maker raises it (_in_halves)
-                self._outcomes.put(exc)
-            else:
-                self._outcomes.put(None)
-
-    def start(self, task: Optional[Callable[[], None]]) -> None:
-        """Hand task to the helper; None stops it."""
-        self._tasks.put(task)
-
-    def wait(self) -> Optional[BaseException]:
-        """The exception the started task raised, or None once it returned."""
-        return self._outcomes.get()
-
-
-def _in_halves(helper: Optional[_Helper], size: int, grain: int, region: Callable[[int, int], None]) -> None:
-    """Run region(lo, hi) over [0, size): all here without a helper, else split at a multiple of grain.
-
-    This thread takes the lower half and the helper the upper.  The upper
-    half is over whenever this thread leaves, and the lower half's
-    exception is raised before the upper half's, as in one pass.
-    """
-    if helper is None:
-        return region(0, size)
-    mid = size // 2 // grain * grain
-    helper.start(partial(region, mid, size))
-    try:
-        region(0, mid)
-    finally:
-        exc = helper.wait()
-    if exc is not None:
-        raise exc
-
-
-def _octave_sweep(series: TimeSeriesY, variant: Variant, ms: list[int], helper: Optional[_Helper]) -> list[float]:
+def _octave_sweep(series: TimeSeriesY, variant: Variant, ms: list[int]) -> list[float]:
     """The point values at the increasing powers of two ms, from one array carried across the octaves.
 
     FFI0 and FFI1 carry the m-sample window sums Y_m (Y_1 = y, Y_2m = Y_m[:-m] + Y_m[m:])
@@ -310,42 +223,27 @@ def _octave_sweep(series: TimeSeriesY, variant: Variant, ms: list[int], helper: 
     Two work arrays of len(y) floats, allocated once per curve, take turns:
     each octave step and each readout writes into the one not holding the
     carried sums, which start as y or as its exact shift (``_shifted_exactly``).
-
-    With a helper thread, ``_in_halves`` splits each step and each readout
-    at its half index.  Each element is computed as in one pass, and one
-    ``np.sum`` reads the whole array here, so every value is bit for bit
-    the serial one.
     """
     y = series.samples
     double = variant in _DOUBLE
     shift = 2 if double else 1  # each step shortens the carried sums by shift * k
     spare, busy = np.empty(y.size), np.empty(y.size)
     carried, k = _shifted_exactly(y, busy), 1
-
-    def step(lo: int, hi: int) -> None:
-        """Entries [lo, hi) of the step from the carried sums at k to those at 2k, into spare."""
-        z = spare[lo:hi]
-        if double:
-            np.multiply(carried[k + lo : k + hi], 2.0, out=z)
-            z += carried[lo:hi]
-            z += carried[2 * k + lo : 2 * k + hi]
-        else:
-            np.add(carried[lo:hi], carried[k + lo : k + hi], out=z)
-
-    def readout(lo: int, hi: int) -> None:
-        """The squares of the terms at m from entries [lo, hi), into spare."""
-        terms = _terms(variant, np.subtract(carried[m + lo : m + hi], carried[lo:hi], out=spare[lo:hi]), m)
-        terms *= terms
-
     values = []
     for m in ms:
         while k < m:
-            _in_halves(helper, carried.size - shift * k, 1, step)
-            carried, k = spare[: carried.size - shift * k], 2 * k
+            z = spare[: carried.size - shift * k]
+            if double:
+                np.multiply(carried[k : k + z.size], 2.0, out=z)
+                z += carried[: z.size]
+                z += carried[2 * k :]
+            else:
+                np.add(carried[: z.size], carried[k:], out=z)
+            carried, k = z, 2 * k
             spare, busy = busy, spare
-        size = carried.size - m
-        _in_halves(helper, size, m if variant is Variant.FFI0 else 1, readout)
-        values.append(_readout(variant, _terms(variant, spare[:size], m), m, series.tau0))
+        terms = _terms(variant, np.subtract(carried[m:], carried[:-m], out=spare[: carried.size - m]), m)
+        terms *= terms
+        values.append(_readout(variant, terms, m, series.tau0))
     return values
 
 
@@ -358,10 +256,8 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     float range raises OverflowError; the factors the series is too short
     for are set aside and noted in the curve's ``warnings``.  So a curve
     that cannot be returned, or has no m that fits, allocates no work
-    array and starts no helper.  Factors that are all powers of two are
-    swept octave by octave, on two threads for a series of at least
-    ``_SPLIT_FROM`` samples where the process may run on two CPUs (the
-    helper ends with the call); any other set is evaluated per m.
+    array.  Factors that are all powers of two are swept octave by octave;
+    any other set is evaluated per m.
     """
     if not isinstance(variant, Variant):
         raise InvalidArgument(f"unknown variant {variant!r}")
@@ -371,20 +267,23 @@ def stability_curve(series: TimeSeriesY, m_values: Iterable[int], variant: Varia
     taus = [_in_float_range("tau", m * series.tau0) for m in ms]
     size = series.samples.size
     fits = [m for m in ms if _min_length(variant, m) <= size]  # a prefix: the length a point needs grows with m
-    swept = bool(fits) and all(m & (m - 1) == 0 for m in ms)
-    paired = swept and size >= _SPLIT_FROM and _cpus() >= 2
-    with _Helper() if paired else nullcontext() as helper:
-        if swept:
-            values = _octave_sweep(series, variant, fits, helper)
-        else:
-            values = [_windowed(series, m, variant) for m in fits]
+    if fits and all(m & (m - 1) == 0 for m in ms):
+        values = _octave_sweep(series, variant, fits)
+    else:
+        values = [_windowed(series, m, variant) for m in fits]
     points = tuple(StabilityPoint(tau=t, value=v, m=m, variant=variant) for t, v, m in zip(taus, values, fits))
     warnings = tuple(f"m={m}: {_too_short(variant, m, size)}" for m in ms[len(fits) :])
     return StabilityCurve(points=points, warnings=warnings)
 
 
 def octave_m_values(length: int, variant: Variant = Variant.FFI2) -> list[int]:
-    """Octave-spaced averaging factors valid for a series of the given length, a count from 0."""
+    """Octave-spaced averaging factors valid for a series of the given length, a count from 0.
+
+    These are the m that ``stability_curve`` keeps without a warning; a
+    variant that is not a ``Variant`` raises InvalidArgument, as it does there.
+    """
+    if not isinstance(variant, Variant):
+        raise InvalidArgument(f"unknown variant {variant!r}")
     length = _count("length", length, 0)
     ms, m = [], 1
     while _min_length(variant, m) <= length:
@@ -399,7 +298,8 @@ def fit_slope(curve: StabilityCurve, tau_range: Optional[tuple[float, float]] = 
     tau_range restricts the fit to points with tau in [lo, hi] inclusive;
     None uses every point.  A fitted point whose tau or value is not
     finite and positive raises DegenerateInput: a curve may be built by
-    hand, and its points are not checked before.
+    hand, and its points are not checked before.  So do fitted points
+    whose log10(tau) are all equal, which leave the slope undefined.
     """
     pts = curve.points
     if tau_range is not None:
@@ -411,7 +311,10 @@ def fit_slope(curve: StabilityCurve, tau_range: Optional[tuple[float, float]] = 
     values = np.array([p.value for p in pts])
     if not np.all((0.0 < taus) & (taus < math.inf) & (0.0 < values) & (values < math.inf)):
         raise DegenerateInput("fit_slope requires finite, strictly positive taus and stability values")
-    return float(np.polyfit(np.log10(taus), np.log10(values), 1)[0])
+    log_taus = np.log10(taus)
+    if np.all(log_taus == log_taus[0]):
+        raise DegenerateInput("fit_slope requires at least two distinct log10(tau) in range")
+    return float(np.polyfit(log_taus, np.log10(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------

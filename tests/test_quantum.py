@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +208,12 @@ class TestRequiredSqueezing:
     def test_total_loss_is_unattainable(self):
         assert required_squeezing(0.0, 2.0) is None
         assert required_squeezing(0.0, 1.001) is None
+
+    @pytest.mark.parametrize("factor", [1.4e154, 1e200, sys.float_info.max])
+    def test_a_factor_whose_square_overflows(self, factor):
+        # Lossless, the variance falls by factor**2, 20 log10(factor) dB; under any loss, the floor wins.
+        assert required_squeezing(1.0, factor) == pytest.approx(20.0 * math.log10(factor), rel=1e-15, abs=0.0)
+        assert required_squeezing(0.999, factor) is None
 
     def test_rejects_an_advantage_factor_of_at_most_one(self):
         with pytest.raises(InvalidArgument, match="advantage_factor must exceed 1, got 1.0"):

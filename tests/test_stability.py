@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import os
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from combsync import stability
@@ -45,9 +42,9 @@ def m_lists(m):
     return st.lists(st.one_of(m, m.map(np.int64)), min_size=1, max_size=12)
 
 
-def random_series(seed, length=32, tau0=1.0):
+def random_series(seed, length=32, tau0=1.0, mean=0.0):
     rng = np.random.default_rng(seed)
-    return TimeSeriesY(tau0, rng.normal(0.0, 1.0, length))
+    return TimeSeriesY(tau0, rng.normal(mean, 1.0, length))
 
 
 def brute_ffi0(samples, m):
@@ -285,6 +282,20 @@ class TestStabilityCurve:
             stability_curve(random_series(4), m_values, "ffi1")
 
     @pytest.mark.parametrize("variant", list(Variant))
+    def test_octave_m_values_are_the_m_a_curve_keeps(self, variant):
+        every = [2**j for j in range(8)]
+        for length in range(101):
+            curve = stability_curve(random_series(length, length), every, variant)
+            kept = [p.m for p in curve.points]
+            assert octave_m_values(length, variant) == kept
+            assert [w.split(":")[0] for w in curve.warnings] == [f"m={m}" for m in every[len(kept):]]
+
+    @pytest.mark.parametrize("variant", ["ffi2", None])
+    def test_octave_m_values_rejects_a_variant_that_is_not_a_variant(self, variant):
+        with pytest.raises(InvalidArgument, match=f"^unknown variant {variant!r}$"):
+            octave_m_values(90, variant)
+
+    @pytest.mark.parametrize("variant", list(Variant))
     def test_tau_past_the_float_range_raises(self, variant):
         # m = 1 fits; tau at m = 2 is inf, which TDEV would multiply by the zero deviation.
         with pytest.raises(OverflowError):
@@ -315,14 +326,20 @@ class TestStabilityCurve:
     @given(
         st.integers(2, 5000),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3, -1e3]),
         st.sets(st.sampled_from([2**j for j in range(13)]), min_size=1),
         st.sampled_from(list(Variant)),
     )
-    @example(5000, 0, {2**j for j in range(13)}, Variant.FFI2)
-    @example(5000, 0, {2**j for j in range(13)}, Variant.FFI0)
-    @example(2, 0, {1, 2}, Variant.FFI1)
-    def test_sweep_equals_the_allocating_reference(self, length, seed, m_values, variant):
-        series = random_series(seed, length, tau0=0.25)
+    @example(5000, 0, 0.0, {2**j for j in range(13)}, Variant.FFI2)
+    @example(5000, 0, 1e3, {2**j for j in range(13)}, Variant.FFI0)
+    @example(2, 0, 0.0, {1, 2}, Variant.FFI1)
+    @example(3 * 2**16, 0, 0.0, {2**j for j in range(20)}, Variant.FFI2)
+    @example(3 * 2**16, 0, -1e3, {2**j for j in range(20)}, Variant.TDEV)
+    @example(3 * 2**16 - 1, 0, 1e3, {2**j for j in range(20)}, Variant.FFI1)
+    @example(3 * 2**16 - 1, 0, 0.0, {2**j for j in range(20)}, Variant.FFI0)
+    def test_sweep_equals_the_allocating_reference(self, length, seed, mean, m_values, variant):
+        # A mean of +-1e3 sigma is swept shifted; at 3 * 2**16 samples and around it, the longest m are skipped.
+        series = random_series(seed, length, tau0=0.25, mean=mean)
         curve = stability_curve(series, m_values, variant)
         reference = oracles.octave_sweep_reference(series.samples, series.tau0, m_values, variant.value)
         assert {p.m: p.value for p in curve.points} == reference  # bit for bit
@@ -447,143 +464,22 @@ class TestOctaveSweepAccuracy:
                 assert float(abs(Fraction(p.value) - ref) / ref) <= 4 * eps, (m_values, p.m)
 
 
-class TestPairedSweep:
-    """Long octave curves split each octave's array passes between this thread and a helper.
-
-    Every test forces two CPUs (or one) through ``os.sched_getaffinity``,
-    or through ``os.cpu_count`` where that is missing, and counts the
-    helpers made; the stress test gives each join a timeout.
-    """
-
-    SPLIT = stability._SPLIT_FROM
-
-    @staticmethod
-    def cpus(mp, count):
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    @staticmethod
-    def count_helpers(mp):
-        made = []
-
-        class Counted(stability._Helper):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-        mp.setattr(stability, "_Helper", Counted)
-        return made
-
-    @classmethod
-    def serial(cls, series, m_values, variant):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stability, "_SPLIT_FROM", math.inf)
-            made = cls.count_helpers(mp)
-            curve = stability_curve(series, m_values, variant)
-        assert made == []
-        return curve
-
-    @given(
-        st.sampled_from([8, SPLIT]).flatmap(lambda split: st.tuples(st.just(split), st.integers(split // 2, 2 * split))),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 1e3, -1e3]),
-        st.sets(st.sampled_from([2**j for j in range(20)]), min_size=1),
-        st.sampled_from(list(Variant)),
-    )
-    @settings(max_examples=30)
-    @example((SPLIT, SPLIT), 0, 0.0, {2**j for j in range(20)}, Variant.FFI2)
-    @example((SPLIT, SPLIT - 1), 0, 0.0, {2**j for j in range(20)}, Variant.FFI1)
-    @example((8, 8), 0, 0.0, {1, 2, 4}, Variant.FFI0)
-    def test_paired_equals_serial_bit_for_bit(self, split_and_length, seed, mean, m_values, variant):
-        # The real threshold and a lowered one, on series either side of it; a mean of +-1e3 sigma is swept
-        # shifted, and an m of 2**18 or 2**19 is too long for every series here and skipped.  A curve
-        # with no m that fits makes no helper.
-        split, length = split_and_length
-        series = TimeSeriesY(0.25, np.random.default_rng(seed).normal(mean, 1.0, length))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stability, "_SPLIT_FROM", split)
-            self.cpus(mp, 2)
-            made = self.count_helpers(mp)
-            paired = stability_curve(series, m_values, variant)
-        assert len(made) == (length >= split and len(paired.points) > 0)
-        assert repr(paired) == repr(self.serial(series, m_values, variant))  # repr keeps every bit, -0.0 too
-
-    def test_many_curves_at_once_each_equal_serial(self, monkeypatch):
-        # More curve threads than cores, each with its own helper, switching as often as the interpreter allows.
-        monkeypatch.setattr(stability, "_SPLIT_FROM", 256)
-        self.cpus(monkeypatch, 2)
-        variants = list(Variant)
-        jobs = [(TimeSeriesY(1.0, np.random.default_rng(i).normal(0.0, 1.0, 4096 + 37 * i)), variants[i % 4])
-                for i in range(2 * (os.cpu_count() or 1) + 2)]
-        m_values = [2**j for j in range(12)]
-        expected = [self.serial(series, m_values, variant) for series, variant in jobs]
-        results = [None] * len(jobs)
-
-        def run(i):
-            series, variant = jobs[i]
-            results[i] = [stability_curve(series, m_values, variant) for _ in range(5)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for got, want in zip(results, expected):
-            assert got is not None and all(repr(curve) == repr(want) for curve in got)
-
-    def test_overflow_in_the_helpers_half_raises_here(self, monkeypatch):
-        # Only the upper half of the series is loud, so only the helper's squares overflow.
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
-        half = self.SPLIT // 2
-        series = TimeSeriesY(1.0, np.concatenate([np.zeros(half), np.tile([1e200, -1e200], half // 2)]))
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            stability_curve(series, [1, 2], Variant.FFI1)
-        assert len(made) == 1
+class TestSweepWork:
+    """What an octave curve raises and allocates: in the sweep's own order, and no work array before every check."""
 
     @pytest.mark.parametrize("tau0,error", [(5e307, "tau left the float range"), (1.0, "overflow encountered")])
-    def test_a_step_taken_early_raises_where_the_serial_sweep_steps(self, monkeypatch, tau0, error):
-        # Every Y_2 is 9e307, so the readout at m = 2 reads zeros, while the step to m = 4, taken with that
+    def test_a_step_that_overflows_raises_where_the_sweep_steps(self, tau0, error):
+        # Every Y_2 is 9e307, so the readout at m = 2 reads zeros, while the step to m = 4, taken after that
         # readout, overflows.  With tau0 = 5e307 the tau at m = 4 leaves the float range before any work.
-        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
         y = np.empty(64)
         y[0::2], y[1::2] = np.arange(32.0), 9e307
         for variant in (Variant.FFI0, Variant.FFI1):
-            for sweep in (stability_curve, self.serial):
-                with np.errstate(over="raise"), pytest.raises(ArithmeticError, match=error):
-                    sweep(TimeSeriesY(tau0, y), [2, 4], variant)
-        assert len(made) == (0 if tau0 > 1.0 else 2)
-
-    @pytest.mark.parametrize("loud", [False, True], ids=["returned", "raised"])
-    def test_no_thread_outlives_a_curve(self, monkeypatch, loud):
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
-        samples = np.tile([1e200, -1e200], self.SPLIT // 2) if loud else np.ones(self.SPLIT)
-        before = threading.active_count()
-        for variant in Variant:
-            try:
-                with np.errstate(over="raise"):
-                    stability_curve(TimeSeriesY(1.0, samples), [1, 2, 4], variant)
-            except FloatingPointError:
-                assert loud
-            else:
-                assert not loud
-            assert threading.active_count() == before
-        assert len(made) == len(Variant) and not any(helper._thread.is_alive() for helper in made)
+            with np.errstate(over="raise"), pytest.raises(ArithmeticError, match=error):
+                stability_curve(TimeSeriesY(tau0, y), [2, 4], variant)
 
     @pytest.mark.parametrize("mean", [0.0, 1e3, -1e3], ids=["carried-in-place", "shifted", "shifted-negative"])
-    def test_a_paired_curve_allocates_two_arrays_of_the_series_length(self, monkeypatch, mean):
-        # The readouts write their squares into the spare work array, as the serial sweep does.
-        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
+    def test_a_curve_allocates_two_arrays_of_the_series_length(self, mean):
+        # The readouts write their squares into the spare work array.
         size = 2**16
         series = TimeSeriesY(1.0, np.random.default_rng(7).normal(mean, 1.0, size))
         for variant in (Variant.FFI1, Variant.FFI2):
@@ -594,24 +490,9 @@ class TestPairedSweep:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.2 * series.samples.nbytes
-        assert len(made) == 2
-
-    @pytest.mark.parametrize("count,helpers", [(None, 0), (1, 0), (2, 1)])
-    def test_without_an_affinity_call_the_machines_cpus_count(self, monkeypatch, count, helpers):
-        # os.sched_getaffinity is missing on macOS and Windows.
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        monkeypatch.setattr(stability, "_SPLIT_FROM", 8)
-        made = self.count_helpers(monkeypatch)
-        series = random_series(5, length=64)
-        curve = stability_curve(series, [1, 2, 4], Variant.FFI1)
-        assert len(made) == helpers
-        assert repr(curve) == repr(self.serial(series, [1, 2, 4], Variant.FFI1))
 
     @pytest.mark.parametrize("m_values", [[], [2**20, 2**21]], ids=["no-m", "every-m-too-long"])
-    def test_a_curve_with_no_m_that_fits_allocates_no_work_array(self, monkeypatch, m_values):
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
+    def test_a_curve_with_no_m_that_fits_allocates_no_work_array(self, m_values):
         size = 2**20
         series = TimeSeriesY(1.0, np.random.default_rng(3).normal(0.0, 1.0, size))
         for variant in Variant:
@@ -627,12 +508,9 @@ class TestPairedSweep:
             assert curve == StabilityCurve(points=(), warnings=tuple(
                 f"m={m}: {name} with m={m} needs at least {3 * m - 1 if double else 2 * m} samples, got {size}"
                 for m in m_values))
-        assert made == []
 
-    def test_a_tau_past_the_float_range_raises_before_any_work(self, monkeypatch):
+    def test_a_tau_past_the_float_range_raises_before_any_work(self):
         # m = 1 and 2 fit and their taus are finite, but the tau at m = 4 is 2e308.
-        self.cpus(monkeypatch, 2)
-        made = self.count_helpers(monkeypatch)
         series = TimeSeriesY(5e307, np.random.default_rng(3).normal(0.0, 1.0, 2**20))
         for variant in Variant:
             tracemalloc.start()
@@ -643,41 +521,6 @@ class TestPairedSweep:
             finally:
                 tracemalloc.stop()
             assert peak < series.samples.nbytes
-        assert made == []
-
-    def test_one_cpu_stays_serial(self, monkeypatch):
-        self.cpus(monkeypatch, 1)
-        made = self.count_helpers(monkeypatch)
-        series = random_series(5, length=self.SPLIT)
-        curve = stability_curve(series, [1, 2, 4, 8], Variant.FFI2)
-        assert made == [] and repr(curve) == repr(self.serial(series, [1, 2, 4, 8], Variant.FFI2))
-
-
-def test_a_base_exception_in_the_helpers_half_raises_here():
-    # Not an Exception, so only the helper's catch-all hands it back; a lost handover would leave wait() blocked,
-    # so the scenario runs on a thread of its own, joined with a timeout.
-    class Halt(BaseException):
-        pass
-
-    def region(lo, hi):
-        if lo > 0:
-            raise Halt(lo, hi)
-
-    outcome = []
-
-    def scenario():
-        helper = stability._Helper()
-        try:
-            with helper:
-                stability._in_halves(helper, 64, 1, region)
-        except Halt as exc:
-            outcome.append((exc.args, helper._thread.is_alive()))
-
-    thread = threading.Thread(target=scenario, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert outcome == [((32, 64), False)]
 
 
 class TestFitSlope:
@@ -717,6 +560,13 @@ class TestFitSlope:
         )
         with pytest.raises(DegenerateInput):
             fit_slope(StabilityCurve(points=points))
+
+    def test_equal_taus_degenerate(self, capfd):
+        # LAPACK would fail on them and print to stderr; the fit refuses them first.
+        points = tuple(StabilityPoint(tau=2.0, value=v, m=2, variant=Variant.FFI1) for v in (1.0, 2.0, 3.0))
+        with pytest.raises(DegenerateInput, match=r"^fit_slope requires at least two distinct log10\(tau\) in range$"):
+            fit_slope(StabilityCurve(points=points))
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["tau", "value"])
